@@ -18,10 +18,9 @@ from .codec import decode_tau, encode_tau
 from .display import (displayed_tree, displayed_trees, displays,
                       displays_by_subdivision, find_embedding,
                       trivial_network)
-from .errors import (BudgetExceeded, DomainError, EmptyUnion,
-                     InvalidLabelling, LeafsetMismatch, ModeMismatch,
-                     NotATree, NotInImage, ParseError, RetnetError,
-                     SwitchingMismatch, TTooLarge)
+from .errors import (BudgetExceeded, DomainError, InvalidLabelling,
+                     LeafsetMismatch, ModeMismatch, NotATree, NotInImage,
+                     ParseError, RetnetError, SwitchingMismatch, TTooLarge)
 from .generate import (all_reticulation_labellings, enumerate_networks,
                        enumerate_switchings, enumerate_trees,
                        fixed_switching, reticulation_labellings)
@@ -50,5 +49,5 @@ __all__ = [
     "min_reticulations", "worst_case_r", "verify_counts",
     "RetnetError", "BudgetExceeded", "NotInImage", "InvalidLabelling",
     "SwitchingMismatch", "ModeMismatch", "LeafsetMismatch", "NotATree",
-    "EmptyUnion", "DomainError", "TTooLarge", "ParseError",
+    "DomainError", "TTooLarge", "ParseError",
 ]

@@ -199,7 +199,8 @@ def _lg_binomial_of_df(df_arg: int, t: int) -> RealInterval:
     lgtf = _lg_factorial(t)
     # lg C(M,t) in [t*lg(M-t+1) - lg t!, t*lg M - lg t!]; for lg M > 64
     # the slack lg(M-t+1) >= lg M - 3t*2^(-lg M) is certified.
-    assert lgm.lo > 64
+    if not lgm.lo > 64:
+        raise DomainError(f"{df_arg}!! is too small for the certified slack (needs lg > 64)")
     slack = Fraction(3 * t, 2 ** 64)
     lo = t * (lgm.lo - slack) - lgtf.hi
     hi = t * lgm.hi - lgtf.lo

@@ -38,7 +38,7 @@ def canonical_code(G: Graph, edge_labels: Optional[ReticulationLabelling] = None
         elabels = {e: h for e, h in edge_labels.numbered}
     if not elabels and model.is_tree_shaped(G):
         return CanonicalCode(header + b"T" + _tree_code(G))
-    body = _canon_general(G.mode, G.num_nodes, G.edges, dict(G.leaf_labels), elabels)
+    body, _, _ = _canon_general(G.mode, G.num_nodes, G.edges, dict(G.leaf_labels), elabels)
     return CanonicalCode(header + b"G" + body)
 
 
@@ -51,8 +51,7 @@ def canonical_positions(G: Graph,
     edge labels supplied the ordering respects them too.
     """
     elabels = {} if edge_labels is None else {e: h for e, h in edge_labels.numbered}
-    _, perm = _canon_general(G.mode, G.num_nodes, G.edges, dict(G.leaf_labels),
-                             elabels, want_perm=True)
+    _, perm, _ = _canon_general(G.mode, G.num_nodes, G.edges, dict(G.leaf_labels), elabels)
     return tuple(perm)
 
 
@@ -60,6 +59,21 @@ def are_isomorphic(A: Graph, B: Graph) -> bool:
     if A.mode != B.mode:
         raise ModeMismatch(f"{A.mode} vs {B.mode}")
     return canonical_code(A) == canonical_code(B)
+
+
+def automorphism_count(X) -> int:
+    """Number of labelled-graph automorphisms of a graph or labelled network.
+
+    For a valid reticulation-labelled network this is always 1: the edge
+    numbering pins every node.  Without edge labels larger groups are
+    possible (parent-swap symmetries).
+    """
+    if isinstance(X, ReticulationLabelling):
+        G, elabels = X.host, dict(X.numbered)
+    else:
+        G, elabels = X, {}
+    _, _, ties = _canon_general(G.mode, G.num_nodes, G.edges, dict(G.leaf_labels), elabels)
+    return ties
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +112,13 @@ def _tree_code(G: Graph) -> bytes:
 
 
 def _canon_general(mode: str, num_nodes: int, edges, vlabels: dict[int, int],
-                   elabels: dict[tuple[int, int], int], want_perm: bool = False):
+                   elabels: dict[tuple[int, int], int]) -> tuple[bytes, list[int], int]:
+    """Least encoding, its node -> position map, and how many search leaves reach it.
+
+    Every branch of the search is explored and target cells are chosen
+    canonically, so the leaves reaching the least encoding correspond one
+    to one with the automorphisms of the labelled graph.
+    """
     directed = mode == ROOTED
     out_nb: list[list[tuple[int, int]]] = [[] for _ in range(num_nodes)]
     in_nb: list[list[tuple[int, int]]] = [[] for _ in range(num_nodes)]
@@ -114,10 +134,6 @@ def _canon_general(mode: str, num_nodes: int, edges, vlabels: dict[int, int],
     init_keys = [("L", vlabels[v]) if v in vlabels else ("I", 0) for v in range(num_nodes)]
     colors = _rank([(k,) for k in init_keys])
 
-    edge_set = {}
-    for e in edges:
-        edge_set[e] = elabels.get(e, 0)
-
     def refine(cols: list[int]) -> list[int]:
         while True:
             sigs = []
@@ -131,16 +147,13 @@ def _canon_general(mode: str, num_nodes: int, edges, vlabels: dict[int, int],
                 return new
             cols = new
 
-    def encode(cols: list[int]) -> bytes:
-        perm = [0] * num_nodes
-        for v in range(num_nodes):
-            perm[v] = cols[v]
+    def encode(pos: list[int]) -> bytes:
         if directed:
-            es = sorted((perm[u], perm[v], edge_set[(u, v)]) for u, v in edges)
+            es = sorted((pos[u], pos[v], elabels.get((u, v), 0)) for u, v in edges)
         else:
-            es = sorted(tuple(sorted((perm[u], perm[v]))) + (edge_set[(u, v)],)
+            es = sorted(tuple(sorted((pos[u], pos[v]))) + (elabels.get((u, v), 0),)
                         for u, v in edges)
-        ls = sorted((perm[v], x) for v, x in vlabels.items())
+        ls = sorted((pos[v], x) for v, x in vlabels.items())
         return repr((num_nodes, es, ls)).encode()
 
     best: list = []
@@ -158,7 +171,9 @@ def _canon_general(mode: str, num_nodes: int, edges, vlabels: dict[int, int],
         if target is None:
             enc = encode(cols)
             if not best or enc < best[0]:
-                best[:] = [enc, list(cols)]
+                best[:] = [enc, cols, 1]
+            elif enc == best[0]:
+                best[2] += 1
             return
         for v in classes[target]:
             keyed = [(cols[u], 0 if u == v else 1) if cols[u] == target else (cols[u], 2)
@@ -166,105 +181,9 @@ def _canon_general(mode: str, num_nodes: int, edges, vlabels: dict[int, int],
             search(_rank(keyed))
 
     search(colors)
-    if want_perm:
-        return best[0], best[1]
-    return best[0]
+    return tuple(best)
 
 
 def _rank(keys: list) -> list[int]:
     order = {k: i for i, k in enumerate(sorted(set(keys)))}
     return [order[k] for k in keys]
-
-
-# ---------------------------------------------------------------------------
-# automorphisms
-
-
-def automorphism_count(X) -> int:
-    """Number of labelled-graph automorphisms of a graph or labelled network.
-
-    For a valid reticulation-labelled network this is always 1: the edge
-    numbering pins every node.  Without edge labels larger groups are
-    possible (parent-swap symmetries).
-    """
-    if isinstance(X, ReticulationLabelling):
-        G = X.host
-        elabels = {e: h for e, h in X.numbered}
-    else:
-        G = X
-        elabels = {}
-    directed = G.mode == ROOTED
-    n = G.num_nodes
-    vlabels = dict(G.leaf_labels)
-    edge_lab = {}
-    for e in G.edges:
-        u, v = e
-        lab = elabels.get(e, 0)
-        if directed:
-            edge_lab[(u, v)] = lab
-        else:
-            edge_lab[(u, v)] = lab
-            edge_lab[(v, u)] = lab
-
-    adj_out: list[set[int]] = [set() for _ in range(n)]
-    adj_in: list[set[int]] = [set() for _ in range(n)]
-    for u, v in G.edges:
-        adj_out[u].add(v)
-        adj_in[v].add(u)
-        if not directed:
-            adj_out[v].add(u)
-            adj_in[u].add(v)
-
-    # stable colouring restricts candidate images
-    init = [("L", vlabels[v]) if v in vlabels else ("I", 0) for v in range(n)]
-    cols = _rank([(k,) for k in init])
-    while True:
-        sigs = []
-        for v in range(n):
-            sigs.append((cols[v],
-                         tuple(sorted((cols[u], edge_lab[(u, v)]) for u in adj_in[v])),
-                         tuple(sorted((cols[u], edge_lab[(v, u)]) for u in adj_out[v]))))
-        new = _rank(sigs)
-        if len(set(new)) == len(set(cols)):
-            cols = new
-            break
-        cols = new
-
-    classes: dict[int, list[int]] = {}
-    for v in range(n):
-        classes.setdefault(cols[v], []).append(v)
-    order = sorted(range(n), key=lambda v: (len(classes[cols[v]]), cols[v], v))
-
-    count = 0
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    def consistent(v: int, w: int) -> bool:
-        for u, mu in mapping.items():
-            if (u in adj_out[v]) != (mu in adj_out[w]):
-                return False
-            if u in adj_out[v] and edge_lab[(v, u)] != edge_lab[(w, mu)]:
-                return False
-            if (u in adj_in[v]) != (mu in adj_in[w]):
-                return False
-            if u in adj_in[v] and edge_lab[(u, v)] != edge_lab[(mu, w)]:
-                return False
-        return True
-
-    def dfs(i: int) -> None:
-        nonlocal count
-        if i == len(order):
-            count += 1
-            return
-        v = order[i]
-        for w in classes[cols[v]]:
-            if w in used or not consistent(v, w):
-                continue
-            mapping[v] = w
-            used.add(w)
-            dfs(i + 1)
-            del mapping[v]
-            used.discard(w)
-
-    dfs(0)
-    return count

@@ -2,8 +2,7 @@
 
 Streams are JSON Lines by default (one object per line) or CSV via
 --format csv.  Exit codes: 0 success, 1 domain error, 2 usage error.
-Output is deterministic; --jobs is accepted for interface stability but
-work is done sequentially, which yields the same canonical ordering.
+Output is deterministic, in canonical order.
 """
 
 from __future__ import annotations
@@ -73,20 +72,16 @@ def main() -> None:
     """Exact combinatorics for binary phylogenetic networks."""
 
 
-def _common(f):
-    f = click.option("--format", "fmt", type=click.Choice(["jsonl", "csv"]),
-                     default="jsonl", show_default=True)(f)
-    f = click.option("--jobs", type=int, default=1, show_default=True,
-                     help="Worker count (ordering is canonical regardless).")(f)
-    return f
+_format_option = click.option("--format", "fmt", type=click.Choice(["jsonl", "csv"]),
+                              default="jsonl", show_default=True)
 
 
 @main.command()
 @click.option("--n", type=int, required=True)
 @click.option("--mode", type=_MODE, default=ROOTED, show_default=True)
 @click.option("--count-only", is_flag=True)
-@_common
-def trees(n: int, mode: str, count_only: bool, fmt: str, jobs: int) -> None:
+@_format_option
+def trees(n: int, mode: str, count_only: bool, fmt: str) -> None:
     """Enumerate all binary trees on n labelled leaves."""
     ts = generate.enumerate_trees(n, mode)
     if count_only:
@@ -101,9 +96,9 @@ def trees(n: int, mode: str, count_only: bool, fmt: str, jobs: int) -> None:
 @click.option("--mode", type=_MODE, default=ROOTED, show_default=True)
 @click.option("--count-only", is_flag=True)
 @click.option("--leaf-connecting/--no-leaf-connecting", default=True, show_default=True)
-@_common
+@_format_option
 def networks(n: int, r: int, mode: str, count_only: bool,
-             leaf_connecting: bool, fmt: str, jobs: int) -> None:
+             leaf_connecting: bool, fmt: str) -> None:
     """Enumerate all binary networks with n leaves and r reticulations."""
     nets = generate.enumerate_networks(n, r, mode, leaf_connecting=leaf_connecting)
     if count_only:
@@ -115,8 +110,8 @@ def networks(n: int, r: int, mode: str, count_only: bool,
 @main.command()
 @click.option("--network", "path", type=click.Path(exists=True), required=True)
 @click.option("--count-only", is_flag=True)
-@_common
-def switchings(path: str, count_only: bool, fmt: str, jobs: int) -> None:
+@_format_option
+def switchings(path: str, count_only: bool, fmt: str) -> None:
     """Enumerate the switchings of a network."""
     N = _read_network(path)
     sws = generate.enumerate_switchings(N)
@@ -173,8 +168,8 @@ def display_cmd(net_path: str, tree_path: str) -> None:
 @click.option("--limit", type=int, default=display.DEFAULT_SWITCHING_LIMIT,
               show_default=True)
 @click.option("--count-only", is_flag=True)
-@_common
-def displayed(path: str, limit: int, count_only: bool, fmt: str, jobs: int) -> None:
+@_format_option
+def displayed(path: str, limit: int, count_only: bool, fmt: str) -> None:
     """List every tree the network displays."""
     N = _read_network(path)
     ts = display.displayed_trees(N, limit=limit)
@@ -269,9 +264,9 @@ def bounds_cmd(stmt: str, n: int, t: int | None, r: int | None, mode: str) -> No
 @click.option("--n-max", type=int, default=3, show_default=True)
 @click.option("--r-max", type=int, default=1, show_default=True)
 @click.option("--mode", type=_MODE, default=ROOTED, show_default=True)
-@_common
+@_format_option
 def verify(lemmas: bool, counts: bool, kmax: int, n_max: int, r_max: int,
-           mode: str, fmt: str, jobs: int) -> None:
+           mode: str, fmt: str) -> None:
     """Run the bound-verification suites; CSV by default."""
     if not lemmas and not counts:
         raise click.UsageError("pass --lemmas and/or --counts")

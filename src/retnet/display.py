@@ -25,8 +25,7 @@ def displayed_tree(N: Graph, sigma: Switching) -> PhyloTree:
     if sigma.host != N:
         raise SwitchingMismatch("switching is not hosted by this network")
     on_edges = {e for e in N.edges if e not in sigma.off_edges}
-    return model._suppress_raw(N.mode, set(range(N.num_nodes)), on_edges,
-                               dict(N.leaf_labels))
+    return model._suppress_raw(N.mode, N.num_nodes, on_edges, dict(N.leaf_labels))
 
 
 def displayed_trees(N: Graph, limit: int = DEFAULT_SWITCHING_LIMIT) -> tuple[PhyloTree, ...]:

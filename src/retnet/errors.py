@@ -44,10 +44,6 @@ class NotATree(RetnetError):
     code = "NOT_A_TREE"
 
 
-class EmptyUnion(RetnetError):
-    code = "EMPTY_UNION"
-
-
 class DomainError(RetnetError):
     code = "DOMAIN"
 

@@ -16,7 +16,7 @@ from typing import Iterator
 
 from . import codec, model
 from .canonical import canonical_code, canonical_positions
-from .errors import BudgetExceeded, NotInImage, SwitchingMismatch
+from .errors import BudgetExceeded, DomainError, NotInImage, SwitchingMismatch
 from .model import (Graph, PhyloTree, ReticulationLabelling, Switching,
                     ROOTED, UNROOTED)
 
@@ -28,7 +28,10 @@ BUDGET_ENV = "RETNET_BUDGET"
 def _budget_cap(mode: str) -> int:
     env = os.environ.get(BUDGET_ENV)
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise DomainError(f"{BUDGET_ENV} must be an integer, not {env!r}") from None
     return DEFAULT_CAP[mode]
 
 

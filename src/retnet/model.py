@@ -12,7 +12,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
-from .errors import EmptyUnion, NotATree
+from .errors import NotATree
 
 ROOTED = "rooted"
 UNROOTED = "unrooted"
@@ -101,12 +101,6 @@ class ReticulationLabelling:
     @property
     def r(self) -> int:
         return len(self.numbered)
-
-    def label_of(self, edge: Edge) -> int:
-        for e, h in self.numbered:
-            if e == edge:
-                return h
-        return 0
 
     def switching(self) -> Switching:
         return Switching(self.host, frozenset(e for e, _ in self.numbered))
@@ -467,107 +461,54 @@ def suppress(G: Graph) -> PhyloTree:
     (rooted: in-degree-1/out-degree-1 nodes and out-degree-1 roots).
     Inverse of edge subdivision.
     """
-    return _suppress_raw(G.mode, set(range(G.num_nodes)), set(G.edges), dict(G.leaf_labels))
+    return _suppress_raw(G.mode, G.num_nodes, G.edges, dict(G.leaf_labels))
 
 
-def _suppress_raw(mode: str, nodes: set[int], edges: set[Edge], labels: dict[int, int]) -> PhyloTree:
-    if mode == ROOTED:
-        return _suppress_rooted(nodes, edges, labels)
-    return _suppress_unrooted(nodes, edges, labels)
+def _suppress_raw(mode: str, num_nodes: int, edges: Iterable[Edge],
+                  labels: dict[int, int]) -> PhyloTree:
+    """One post-order pass over the tree on nodes 0..num_nodes-1.
 
-
-def _suppress_rooted(nodes: set[int], edges: set[Edge], labels: dict[int, int]) -> PhyloTree:
-    if _has_directed_cycle(max(nodes, default=0) + 1, edges):
-        raise NotATree("input has a directed cycle")
-    children = defaultdict(set)
-    parent: dict[int, int] = {}
-    for u, v in edges:
-        children[u].add(v)
-        if v in parent:
-            raise NotATree("node with two parents")
-        parent[v] = u
-    changed = True
-    while changed:
-        changed = False
-        for v in list(nodes):
-            if v in labels:
-                continue
-            cs = children[v]
-            if not cs:  # unlabelled childless node: prune
-                nodes.remove(v)
-                if v in parent:
-                    children[parent[v]].discard(v)
-                    del parent[v]
-                changed = True
-            elif len(cs) == 1:
-                (c,) = cs
-                if v in parent:  # in-1 out-1: contract
-                    p = parent[v]
-                    children[p].discard(v)
-                    children[p].add(c)
-                    parent[c] = p
-                else:  # root with a single child: drop the root
-                    del parent[c]
-                nodes.remove(v)
-                del children[v]
-                changed = True
-    new_edges = [(u, v) for u in nodes for v in children[u]]
-    return make_graph(ROOTED, nodes, new_edges, {v: x for v, x in labels.items() if v in nodes})
-
-
-def _suppress_unrooted(nodes: set[int], edges: set[Edge], labels: dict[int, int]) -> PhyloTree:
-    if len(edges) != len(nodes) - 1 or not _is_connected_sets(nodes, edges):
-        raise NotATree("input is not a tree")
-    adj = defaultdict(set)
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    changed = True
-    while changed:
-        changed = False
-        for v in list(nodes):
-            if v in labels:
-                continue
-            nb = adj[v]
-            if len(nb) <= 1:  # unlabelled pendant (or isolated) node: prune
-                nodes.remove(v)
-                for w in nb:
-                    adj[w].discard(v)
-                del adj[v]
-                changed = True
-            elif len(nb) == 2:  # degree-2 node: contract
-                a, b = sorted(nb)
-                nodes.remove(v)
-                adj[a].discard(v)
-                adj[b].discard(v)
-                adj[a].add(b)
-                adj[b].add(a)
-                del adj[v]
-                changed = True
-    new_edges = set()
-    for u in nodes:
-        for w in adj[u]:
-            new_edges.add(_norm_edge(UNROOTED, u, w))
-    return make_graph(UNROOTED, nodes, new_edges, {v: x for v, x in labels.items() if v in nodes})
-
-
-def _is_connected_sets(nodes: set[int], edges: set[Edge]) -> bool:
-    if not nodes:
-        return False
-    adj = defaultdict(list)
+    The walk starts at the root (rooted) or at a labelled node (unrooted).
+    A node survives iff it is labelled or at least two of its subtrees
+    hold labels; each survivor hangs from its nearest surviving ancestor.
+    """
+    edges = list(edges)
+    adj: list[list[int]] = [[] for _ in range(num_nodes)]
     for u, v in edges:
         adj[u].append(v)
-        adj[v].append(u)
-    start = next(iter(nodes))
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen == nodes
+        if mode != ROOTED:
+            adj[v].append(u)
+    if mode == ROOTED:
+        child = {v for _, v in edges}
+        start = next((v for v in range(num_nodes) if v not in child), None)
+    else:
+        start = min(labels, default=0)
+    # |E| = |V| - 1 and every node reached from the start: a tree (rooted:
+    # an arborescence, so no node with two parents and no directed cycle)
+    if len(edges) != num_nodes - 1 or start is None:
+        raise NotATree("input is not a tree")
+    parent = [-1] * num_nodes
+    parent[start] = start
+    order = [start]
+    for v in order:
+        for w in adj[v]:
+            if parent[w] < 0:
+                parent[w] = v
+                order.append(w)
+    if len(order) != num_nodes:
+        raise NotATree("input is not a tree")
+    top: list = [None] * num_nodes  # topmost survivor in v's subtree, if any
+    kept: list[int] = []
+    new_edges: list[Edge] = []
+    for v in reversed(order):
+        below = [top[w] for w in adj[v] if w != parent[v] and top[w] is not None]
+        if v in labels or len(below) >= 2:
+            kept.append(v)
+            new_edges.extend((v, w) for w in below)
+            top[v] = v
+        elif below:
+            top[v] = below[0]
+    return make_graph(mode, kept, new_edges, labels)
 
 
 def subdivide(G: Graph, edge: Edge, times: int = 1) -> Graph:
@@ -582,9 +523,7 @@ def subdivide(G: Graph, edge: Edge, times: int = 1) -> Graph:
         prev = nid
         nid += 1
     edges.append(_norm_edge(G.mode, prev, v))
-    cls = type(G)
-    return make_graph(G.mode, range(nid), edges, dict(G.leaf_labels),
-                      cls=cls if cls is not PhyloTree else PhyloTree)
+    return make_graph(G.mode, range(nid), edges, dict(G.leaf_labels), cls=type(G))
 
 
 # ---------------------------------------------------------------------------
@@ -619,48 +558,6 @@ def is_leaf_connecting(N: UnrootedNetwork) -> bool:
         if not found:
             return False
     return True
-
-
-def restrict_to_embeddings(N: UnrootedNetwork, embeddings: Iterable[Iterable[Edge]]) -> UnrootedNetwork:
-    """The subnetwork on the union of embedding edges, degree-2 vertices suppressed."""
-    union: set[Edge] = set()
-    for emb in embeddings:
-        union.update(_norm_edge(UNROOTED, u, v) for u, v in emb)
-    leaves = set(leaf_map(N))
-    if not any(u in leaves or v in leaves for u, v in union):
-        raise EmptyUnion("embedding union covers no leaf edge")
-    nodes = {u for e in union for u in e}
-    adj: dict[int, set[int]] = defaultdict(set)
-    for u, v in union:
-        adj[u].add(v)
-        adj[v].add(u)
-    # Suppress unlabelled degree-2 vertices.  Contractions that would
-    # create a parallel edge or self-loop collapse it instead, which can
-    # only lower the reticulation number.
-    changed = True
-    while changed:
-        changed = False
-        for v in list(nodes):
-            if v in leaves:
-                continue
-            nb = adj[v]
-            if len(nb) == 0:
-                nodes.remove(v)
-                del adj[v]
-                changed = True
-            elif len(nb) == 2:
-                a, b = sorted(nb)
-                nodes.remove(v)
-                adj[a].discard(v)
-                adj[b].discard(v)
-                if a != b and b not in adj[a]:
-                    adj[a].add(b)
-                    adj[b].add(a)
-                del adj[v]
-                changed = True
-    new_edges = {_norm_edge(UNROOTED, u, w) for u in nodes for w in adj[u]}
-    labels = {v: x for v, x in N.leaf_labels if v in nodes}
-    return make_graph(UNROOTED, nodes, new_edges, labels, cls=UnrootedNetwork)
 
 
 def tree_set(trees: Iterable[PhyloTree]) -> TreeSet:

@@ -268,14 +268,22 @@ def network_to_json(N: UnrootedNetwork) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
+# what bad JSON, or JSON of the wrong shape, raises when it is unpacked
+_MALFORMED = (LookupError, TypeError, ValueError, AttributeError)
+
+
+def _malformed(what: str, exc: Exception) -> ParseError:
+    return ParseError(f"malformed {what} JSON: {type(exc).__name__}: {exc}")
+
+
 def json_to_network(s: str) -> UnrootedNetwork:
     try:
         doc = json.loads(s)
-    except json.JSONDecodeError as exc:
-        raise ParseError(str(exc)) from exc
-    labels = {int(v): int(x) for x, v in doc["leaves"].items()}
-    N = model.make_graph(UNROOTED, doc["nodes"], [tuple(e) for e in doc["edges"]],
-                         labels, cls=UnrootedNetwork)
+        labels = {int(v): int(x) for x, v in doc["leaves"].items()}
+        N = model.make_graph(UNROOTED, doc["nodes"], [tuple(e) for e in doc["edges"]],
+                             labels, cls=UnrootedNetwork)
+    except _MALFORMED as exc:
+        raise _malformed("network", exc) from exc
     report = model.validate(N)
     if not report.ok:
         raise ParseError("; ".join(report.violations))
@@ -292,13 +300,15 @@ def labelling_to_json(lab: ReticulationLabelling) -> str:
 
 
 def json_to_labelling(host, s: str) -> ReticulationLabelling:
+    pairs = []
     try:
         doc = json.loads(s)
-    except json.JSONDecodeError as exc:
-        raise ParseError(str(exc)) from exc
-    pairs = []
-    for u, v, h in doc["edge_labels"]:
-        e = (u, v) if host.mode == ROOTED else model._norm_edge(UNROOTED, u, v)
-        pairs.append((e, h))
+        for u, v, h in doc["edge_labels"]:
+            if not all(type(x) is int for x in (u, v, h)):
+                raise ParseError(f"edge label entries must be integers, not {[u, v, h]}")
+            e = (u, v) if host.mode == ROOTED else model._norm_edge(UNROOTED, u, v)
+            pairs.append((e, h))
+    except _MALFORMED as exc:
+        raise _malformed("labels", exc) from exc
     pairs.sort(key=lambda eh: eh[1])
     return ReticulationLabelling(host, tuple(pairs))

@@ -71,7 +71,7 @@ def test_tree_and_general_paths_agree_on_isomorphism():
     # the general path by attaching (empty) edge labels
     trees = generate.enumerate_trees(4, ROOTED)
     gen_codes = {canonical._canon_general(T.mode, T.num_nodes, T.edges,
-                                          dict(T.leaf_labels), {})
+                                          dict(T.leaf_labels), {})[0]
                  for T in trees}
     assert len(gen_codes) == len(trees)
 
@@ -101,3 +101,74 @@ def test_automorphism_count_detects_symmetry():
     # erase leaf labels from a cherry: the two leaves become swappable
     T = model.PhyloTree(ROOTED, 3, ((0, 1), (0, 2)), ())
     assert canonical.automorphism_count(T) == 2
+
+
+# ---------------------------------------------------------------------------
+# networkx as an independent isomorphism oracle
+
+
+def erased(N):
+    """N without its leaf labels, so that its automorphism group can grow."""
+    return type(N)(N.num_nodes, N.edges, ())
+
+
+def nx_graph(G, elabels):
+    nx = pytest.importorskip("networkx")
+    H = nx.DiGraph() if G.mode == ROOTED else nx.Graph()
+    leaves = dict(G.leaf_labels)
+    H.add_nodes_from((v, {"label": leaves.get(v, 0)}) for v in range(G.num_nodes))
+    H.add_edges_from((u, v, {"label": elabels.get((u, v), 0)}) for u, v in G.edges)
+    return H
+
+
+def nx_matcher(A, B):
+    from networkx.algorithms import isomorphism as iso
+    matcher = iso.DiGraphMatcher if A.is_directed() else iso.GraphMatcher
+    return matcher(A, B, node_match=iso.categorical_node_match("label", 0),
+                   edge_match=iso.categorical_edge_match("label", 0))
+
+
+def oracle_pool():
+    """(graph, edge labels) pairs: networks with and without leaf labels, and labelled networks."""
+    nets = [N for n, r, mode in [(2, 2, ROOTED), (3, 1, ROOTED), (3, 2, ROOTED),
+                                 (3, 1, UNROOTED), (3, 2, UNROOTED), (4, 1, UNROOTED)]
+            for N in generate.enumerate_networks(n, r, mode)]
+    pool = []
+    for N in nets:
+        pool += [(N, {}), (erased(N), {})]
+    for N in nets[::13]:
+        for lab in generate.all_reticulation_labellings(N):
+            pool += [(N, dict(lab.numbered)), (erased(N), dict(lab.numbered))]
+    return pool
+
+
+def test_automorphism_count_matches_networkx():
+    nontrivial = 0
+    for G, elabels in oracle_pool():
+        H = nx_graph(G, elabels)
+        expected = sum(1 for _ in nx_matcher(H, H).isomorphisms_iter())
+        X = model.ReticulationLabelling(G, tuple(elabels.items())) if elabels else G
+        assert canonical.automorphism_count(X) == expected
+        nontrivial += expected > 1
+    assert nontrivial > 80
+
+
+def test_code_equality_matches_networkx():
+    rng = random.Random(3)
+    pool = oracle_pool()
+    matches = 0
+    for _ in range(300):
+        (A, ea), (B, eb) = rng.choice(pool), rng.choice(pool)
+        if A.mode != B.mode:
+            continue
+        if rng.random() < 0.5:  # a relabelled copy of A, so that half the pairs match
+            perm = list(range(A.num_nodes))
+            rng.shuffle(perm)
+            B = permuted(A, perm)
+            eb = {model._norm_edge(A.mode, perm[u], perm[v]): h for (u, v), h in ea.items()}
+        code_a = canonical.canonical_code(A, model.ReticulationLabelling(A, tuple(ea.items())))
+        code_b = canonical.canonical_code(B, model.ReticulationLabelling(B, tuple(eb.items())))
+        same = nx_matcher(nx_graph(A, ea), nx_graph(B, eb)).is_isomorphic()
+        assert (code_a == code_b) == same
+        matches += same
+    assert matches > 50

@@ -38,12 +38,6 @@ def test_networks_count(capsys):
     assert out.strip() == "21"
 
 
-def test_output_independent_of_jobs(capsys):
-    _, a = run(capsys, "networks", "--n", "3", "--r", "1", "--jobs", "1")
-    _, b = run(capsys, "networks", "--n", "3", "--r", "1", "--jobs", "4")
-    assert a == b
-
-
 def test_encode_decode_roundtrip(tmp_path, capsys):
     net = tmp_path / "n.enwk"
     net.write_text("((1,(3)#H1),(2,#H1));\n")
@@ -108,6 +102,33 @@ def test_usage_error_exit_2(capsys):
 def test_domain_error_exit_1(capsys):
     code, _ = run(capsys, "verify", "--lemmas", "--kmax", "3")
     assert code == 1
+
+
+def test_malformed_json_inputs_exit_1(tmp_path, capsys):
+    net = tmp_path / "n.json"
+    net.write_text('{"edges": [[0, 1]]}')
+    rooted = tmp_path / "n.enwk"
+    rooted.write_text("((1,(3)#H1),(2,#H1));\n")
+    for doc in ('{"edge_labels": [[3, 2]]}', '{"edge_labels": 5}', '[]',
+                '{"edge_labels": [[3, 2, "1"]]}'):
+        (tmp_path / "lab.json").write_text(doc)
+        code = cli.run(["encode", "--network", str(rooted),
+                        "--labels", str(tmp_path / "lab.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error [PARSE_ERROR]") and "Traceback" not in err
+    code = cli.run(["displayed", "--network", str(net)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1 and "'leaves'" in err and "Traceback" not in err
+
+
+def test_bad_budget_env_names_variable(monkeypatch, capsys):
+    monkeypatch.setenv("RETNET_BUDGET", "abc")
+    code = cli.run(["networks", "--n", "3", "--r", "1", "--count-only"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1 and "RETNET_BUDGET" in err
 
 
 def test_seeded_worstcase_reproducible(capsys):

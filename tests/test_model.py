@@ -1,5 +1,8 @@
+import pytest
+
 import retnet as rn
-from retnet import generate, model
+from retnet import generate, model, serialize
+from retnet.errors import NotATree
 from retnet.model import PhyloTree, ROOTED, UNROOTED, RootedNetwork
 
 
@@ -82,13 +85,45 @@ def test_tree_set_rejects_mixed_leaf_counts():
     assert not model.validate(ts).ok
 
 
-def test_suppress_contracts_degree_two():
+SUPPRESS_CASES = [  # (mode, edges, labels, Newick of the suppressed tree)
     # path root -> x -> cherry collapses to the cherry
-    T = model.make_graph(ROOTED, [0, 1, 2, 3], [(0, 1), (1, 2), (1, 3)],
-                         {2: 1, 3: 2})
-    S = model.suppress(T)
-    assert model.validate(S).ok
-    assert S.num_nodes == 3
+    (ROOTED, [(0, 1), (1, 2), (1, 3)], {2: 1, 3: 2}, "(1,2);"),
+    # a chain of out-degree-1 nodes above the root, and one inside a subtree
+    (ROOTED, [(0, 1), (1, 2), (2, 3), (2, 4), (3, 5), (3, 6), (4, 7)],
+     {5: 1, 6: 2, 7: 3}, "((1,2),3);"),
+    # an unlabelled pendant chain hanging off a cherry
+    (ROOTED, [(0, 1), (0, 2), (1, 3), (1, 4), (4, 5), (5, 6), (2, 7), (2, 8)],
+     {3: 1, 7: 2, 8: 3}, "(1,(2,3));"),
+    (UNROOTED, [(0, 1), (1, 2), (1, 3), (3, 4), (2, 5), (2, 6)],
+     {0: 1, 5: 2, 6: 3}, "(1,2,3);"),
+    (UNROOTED, [(0, 1), (1, 2), (2, 3), (2, 4), (4, 5), (4, 6), (6, 7), (6, 8)],
+     {0: 1, 3: 2, 5: 3, 7: 4}, "(1,2,(3,4));"),
+    # one leaf left: a single node
+    (ROOTED, [(0, 1), (1, 2), (0, 3)], {2: 1}, "1;"),
+    (UNROOTED, [(0, 1), (1, 2), (1, 3)], {3: 1}, "1;"),
+]
+
+
+def test_suppress_contracts_degree_two():
+    for mode, edges, labels, newick in SUPPRESS_CASES:
+        num_nodes = 1 + max(max(e) for e in edges)
+        T = PhyloTree(mode, num_nodes, tuple(model._norm_edge(mode, u, v) for u, v in edges),
+                      tuple(sorted(labels.items())))
+        S = model.suppress(T)
+        assert model.validate(S).ok
+        assert serialize.tree_to_newick(S) == newick
+
+
+@pytest.mark.parametrize("mode, num_nodes, edges", [
+    (ROOTED, 4, [(0, 2), (1, 2), (2, 3)]),          # a node with two parents
+    (ROOTED, 4, [(1, 2), (2, 3), (3, 1)]),          # a directed cycle
+    (ROOTED, 5, [(0, 1), (0, 2), (3, 4)]),          # disconnected
+    (UNROOTED, 4, [(0, 1), (1, 2), (0, 2), (2, 3)]),  # a cycle
+])
+def test_suppress_rejects_non_trees(mode, num_nodes, edges):
+    labels = tuple((v, v + 1) for v in range(num_nodes))
+    with pytest.raises(NotATree):
+        model.suppress(PhyloTree(mode, num_nodes, tuple(edges), labels))
 
 
 def test_subdivide_then_suppress_roundtrip():
