@@ -24,7 +24,7 @@ from .errors import (BudgetExceeded, DomainError, InvalidLabelling,
 from .generate import (all_reticulation_labellings, enumerate_networks,
                        enumerate_switchings, enumerate_trees,
                        fixed_switching, reticulation_labellings)
-from .model import (PhyloTree, ReticulationLabelling, RootedNetwork,
+from .model import (Graph, PhyloTree, ReticulationLabelling, RootedNetwork,
                     Switching, TreeSet, UnrootedNetwork, ValidationReport,
                     ROOTED, UNROOTED, tree_set, validate)
 from .solver import min_reticulations, verify_counts, worst_case_r
@@ -33,7 +33,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ROOTED", "UNROOTED",
-    "PhyloTree", "RootedNetwork", "UnrootedNetwork", "Switching",
+    "Graph", "PhyloTree", "RootedNetwork", "UnrootedNetwork", "Switching",
     "ReticulationLabelling", "TreeSet", "ValidationReport",
     "tree_set", "validate",
     "CanonicalCode", "canonical_code", "are_isomorphic", "automorphism_count",

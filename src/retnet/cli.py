@@ -15,8 +15,9 @@ import sys
 import click
 
 from . import bounds, codec, display, generate, model, serialize, solver
+from .canonical import canonical_positions
 from .errors import RetnetError
-from .model import ROOTED, UNROOTED
+from .model import ROOTED, UNROOTED, ReticulationLabelling
 
 _MODE = click.Choice([ROOTED, UNROOTED])
 
@@ -145,7 +146,16 @@ def decode(path: str, n: int, r: int, mode: str) -> None:
     """
     T = _read_tree(path, mode)
     N, lab = codec.decode_tau(T, n, r)
-    click.echo(json.dumps({"network": _write_network(N),
+    text = _write_network(N)
+    if mode == ROOTED:
+        # name the labelled edges by the node ids that reading `text` back
+        # gives: two least orderings differ by an isomorphism
+        N2 = serialize.enewick_to_network(text)
+        pos = canonical_positions(N)
+        node2 = {p: v for v, p in enumerate(canonical_positions(N2))}
+        lab = ReticulationLabelling(N2, tuple(((node2[pos[u]], node2[pos[v]]), h)
+                                              for (u, v), h in lab.numbered))
+    click.echo(json.dumps({"network": text,
                            "labels": json.loads(serialize.labelling_to_json(lab))},
                           sort_keys=True))
 
@@ -205,12 +215,10 @@ def minret(paths: tuple[str, ...], mode: str) -> None:
 @click.option("--n", type=int, required=True)
 @click.option("--t", type=int, required=True)
 @click.option("--mode", type=_MODE, default=ROOTED, show_default=True)
-@click.option("--exhaustive", "samples", flag_value=0, default=True)
-@click.option("--samples", type=int)
+@click.option("--samples", type=click.IntRange(min=1))
 @click.option("--seed", type=int, default=0, show_default=True)
-def worstcase(n: int, t: int, mode: str, samples, seed: int) -> None:
+def worstcase(n: int, t: int, mode: str, samples: int | None, seed: int) -> None:
     """Largest min_reticulations over tree sets of size t on n leaves."""
-    samples = None if not samples else int(samples)
     r, witness = solver.worst_case_r(n, t, mode, samples=samples, seed=seed)
     doc = {"r": r, "witness": [serialize.tree_to_newick(T) for T in witness.trees]}
     click.echo(json.dumps(doc, sort_keys=True))

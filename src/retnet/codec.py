@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from . import model
 from .errors import InvalidLabelling, NotInImage
-from .model import (PhyloTree, ReticulationLabelling, RootedNetwork,
-                    UnrootedNetwork, ROOTED, UNROOTED)
+from .model import Graph, ReticulationLabelling, ROOTED, UNROOTED
 
 
-def encode_tau(N, lab: ReticulationLabelling) -> PhyloTree:
+def encode_tau(N: Graph, lab: ReticulationLabelling) -> Graph:
     """Replace every numbered edge of (N, lab) by a pendant leaf pair."""
     if lab.host is not N and lab.host != N:
         raise InvalidLabelling("labelling is not hosted by this network")
@@ -46,7 +45,7 @@ def encode_tau(N, lab: ReticulationLabelling) -> PhyloTree:
     return model.make_graph(N.mode, range(nid), edges, labels)
 
 
-def decode_tau(T: PhyloTree, n: int, r: int):
+def decode_tau(T: Graph, n: int, r: int):
     """Recover the reticulation-labelled network whose encoding is T.
 
     Raises NotInImage when the reconstruction violates any network or
@@ -94,8 +93,7 @@ def decode_tau(T: PhyloTree, n: int, r: int):
 
     order = sorted(kept)
     idx = {v: i for i, v in enumerate(order)}
-    cls = RootedNetwork if T.mode == ROOTED else UnrootedNetwork
-    net = model.make_graph(T.mode, kept, edges, labels, cls=cls)
+    net = model.make_graph(T.mode, kept, edges, labels)
     new_numbered = tuple(((model._norm_edge(T.mode, idx[u], idx[v])), h)
                          for (u, v), h in numbered)
     lab = ReticulationLabelling(net, new_numbered)

@@ -14,13 +14,12 @@ from typing import Optional
 from . import generate, model
 from .canonical import canonical_code
 from .errors import BudgetExceeded, LeafsetMismatch, ModeMismatch, SwitchingMismatch
-from .model import (Edge, Graph, PhyloTree, RootedNetwork, Switching,
-                    TreeSet, ROOTED)
+from .model import Edge, Graph, Switching, TreeSet, ROOTED
 
 DEFAULT_SWITCHING_LIMIT = 1 << 14
 
 
-def displayed_tree(N: Graph, sigma: Switching) -> PhyloTree:
+def displayed_tree(N: Graph, sigma: Switching) -> Graph:
     """The unique tree certified by one switching of N."""
     if sigma.host != N:
         raise SwitchingMismatch("switching is not hosted by this network")
@@ -28,19 +27,19 @@ def displayed_tree(N: Graph, sigma: Switching) -> PhyloTree:
     return model._suppress_raw(N.mode, N.num_nodes, on_edges, dict(N.leaf_labels))
 
 
-def displayed_trees(N: Graph, limit: int = DEFAULT_SWITCHING_LIMIT) -> tuple[PhyloTree, ...]:
+def displayed_trees(N: Graph, limit: int = DEFAULT_SWITCHING_LIMIT) -> tuple[Graph, ...]:
     """All trees displayed by N, deduplicated, in canonical-code order."""
     switchings = generate.enumerate_switchings(N)
     if len(switchings) > limit:
         raise BudgetExceeded(f"{len(switchings)} switchings exceed limit {limit}")
-    seen: dict[bytes, PhyloTree] = {}
+    seen: dict[bytes, Graph] = {}
     for sigma in switchings:
         T = displayed_tree(N, sigma)
         seen.setdefault(canonical_code(T).bytes, T)
     return tuple(seen[c] for c in sorted(seen))
 
 
-def displays(N: Graph, T: PhyloTree) -> tuple[bool, Optional[Switching]]:
+def displays(N: Graph, T: Graph) -> tuple[bool, Optional[Switching]]:
     """Whether some switching of N certifies T; returns the witness if so."""
     if N.mode != T.mode:
         raise ModeMismatch(f"{N.mode} vs {T.mode}")
@@ -57,7 +56,7 @@ def displays(N: Graph, T: PhyloTree) -> tuple[bool, Optional[Switching]]:
 # trivial network
 
 
-def trivial_network(ts: TreeSet) -> RootedNetwork:
+def trivial_network(ts: TreeSet) -> Graph:
     """Disjoint union of the trees, a caterpillar root cap, and per-leaf merge chains.
 
     Has exactly (t - 1) * n reticulations and displays every member.
@@ -66,9 +65,7 @@ def trivial_network(ts: TreeSet) -> RootedNetwork:
         raise ModeMismatch("trivial network is defined for rooted tree sets")
     t, n = ts.t, ts.n
     if t == 1:
-        T = ts.trees[0]
-        return model.make_graph(ROOTED, range(T.num_nodes), T.edges,
-                                dict(T.leaf_labels), cls=RootedNetwork)
+        return ts.trees[0]
 
     nid = 0
     edges: list[tuple[int, int]] = []
@@ -122,14 +119,14 @@ def trivial_network(ts: TreeSet) -> RootedNetwork:
 
     # degenerate single-node trees left their old leaf node isolated; drop them
     used = {u for e in edges for u in e}
-    return model.make_graph(ROOTED, used, edges, labels, cls=RootedNetwork)
+    return model.make_graph(ROOTED, used, edges, labels)
 
 
 # ---------------------------------------------------------------------------
 # subdivision-subgraph oracle
 
 
-def find_embedding(N: Graph, T: PhyloTree) -> Optional[frozenset[Edge]]:
+def find_embedding(N: Graph, T: Graph) -> Optional[frozenset[Edge]]:
     """Brute-force search for a subgraph of N that is a subdivision of T.
 
     Returns the edge set of the embedding, or None.  Exponential; meant
@@ -205,6 +202,6 @@ def _match_paths(N: Graph, t_edges, image: dict[int, int], directed: bool,
     return rec(0, set(), [])
 
 
-def displays_by_subdivision(N: Graph, T: PhyloTree) -> bool:
+def displays_by_subdivision(N: Graph, T: Graph) -> bool:
     """Display per the direct definition: N contains a subdivision of T."""
     return find_embedding(N, T) is not None

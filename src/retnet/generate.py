@@ -17,8 +17,7 @@ from typing import Iterator
 from . import codec, model
 from .canonical import canonical_code, canonical_positions
 from .errors import BudgetExceeded, DomainError, NotInImage, SwitchingMismatch
-from .model import (Graph, PhyloTree, ReticulationLabelling, Switching,
-                    ROOTED, UNROOTED)
+from .model import Graph, ReticulationLabelling, Switching, ROOTED, UNROOTED
 
 DEFAULT_CAP = {ROOTED: 12, UNROOTED: 10}
 
@@ -35,7 +34,7 @@ def _budget_cap(mode: str) -> int:
     return DEFAULT_CAP[mode]
 
 
-def _raw_trees(n: int, mode: str) -> Iterator[PhyloTree]:
+def _raw_trees(n: int, mode: str) -> Iterator[Graph]:
     """All trees on leaf set [n], one per class, in leaf-insertion order."""
     if mode == ROOTED:
         yield from _raw_rooted(n)
@@ -43,8 +42,8 @@ def _raw_trees(n: int, mode: str) -> Iterator[PhyloTree]:
         yield from _raw_unrooted(n)
 
 
-def _raw_rooted(n: int) -> Iterator[PhyloTree]:
-    def rec(k: int, nid: int, edges: tuple, root: int, labels: tuple) -> Iterator[PhyloTree]:
+def _raw_rooted(n: int) -> Iterator[Graph]:
+    def rec(k: int, nid: int, edges: tuple, root: int, labels: tuple) -> Iterator[Graph]:
         if k > n:
             yield model.make_graph(ROOTED, range(nid), edges, dict(labels))
             return
@@ -59,7 +58,7 @@ def _raw_rooted(n: int) -> Iterator[PhyloTree]:
     yield from rec(2, 1, (), 0, ((0, 1),))
 
 
-def _raw_unrooted(n: int) -> Iterator[PhyloTree]:
+def _raw_unrooted(n: int) -> Iterator[Graph]:
     if n == 1:
         yield model.make_graph(UNROOTED, [0], [], {0: 1})
         return
@@ -67,7 +66,7 @@ def _raw_unrooted(n: int) -> Iterator[PhyloTree]:
         yield model.make_graph(UNROOTED, [0, 1], [(0, 1)], {0: 1, 1: 2})
         return
 
-    def rec(k: int, nid: int, edges: tuple, labels: tuple) -> Iterator[PhyloTree]:
+    def rec(k: int, nid: int, edges: tuple, labels: tuple) -> Iterator[Graph]:
         if k > n:
             yield model.make_graph(UNROOTED, range(nid), edges, dict(labels))
             return
@@ -82,11 +81,11 @@ def _raw_unrooted(n: int) -> Iterator[PhyloTree]:
 
 
 @lru_cache(maxsize=32)
-def _trees_sorted(n: int, mode: str) -> tuple[PhyloTree, ...]:
+def _trees_sorted(n: int, mode: str) -> tuple[Graph, ...]:
     return tuple(sorted(_raw_trees(n, mode), key=lambda T: canonical_code(T).bytes))
 
 
-def enumerate_trees(n: int, mode: str = ROOTED) -> tuple[PhyloTree, ...]:
+def enumerate_trees(n: int, mode: str = ROOTED) -> tuple[Graph, ...]:
     """Every tree class on leaf set [n] exactly once, in canonical-code order."""
     if n < 1:
         raise ValueError("n must be at least 1")

@@ -1,16 +1,19 @@
-"""Value types for phylogenetic trees and networks, plus basic structural operations.
+"""Value types for phylogenetic networks, plus basic structural operations.
 
-All graphs use contiguous 0-based node ids.  Rooted edges are directed
-pairs (parent, child); unrooted edges are stored as (min, max) pairs.
-Leaf labels map leaf nodes bijectively onto 1..n.  All types are frozen:
-operations return new values and never mutate their inputs.
+One graph type, `Graph`, holds rooted and unrooted networks; a tree is
+a graph without reticulations, and `PhyloTree`, `RootedNetwork` and
+`UnrootedNetwork` are other names for it.  All graphs use contiguous
+0-based node ids.  Rooted edges are directed pairs (parent, child);
+unrooted edges are stored as (min, max) pairs.  Leaf labels map leaf
+nodes bijectively onto 1..n.  All types are frozen: operations return
+new values and never mutate their inputs.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
 from .errors import NotATree
 
@@ -32,8 +35,12 @@ def _freeze_labels(labels: Mapping[int, int] | Iterable[tuple[int, int]]) -> tup
 
 
 @dataclass(frozen=True)
-class PhyloTree:
-    """A binary phylogenetic tree, rooted or unrooted, with leaves labelled 1..n."""
+class Graph:
+    """A binary phylogenetic network, rooted or unrooted, with leaves labelled 1..n.
+
+    Rooted: a single-source DAG of tree nodes and reticulations.
+    Unrooted: a connected simple graph with internal degree 3.
+    """
 
     mode: str
     num_nodes: int
@@ -45,37 +52,7 @@ class PhyloTree:
         return len(self.leaf_labels)
 
 
-@dataclass(frozen=True)
-class RootedNetwork:
-    """A binary rooted network: single-source DAG with tree nodes and reticulations."""
-
-    num_nodes: int
-    edges: tuple[Edge, ...]
-    leaf_labels: tuple[tuple[int, int], ...]
-
-    mode = ROOTED
-
-    @property
-    def n(self) -> int:
-        return len(self.leaf_labels)
-
-
-@dataclass(frozen=True)
-class UnrootedNetwork:
-    """A binary unrooted network: connected simple graph, internal degree 3."""
-
-    num_nodes: int
-    edges: tuple[Edge, ...]
-    leaf_labels: tuple[tuple[int, int], ...]
-
-    mode = UNROOTED
-
-    @property
-    def n(self) -> int:
-        return len(self.leaf_labels)
-
-
-Graph = Union[PhyloTree, RootedNetwork, UnrootedNetwork]
+PhyloTree = RootedNetwork = UnrootedNetwork = Graph
 
 
 @dataclass(frozen=True)
@@ -111,7 +88,7 @@ class TreeSet:
     """A set of pairwise non-isomorphic trees sharing one mode and leaf set."""
 
     mode: str
-    trees: tuple[PhyloTree, ...]
+    trees: tuple[Graph, ...]
 
     @property
     def t(self) -> int:
@@ -139,7 +116,7 @@ class ValidationReport:
 
 
 def make_graph(mode: str, nodes: Iterable[int], edges: Iterable[tuple[int, int]],
-               labels: Mapping[int, int], cls=None) -> Graph:
+               labels: Mapping[int, int]) -> Graph:
     """Build a graph value from raw ids, renumbering nodes to contiguous 0-based ids.
 
     Node order (and hence renumbering) follows the sorted order of the
@@ -149,11 +126,7 @@ def make_graph(mode: str, nodes: Iterable[int], edges: Iterable[tuple[int, int]]
     idx = {v: i for i, v in enumerate(order)}
     new_edges = tuple(sorted(_norm_edge(mode, idx[u], idx[v]) for u, v in edges))
     new_labels = _freeze_labels({idx[v]: x for v, x in labels.items()})
-    if cls is None:
-        cls = PhyloTree
-    if cls is PhyloTree:
-        return PhyloTree(mode, len(order), new_edges, new_labels)
-    return cls(len(order), new_edges, new_labels)
+    return Graph(mode, len(order), new_edges, new_labels)
 
 
 def leaf_map(G: Graph) -> dict[int, int]:
@@ -170,13 +143,6 @@ def out_adj(G: Graph) -> dict[int, list[int]]:
     adj: dict[int, list[int]] = {v: [] for v in range(G.num_nodes)}
     for u, v in G.edges:
         adj[u].append(v)
-    return adj
-
-
-def in_adj(G: Graph) -> dict[int, list[int]]:
-    adj: dict[int, list[int]] = {v: [] for v in range(G.num_nodes)}
-    for u, v in G.edges:
-        adj[v].append(u)
     return adj
 
 
@@ -212,12 +178,6 @@ def is_tree_shaped(G: Graph) -> bool:
     if G.mode == ROOTED:
         return not reticulations_of(G)
     return len(G.edges) == G.num_nodes - 1
-
-
-def as_phylo_tree(G: Graph) -> PhyloTree:
-    if isinstance(G, PhyloTree):
-        return G
-    return PhyloTree(G.mode, G.num_nodes, G.edges, G.leaf_labels)
 
 
 def reticulation_count(N: Graph) -> int:
@@ -285,7 +245,7 @@ def _common_violations(G: Graph) -> list[str]:
     return bad
 
 
-def _validate_rooted_graph(G: Graph, allow_reticulations: bool) -> list[str]:
+def _validate_rooted_graph(G: Graph) -> list[str]:
     bad = _common_violations(G)
     if bad:
         return bad
@@ -326,8 +286,6 @@ def _validate_rooted_graph(G: Graph, allow_reticulations: bool) -> list[str]:
             if v in labelled:
                 bad.append("internal node is labelled")
         elif din == 2 and dout == 1:
-            if not allow_reticulations:
-                bad.append("tree contains a reticulation")
             if v in labelled:
                 bad.append("internal node is labelled")
             r += 1
@@ -338,7 +296,7 @@ def _validate_rooted_graph(G: Graph, allow_reticulations: bool) -> list[str]:
     return bad
 
 
-def _validate_unrooted_graph(G: Graph, allow_cycles: bool) -> list[str]:
+def _validate_unrooted_graph(G: Graph) -> list[str]:
     bad = _common_violations(G)
     if bad:
         return bad
@@ -367,8 +325,6 @@ def _validate_unrooted_graph(G: Graph, allow_cycles: bool) -> list[str]:
                 bad.append("internal node is labelled")
         else:
             bad.append("not binary (internal degree must be 3)")
-    if not allow_cycles and len(G.edges) != G.num_nodes - 1:
-        bad.append("tree contains a cycle")
     return bad
 
 
@@ -412,19 +368,12 @@ def _validate_labelling(lab: ReticulationLabelling) -> list[str]:
 
 
 def validate(obj) -> ValidationReport:
-    """List every violated invariant of a tree, network, switching, or labelling.
+    """List every violated invariant of a graph, switching, labelling, or tree set.
 
     Total: never raises, never mutates.  An empty report means valid.
     """
-    if isinstance(obj, PhyloTree):
-        if obj.mode == ROOTED:
-            v = _validate_rooted_graph(obj, allow_reticulations=False)
-        else:
-            v = _validate_unrooted_graph(obj, allow_cycles=False)
-    elif isinstance(obj, RootedNetwork):
-        v = _validate_rooted_graph(obj, allow_reticulations=True)
-    elif isinstance(obj, UnrootedNetwork):
-        v = _validate_unrooted_graph(obj, allow_cycles=True)
+    if isinstance(obj, Graph):
+        v = (_validate_rooted_graph if obj.mode == ROOTED else _validate_unrooted_graph)(obj)
     elif isinstance(obj, Switching):
         v = _validate_switching(obj)
     elif isinstance(obj, ReticulationLabelling):
@@ -439,7 +388,10 @@ def validate(obj) -> ValidationReport:
             for T in obj.trees:
                 if T.mode != obj.mode:
                     v.append("member mode mismatch")
-                v.extend(validate(T).violations)
+                bad = validate(T).violations
+                v.extend(bad)
+                if not bad and not is_tree_shaped(T):
+                    v.append("member is not a tree")
             if len({T.n for T in obj.trees}) != 1:
                 v.append("members disagree on n")
             codes = [canonical_code(T).bytes for T in obj.trees]
@@ -454,7 +406,7 @@ def validate(obj) -> ValidationReport:
 # suppression
 
 
-def suppress(G: Graph) -> PhyloTree:
+def suppress(G: Graph) -> Graph:
     """Contract a graph-theoretic tree down to a phylogenetic tree.
 
     Removes unlabelled pendant chains, then contracts degree-2 vertices
@@ -465,7 +417,7 @@ def suppress(G: Graph) -> PhyloTree:
 
 
 def _suppress_raw(mode: str, num_nodes: int, edges: Iterable[Edge],
-                  labels: dict[int, int]) -> PhyloTree:
+                  labels: dict[int, int]) -> Graph:
     """One post-order pass over the tree on nodes 0..num_nodes-1.
 
     The walk starts at the root (rooted) or at a labelled node (unrooted).
@@ -523,14 +475,14 @@ def subdivide(G: Graph, edge: Edge, times: int = 1) -> Graph:
         prev = nid
         nid += 1
     edges.append(_norm_edge(G.mode, prev, v))
-    return make_graph(G.mode, range(nid), edges, dict(G.leaf_labels), cls=type(G))
+    return make_graph(G.mode, range(nid), edges, dict(G.leaf_labels))
 
 
 # ---------------------------------------------------------------------------
 # leaf-connecting restriction (unrooted)
 
 
-def is_leaf_connecting(N: UnrootedNetwork) -> bool:
+def is_leaf_connecting(N: Graph) -> bool:
     """True iff every edge of N lies on a simple path between two leaves."""
     leaves = set(leaf_map(N))
     adj = undirected_adj(N)
@@ -560,7 +512,7 @@ def is_leaf_connecting(N: UnrootedNetwork) -> bool:
     return True
 
 
-def tree_set(trees: Iterable[PhyloTree]) -> TreeSet:
+def tree_set(trees: Iterable[Graph]) -> TreeSet:
     """Build a TreeSet, dropping isomorphic duplicates, in canonical-code order."""
     from .canonical import canonical_code
 

@@ -1,8 +1,11 @@
 """Newick / extended Newick / JSON serialization.
 
-Leaves are written as their decimal labels.  Rooted networks use
-extended Newick with reticulations tagged #H1..#Hr; the first traversal
-visit carries the reticulation's subtree, later visits are bare tags.
+Leaves are written as their decimal labels.  One writer,
+`network_to_enewick`, writes trees and rooted networks: extended Newick
+with reticulations tagged #H1..#Hr, where the first traversal visit
+carries the reticulation's subtree and later visits are bare tags.  A
+tree has no tags; an unrooted tree is drawn rooted at the internal node
+next to leaf 1.  Unrooted networks are JSON edge lists.
 Parsers assign node ids in a deterministic order, so parse(serialize(G))
 reproduces G's serialization byte for byte.
 """
@@ -14,65 +17,33 @@ import re
 
 from . import model
 from .errors import ParseError, RetnetError
-from .model import (Edge, PhyloTree, ReticulationLabelling, RootedNetwork,
-                    UnrootedNetwork, ROOTED, UNROOTED)
+from .model import Edge, Graph, ReticulationLabelling, ROOTED, UNROOTED
 
 
 # ---------------------------------------------------------------------------
-# trees
+# trees and rooted networks (one writer)
 
 
-def _subtree_labels(G, v: int, children) -> tuple:
-    leaves = model.leaf_map(G)
-    if v in leaves:
-        return (leaves[v],)
-    out: list[int] = []
-    for c in children[v]:
-        out.extend(_subtree_labels(G, c, children))
-    return tuple(sorted(out))
-
-
-def tree_to_newick(T: PhyloTree) -> str:
-    leaves = model.leaf_map(T)
+def tree_to_newick(T: Graph) -> str:
+    """Newick for a rooted or unrooted tree, written by `network_to_enewick`."""
     if T.mode == ROOTED:
-        children = model.out_adj(T)
-        start = model.root_of(T)
-
-        def write(v: int) -> str:
-            if v in leaves:
-                return str(leaves[v])
-            parts = sorted((_subtree_labels(T, c, children), c) for c in children[v])
-            return "(" + ",".join(write(c) for _, c in parts) + ")"
-
-        return write(start) + ";"
-
-    if T.num_nodes == 1:
-        return "1;"
+        return network_to_enewick(T)
     if T.num_nodes == 2:
         return "(1,2);"
-    # root the drawing at the internal node next to leaf 1
-    adj = model.undirected_adj(T)
-    leaf1 = model.label_map(T)[1]
-    center = adj[leaf1][0]
-
-    def uwrite(v: int, parent: int) -> str:
-        nb = [w for w in adj[v] if w != parent]
-        if not nb:
-            return str(leaves[v])
-        keyed = sorted((_usub_labels(v, w), w) for w in nb)
-        return "(" + ",".join(uwrite(w, v) for _, w in keyed) + ")"
-
-    def _usub_labels(parent: int, v: int) -> tuple:
-        nb = [w for w in adj[v] if w != parent]
-        if not nb:
-            return (leaves[v],)
-        out: list[int] = []
-        for w in nb:
-            out.extend(_usub_labels(v, w))
-        return tuple(sorted(out))
-
-    keyed = sorted((_usub_labels(center, w), w) for w in adj[center])
-    return "(" + ",".join(uwrite(w, center) for _, w in keyed) + ");"
+    if T.num_nodes > 2:
+        # root the drawing at the internal node next to leaf 1
+        adj = model.undirected_adj(T)
+        center = adj[model.label_map(T)[1]][0]
+        parent = {center: center}
+        order = [center]
+        for v in order:
+            for w in adj[v]:
+                if w not in parent:
+                    parent[w] = v
+                    order.append(w)
+        edges = tuple((parent[w], w) for w in order[1:])
+        T = Graph(ROOTED, T.num_nodes, edges, T.leaf_labels)
+    return network_to_enewick(T)
 
 
 _TOKEN = re.compile(r"\(|\)|,|;|#H\d+|\d+")
@@ -85,7 +56,7 @@ def _tokenize(s: str) -> list[str]:
     return toks
 
 
-def newick_to_tree(s: str, mode: str = ROOTED) -> PhyloTree:
+def newick_to_tree(s: str, mode: str = ROOTED) -> Graph:
     toks = _tokenize(s)
     if not toks or toks[-1] != ";":
         raise ParseError("missing trailing semicolon")
@@ -138,57 +109,61 @@ def newick_to_tree(s: str, mode: str = ROOTED) -> PhyloTree:
     return T
 
 
-# ---------------------------------------------------------------------------
-# rooted networks (extended Newick)
-
-
-def network_to_enewick(N: RootedNetwork) -> str:
+def network_to_enewick(N: Graph) -> str:
+    """Extended Newick for a rooted network or tree, children in sorted order."""
     children = model.out_adj(N)
     leaves = model.leaf_map(N)
     rets = model.reticulations_of(N)
-    reach: dict[int, tuple] = {}
-
-    def reach_of(v: int, seen: frozenset) -> tuple:
-        if v in leaves:
-            return (leaves[v],)
-        if v in reach:
-            return reach[v]
-        out: set[int] = set()
-        for c in children[v]:
-            if c not in seen:
-                out.update(reach_of(c, seen | {v}))
-        reach[v] = tuple(sorted(out))
-        return reach[v]
-
     root = model.root_of(N)
-    reach_of(root, frozenset())
-    # ties in reachable-leaf sets (nested reticulations) are broken by
-    # canonical position, so the output is a graph invariant
-    from .canonical import canonical_positions
-    pos_of = canonical_positions(N)
-    key = lambda v: (reach_of(v, frozenset()), pos_of[v])
-    ret_tag = {v: k for k, v in enumerate(sorted(rets, key=key), 1)}
-    written: set[int] = set()
-
-    def write(v: int) -> str:
-        if v in ret_tag:
-            if v in written:
-                return f"#H{ret_tag[v]}"
-            written.add(v)
-            (c,) = children[v]
-            return "(" + write(c) + f")#H{ret_tag[v]}"
+    indeg = [0] * N.num_nodes
+    for _, v in N.edges:
+        indeg[v] += 1
+    order = [root]  # topological: a node follows all of its parents
+    for v in order:
+        for c in children[v]:
+            indeg[c] -= 1
+            if indeg[c] == 0:
+                order.append(c)
+    reach: dict[int, tuple] = {}  # sorted labels of the leaves below each node
+    for v in reversed(order):
         if v in leaves:
-            return str(leaves[v])
-        # children are emitted in sorted order and written in that same
-        # order, so a reticulation's first textual occurrence carries its
-        # subtree and later occurrences are bare tags
-        order = sorted(children[v], key=key)
-        return "(" + ",".join(write(c) for c in order) + ")"
+            reach[v] = (leaves[v],)
+        else:
+            reach[v] = tuple(sorted({x for c in children[v] for x in reach[c]}))
+    key = reach.__getitem__
+    if rets:
+        # ties in reachable-leaf sets (nested reticulations) are broken by
+        # canonical position, so the output is a graph invariant; sibling
+        # leaf sets in a tree are disjoint and never tie
+        from .canonical import canonical_positions
+        pos_of = canonical_positions(N)
+        key = lambda v: (reach[v], pos_of[v])
+    ret_tag = {v: k for k, v in enumerate(sorted(rets, key=key), 1)}
+    # children are emitted in sorted order, so a reticulation's first
+    # textual occurrence carries its subtree and later ones are bare tags
+    out: list[str] = []
+    written: set[int] = set()
+    stack: list = [root]
+    while stack:
+        v = stack.pop()
+        if type(v) is str:
+            out.append(v)
+        elif v in leaves:
+            out.append(str(leaves[v]))
+        elif v in written:
+            out.append(f"#H{ret_tag[v]}")
+        else:
+            written.add(v)
+            stack.append(f")#H{ret_tag[v]}" if v in ret_tag else ")")
+            kids = sorted(children[v], key=key)
+            for c in reversed(kids[1:]):
+                stack += [c, ","]
+            stack.append(kids[0])
+            out.append("(")
+    return "".join(out) + ";"
 
-    return write(root) + ";"
 
-
-def enewick_to_network(s: str) -> RootedNetwork:
+def enewick_to_network(s: str) -> Graph:
     toks = _tokenize(s)
     if not toks or toks[-1] != ";":
         raise ParseError("missing trailing semicolon")
@@ -248,7 +223,7 @@ def enewick_to_network(s: str) -> RootedNetwork:
     parse_node()
     if toks[pos] != ";":
         raise ParseError("trailing content after network")
-    N = model.make_graph(ROOTED, range(nid[0]), edges, labels, cls=RootedNetwork)
+    N = model.make_graph(ROOTED, range(nid[0]), edges, labels)
     report = model.validate(N)
     if not report.ok:
         raise ParseError("; ".join(report.violations))
@@ -259,7 +234,7 @@ def enewick_to_network(s: str) -> RootedNetwork:
 # unrooted networks (JSON edge lists)
 
 
-def network_to_json(N: UnrootedNetwork) -> str:
+def network_to_json(N: Graph) -> str:
     doc = {
         "nodes": list(range(N.num_nodes)),
         "edges": [[u, v] for u, v in N.edges],
@@ -276,12 +251,15 @@ def _malformed(what: str, exc: Exception) -> ParseError:
     return ParseError(f"malformed {what} JSON: {type(exc).__name__}: {exc}")
 
 
-def json_to_network(s: str) -> UnrootedNetwork:
+def json_to_network(s: str) -> Graph:
     try:
         doc = json.loads(s)
-        labels = {int(v): int(x) for x, v in doc["leaves"].items()}
-        N = model.make_graph(UNROOTED, doc["nodes"], [tuple(e) for e in doc["edges"]],
-                             labels, cls=UnrootedNetwork)
+        leaves = doc["leaves"]
+        for v in [*doc["nodes"], *(u for e in doc["edges"] for u in e), *leaves.values()]:
+            if type(v) is not int:
+                raise ParseError(f"node ids must be integers, not {v!r}")
+        labels = {v: int(x) for x, v in leaves.items()}
+        N = model.make_graph(UNROOTED, doc["nodes"], [tuple(e) for e in doc["edges"]], labels)
     except _MALFORMED as exc:
         raise _malformed("network", exc) from exc
     report = model.validate(N)

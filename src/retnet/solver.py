@@ -47,6 +47,8 @@ def worst_case_r(n: int, t: int, mode: str = ROOTED, *,
     Exhaustive for n <= 4 rooted / n <= 5 unrooted; beyond that a sample
     count must be given.
     """
+    if samples is not None and samples < 1:
+        raise ValueError("samples must be at least 1")
     trees = generate.enumerate_trees(n, mode)
     if t > len(trees):
         raise ValueError(f"only {len(trees)} trees exist on {n} leaves")

@@ -24,8 +24,7 @@ def six_leaf_network() -> RootedNetwork:
                  ("r3", "t2"), ("r4", "l3")]:
         edges.append((nid(a), nid(b)))
     labels = {nid(f"l{i}"): i for i in (1, 2, 3, 4, 5, 6)}
-    return model.make_graph(ROOTED, range(len(ids)), edges, labels,
-                            cls=RootedNetwork)
+    return model.make_graph(ROOTED, range(len(ids)), edges, labels)
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 import json
 
-from retnet import cli
+import retnet as rn
+from retnet import cli, serialize
 
 
 def run(capsys, *argv):
@@ -51,6 +52,13 @@ def test_encode_decode_roundtrip(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["network"] == "((1,(3)#H1),(2,#H1));"
+    # the sidecar names edges as reading the printed network numbers them
+    net.write_text(doc["network"])
+    lab.write_text(json.dumps(doc["labels"]))
+    code, out = run(capsys, "encode", "--network", str(net), "--labels", str(lab))
+    assert code == 0
+    assert rn.are_isomorphic(serialize.newick_to_tree(out.strip()),
+                             serialize.newick_to_tree(tree.read_text().strip()))
 
 
 def test_display_and_displayed(tmp_path, capsys):
@@ -121,6 +129,12 @@ def test_malformed_json_inputs_exit_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert err.count("\n") == 1 and "'leaves'" in err and "Traceback" not in err
+    for leaves in ('{"1": 0.9, "2": 1}', '{"1": 0, "2": true}'):
+        net.write_text('{"nodes": [0, 1], "edges": [[0, 1]], "leaves": %s}' % leaves)
+        code = cli.run(["displayed", "--network", str(net)])
+        captured = capsys.readouterr()
+        assert code == 1 and not captured.out
+        assert captured.err.startswith("error [PARSE_ERROR]") and captured.err.count("\n") == 1
 
 
 def test_bad_budget_env_names_variable(monkeypatch, capsys):
@@ -129,6 +143,14 @@ def test_bad_budget_env_names_variable(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert err.count("\n") == 1 and "RETNET_BUDGET" in err
+
+
+def test_worstcase_rejects_samples_below_one(capsys):
+    for samples in ("0", "-1"):
+        code = cli.run(["worstcase", "--n", "3", "--t", "2", "--samples", samples])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("usage error") and "Traceback" not in err
 
 
 def test_seeded_worstcase_reproducible(capsys):

@@ -26,7 +26,7 @@ def test_validate_rejects_bad_leaf_labels():
 
 
 def test_validate_rejects_cycle():
-    N = RootedNetwork(4, ((0, 1), (1, 2), (2, 1), (2, 3)), ((3, 1),))
+    N = RootedNetwork(ROOTED, 4, ((0, 1), (1, 2), (2, 1), (2, 3)), ((3, 1),))
     assert not model.validate(N).ok
 
 
@@ -38,7 +38,7 @@ def test_validate_rejects_disconnected_unrooted():
 
 def test_validate_is_total_never_raises():
     # junk graphs must produce reports, not exceptions
-    G = RootedNetwork(3, ((0, 0), (1, 2)), ())
+    G = RootedNetwork(ROOTED, 3, ((0, 0), (1, 2)), ())
     rep = model.validate(G)
     assert not rep.ok
 
@@ -83,6 +83,13 @@ def test_tree_set_rejects_mixed_leaf_counts():
     b = generate.enumerate_trees(4, ROOTED)[0]
     ts = model.TreeSet(ROOTED, (a, b))
     assert not model.validate(ts).ok
+
+
+def test_tree_set_rejects_networks():
+    N = generate.enumerate_networks(3, 1, ROOTED)[0]
+    T = generate.enumerate_trees(3, ROOTED)[0]
+    assert model.validate(model.TreeSet(ROOTED, (T,))).ok
+    assert "member is not a tree" in model.validate(model.TreeSet(ROOTED, (N,))).violations
 
 
 SUPPRESS_CASES = [  # (mode, edges, labels, Newick of the suppressed tree)

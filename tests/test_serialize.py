@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 import retnet as rn
@@ -22,6 +24,45 @@ def test_newick_roundtrip_unrooted():
             T2 = serialize.newick_to_tree(s, UNROOTED)
             assert rn.are_isomorphic(T, T2)
             assert serialize.tree_to_newick(T2) == s
+
+
+# SHA-256 of the newline-joined output: the written text is CLI output and
+# must not change with the writer's implementation
+WRITER_DIGESTS = [
+    (serialize.tree_to_newick, lambda: generate.enumerate_trees(6, ROOTED),
+     "de2b8d0a68b26fa317ef0787a06e41561253eb0f0c079906febdfcdd59666f93"),
+    (serialize.tree_to_newick, lambda: generate.enumerate_trees(7, UNROOTED),
+     "b60328cf6d40dff8f0e259a8d955f0fc27911944b320f1b6bdfc3ba5db6df367"),
+    (serialize.network_to_enewick, lambda: generate.enumerate_networks(3, 2, ROOTED),
+     "1b68d367ab211025042574333e425e89c0f1bf9b5a5895fa7b05e44cc58d1ed5"),
+    (serialize.network_to_enewick, lambda: generate.enumerate_networks(4, 1, ROOTED),
+     "a81a0936aa44c61e76de6a725b459d34fd8905a2fce84a4495b59e81ddc4b8f8"),
+]
+
+
+def test_writer_output_is_pinned():
+    for write, graphs, digest in WRITER_DIGESTS:
+        text = "\n".join(write(G) for G in graphs())
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def caterpillar(n: int, mode: str):
+    """Spine nodes 0..k-1 with one pendant leaf each; the end nodes get a second leaf."""
+    k = n - 1 if mode == ROOTED else n - 2
+    attach = [0] * (mode == UNROOTED) + list(range(k)) + [k - 1]
+    edges = [(i, i + 1) for i in range(k - 1)] + [(u, k + x) for x, u in enumerate(attach)]
+    return model.make_graph(mode, range(k + n), edges, {k + x: x + 1 for x in range(n)})
+
+
+def test_writer_handles_deep_trees():
+    n = 1200
+    tail = f"({n - 1},{n})"
+    for x in range(n - 2, 2, -1):
+        tail = f"({x},{tail})"
+    for mode, want in [(ROOTED, f"(1,(2,{tail}));"), (UNROOTED, f"(1,2,{tail});")]:
+        T = caterpillar(n, mode)
+        assert model.validate(T).ok
+        assert serialize.tree_to_newick(T) == want
 
 
 def test_newick_accepts_arbitrary_child_order():

@@ -54,6 +54,12 @@ def test_worst_case_exhaustive_limit():
         solver.worst_case_r(6, 2, ROOTED)
 
 
+def test_worst_case_rejects_samples_below_one():
+    for samples in (0, -1):
+        with pytest.raises(ValueError):
+            solver.worst_case_r(3, 2, ROOTED, samples=samples)
+
+
 def test_verify_counts_all_hold():
     for mode in (ROOTED, UNROOTED):
         reps = solver.verify_counts(3, 1, mode)
