@@ -267,27 +267,22 @@ def formula_lower_bound(n: int, t: int, mode: str = ROOTED) -> RealInterval:
     """
     if n < 6 or t < 1:
         raise ValueError("need n >= 6 and t >= 1")
-    if _is_power_of_two(n) and _is_power_of_two(t):
+    exact = _is_power_of_two(n) and _is_power_of_two(t)
+    if exact:
         lg_n = Fraction(n.bit_length() - 1)
         lg_t = Fraction(t.bit_length() - 1)
-        if mode == ROOTED:
-            num = (t - 1) * n * lg_n - 6 * t * n - t * lg_t
-            den = lg_n + t + lg_t
-        else:
-            num = (t - 1) * n * lg_n - t * (8 * n + lg_n + lg_t - 1)
-            den = lg_n + 3 * t + lg_t
-        v = Fraction(num, 1) / den
-        return RealInterval(v, v)
-    iv = _iv()
-    lg_n = iv.log(iv.mpf(n)) / iv.log(2)
-    lg_t = iv.log(iv.mpf(t)) / iv.log(2)
+    else:
+        iv = _iv()
+        lg_n = iv.log(iv.mpf(n)) / iv.log(2)
+        lg_t = iv.log(iv.mpf(t)) / iv.log(2)
     if mode == ROOTED:
         num = (t - 1) * n * lg_n - 6 * t * n - t * lg_t
         den = lg_n + t + lg_t
     else:
         num = (t - 1) * n * lg_n - t * (8 * n + lg_n + lg_t - 1)
         den = lg_n + 3 * t + lg_t
-    return _iv_to_interval(num / den)
+    v = num / den
+    return RealInterval(v, v) if exact else _iv_to_interval(v)
 
 
 def _is_power_of_two(k: int) -> bool:

@@ -2,7 +2,7 @@
 
 Codes are complete isomorphism invariants: two graphs get equal codes
 exactly when they are isomorphic as labelled graphs (leaf labels always,
-edge labels when supplied).  Trees use a fast recursive code; networks
+edge labels when supplied).  Trees use a fast bottom-up code; networks
 use colour refinement with backtracking over the residual symmetry,
 taking the lexicographically least encoding over all refinement leaves.
 """
@@ -81,30 +81,18 @@ def automorphism_count(X) -> int:
 
 
 def _tree_code(G: Graph) -> bytes:
+    """Nested sorted leaf labels, built bottom-up from the root (rooted) or
+    below leaf 1 (unrooted; leaf labels make this invariant)."""
     leaves = model.leaf_map(G)
-    if G.mode == ROOTED:
-        children = model.out_adj(G)
-        root = model.root_of(G)
-
-        def code(v: int) -> bytes:
-            if v in leaves:
-                return b"%d" % leaves[v]
-            return b"(" + b",".join(sorted(code(c) for c in children[v])) + b")"
-
-        return code(root)
-    # Unrooted: hang the tree off leaf 1; leaf labels make this invariant.
-    adj = model.undirected_adj(G)
-    start = model.label_map(G)[1]
-
-    def ucode(v: int, parent: int) -> bytes:
-        nb = [w for w in adj[v] if w != parent]
-        if not nb:
-            return b"%d" % leaves[v]
-        return b"(" + b",".join(sorted(ucode(w, v) for w in nb)) + b")"
-
-    if G.num_nodes == 1:
-        return b"1"
-    return b"[1|" + ucode(adj[start][0], start) + b"]"
+    start = model.root_of(G) if G.mode == ROOTED else model.label_map(G)[1]
+    order, parent = model.hang(G, start)
+    below: list[list[bytes]] = [[] for _ in range(G.num_nodes)]
+    for v in reversed(order):
+        code = b"%d" % leaves[v] if v in leaves else b"(" + b",".join(sorted(below[v])) + b")"
+        below[parent[v]].append(code)
+    if G.mode == ROOTED or G.num_nodes == 1:
+        return code
+    return b"[1|" + below[start][0] + b"]"
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import NotATree
+from .errors import LeafsetMismatch, ModeMismatch, NotATree
 
 ROOTED = "rooted"
 UNROOTED = "unrooted"
@@ -188,43 +188,53 @@ def reticulation_count(N: Graph) -> int:
 
 
 # ---------------------------------------------------------------------------
+# walks
+
+
+def hang(G: Graph, start: int) -> tuple[list[int], list[int]]:
+    """BFS order of the nodes reachable from `start`, and each one's parent.
+
+    Rooted graphs are walked along their edge directions.  `start` is its
+    own parent; unreached nodes have parent -1.
+    """
+    adj = (out_adj if G.mode == ROOTED else undirected_adj)(G)
+    parent = [-1] * G.num_nodes
+    parent[start] = start
+    order = [start]
+    for v in order:
+        for w in adj[v]:
+            if parent[w] < 0:
+                parent[w] = v
+                order.append(w)
+    return order, parent
+
+
+def topological_order(G: Graph) -> list[int]:
+    """Nodes of a rooted graph, each after all of its parents (Kahn).
+
+    Nodes on or below a directed cycle are missing: a cycle shows as a short order.
+    """
+    children: list[list[int]] = [[] for _ in range(G.num_nodes)]
+    indeg = [0] * G.num_nodes
+    for u, v in G.edges:
+        children[u].append(v)
+        indeg[v] += 1
+    order = [v for v in range(G.num_nodes) if indeg[v] == 0]
+    for v in order:
+        for c in children[v]:
+            indeg[c] -= 1
+            if indeg[c] == 0:
+                order.append(c)
+    return order
+
+
+# ---------------------------------------------------------------------------
 # validation
 
 
-def _has_directed_cycle(num_nodes: int, edges: Iterable[Edge]) -> bool:
-    adj = defaultdict(list)
-    indeg = [0] * num_nodes
-    for u, v in edges:
-        adj[u].append(v)
-        indeg[v] += 1
-    stack = [v for v in range(num_nodes) if indeg[v] == 0]
-    seen = 0
-    while stack:
-        u = stack.pop()
-        seen += 1
-        for w in adj[u]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                stack.append(w)
-    return seen != num_nodes
-
-
 def _is_connected(num_nodes: int, edges: Iterable[Edge]) -> bool:
-    if num_nodes == 0:
-        return False
-    adj = defaultdict(list)
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == num_nodes
+    G = Graph(UNROOTED, num_nodes, tuple(edges), ())
+    return num_nodes > 0 and len(hang(G, 0)[0]) == num_nodes
 
 
 def _common_violations(G: Graph) -> list[str]:
@@ -260,7 +270,7 @@ def _validate_rooted_graph(G: Graph) -> list[str]:
     for u, v in G.edges:
         outdeg[u] += 1
         indeg[v] += 1
-    if _has_directed_cycle(G.num_nodes, G.edges):
+    if len(topological_order(G)) != G.num_nodes:
         bad.append("directed cycle")
     roots = [v for v in range(G.num_nodes) if indeg[v] == 0]
     if len(roots) != 1:
@@ -418,48 +428,35 @@ def suppress(G: Graph) -> Graph:
 
 def _suppress_raw(mode: str, num_nodes: int, edges: Iterable[Edge],
                   labels: dict[int, int]) -> Graph:
-    """One post-order pass over the tree on nodes 0..num_nodes-1.
+    """One bottom-up pass over the tree on nodes 0..num_nodes-1.
 
     The walk starts at the root (rooted) or at a labelled node (unrooted).
     A node survives iff it is labelled or at least two of its subtrees
     hold labels; each survivor hangs from its nearest surviving ancestor.
     """
-    edges = list(edges)
-    adj: list[list[int]] = [[] for _ in range(num_nodes)]
-    for u, v in edges:
-        adj[u].append(v)
-        if mode != ROOTED:
-            adj[v].append(u)
+    G = Graph(mode, num_nodes, tuple(edges), ())
     if mode == ROOTED:
-        child = {v for _, v in edges}
+        child = {v for _, v in G.edges}
         start = next((v for v in range(num_nodes) if v not in child), None)
     else:
         start = min(labels, default=0)
     # |E| = |V| - 1 and every node reached from the start: a tree (rooted:
     # an arborescence, so no node with two parents and no directed cycle)
-    if len(edges) != num_nodes - 1 or start is None:
+    if len(G.edges) != num_nodes - 1 or start is None:
         raise NotATree("input is not a tree")
-    parent = [-1] * num_nodes
-    parent[start] = start
-    order = [start]
-    for v in order:
-        for w in adj[v]:
-            if parent[w] < 0:
-                parent[w] = v
-                order.append(w)
+    order, parent = hang(G, start)
     if len(order) != num_nodes:
         raise NotATree("input is not a tree")
-    top: list = [None] * num_nodes  # topmost survivor in v's subtree, if any
+    below: list[list[int]] = [[] for _ in range(num_nodes)]  # topmost survivors under v
     kept: list[int] = []
     new_edges: list[Edge] = []
     for v in reversed(order):
-        below = [top[w] for w in adj[v] if w != parent[v] and top[w] is not None]
-        if v in labels or len(below) >= 2:
+        if v in labels or len(below[v]) >= 2:
             kept.append(v)
-            new_edges.extend((v, w) for w in below)
-            top[v] = v
-        elif below:
-            top[v] = below[0]
+            new_edges.extend((v, w) for w in below[v])
+            below[parent[v]].append(v)
+        elif below[v]:
+            below[parent[v]].append(below[v][0])
     return make_graph(mode, kept, new_edges, labels)
 
 
@@ -513,13 +510,20 @@ def is_leaf_connecting(N: Graph) -> bool:
 
 
 def tree_set(trees: Iterable[Graph]) -> TreeSet:
-    """Build a TreeSet, dropping isomorphic duplicates, in canonical-code order."""
+    """Build a TreeSet, dropping isomorphic duplicates, in canonical-code order.
+
+    Members must share one mode (else ModeMismatch) and n (else LeafsetMismatch)."""
     from .canonical import canonical_code
 
     trees = list(trees)
     if not trees:
         raise ValueError("a tree set needs at least one tree")
-    mode = trees[0].mode
+    mode, n = trees[0].mode, trees[0].n
+    for T in trees:
+        if T.mode != mode:
+            raise ModeMismatch(f"{mode} vs {T.mode}")
+        if T.n != n:
+            raise LeafsetMismatch(f"{n} vs {T.n} leaves")
     by_code = {}
     for T in trees:
         by_code.setdefault(canonical_code(T).bytes, T)

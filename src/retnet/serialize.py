@@ -6,14 +6,19 @@ with reticulations tagged #H1..#Hr, where the first traversal visit
 carries the reticulation's subtree and later visits are bare tags.  A
 tree has no tags; an unrooted tree is drawn rooted at the internal node
 next to leaf 1.  Unrooted networks are JSON edge lists.
-Parsers assign node ids in a deterministic order, so parse(serialize(G))
+One iterative reader, `_parse`, reads both written forms.  It numbers a
+leaf or bare tag when it is read and an internal node at its ")" (a
+tagged node when its tag is first seen); `newick_to_tree` renumbers
+tree nodes in written order (pre-order).  So parse(serialize(G))
 reproduces G's serialization byte for byte.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
+from collections import defaultdict
 
 from . import model
 from .errors import ParseError, RetnetError
@@ -31,17 +36,11 @@ def tree_to_newick(T: Graph) -> str:
     if T.num_nodes == 2:
         return "(1,2);"
     if T.num_nodes > 2:
-        # root the drawing at the internal node next to leaf 1
-        adj = model.undirected_adj(T)
-        center = adj[model.label_map(T)[1]][0]
-        parent = {center: center}
-        order = [center]
-        for v in order:
-            for w in adj[v]:
-                if w not in parent:
-                    parent[w] = v
-                    order.append(w)
-        edges = tuple((parent[w], w) for w in order[1:])
+        # root the drawing at the internal node next to leaf 1: hung from
+        # leaf 1, only the edge between the two points the other way
+        leaf1 = model.label_map(T)[1]
+        order, parent = model.hang(T, leaf1)
+        edges = ((order[1], leaf1),) + tuple((parent[w], w) for w in order[2:])
         T = Graph(ROOTED, T.num_nodes, edges, T.leaf_labels)
     return network_to_enewick(T)
 
@@ -56,46 +55,77 @@ def _tokenize(s: str) -> list[str]:
     return toks
 
 
-def newick_to_tree(s: str, mode: str = ROOTED) -> Graph:
+def _parse(s: str, what: str) -> tuple[int, list[Edge], dict[int, int]]:
+    """Read one written tree or network into (num_nodes, edges, labels).
+
+    Nodes are numbered as they complete: a leaf or a bare tag when it is
+    read, an internal node at its ")" unless its tag was seen first.
+    Only `what == "network"` accepts #H tags.
+    """
     toks = _tokenize(s)
     if not toks or toks[-1] != ";":
         raise ParseError("missing trailing semicolon")
-    pos = 0
-    nid = [0]
+    network = what == "network"
+    fresh = itertools.count().__next__
     edges: list[Edge] = []
     labels: dict[int, int] = {}
-
-    def fresh() -> int:
-        nid[0] += 1
-        return nid[0] - 1
-
-    def parse_node() -> int:
-        nonlocal pos
-        if toks[pos] == "(":
+    tag_node: dict[str, int] = defaultdict(fresh)  # numbered when first seen
+    has_subtree: set[str] = set()
+    open_kids: list[list[int]] = []  # children read so far under each open "("
+    pos = 0
+    while True:
+        tok = toks[pos]
+        pos += 1
+        if tok == "(":
+            open_kids.append([])
+            continue
+        if tok.isdigit():
             v = fresh()
+            labels[v] = int(tok)
+        elif network and tok.startswith("#H"):
+            v = tag_node[tok]
+        else:
+            raise ParseError(f"unexpected token {tok!r}")
+        # v is complete: close every ")" that follows it
+        while open_kids:
+            tok = toks[pos]
             pos += 1
-            while True:
-                c = parse_node()
-                edges.append((v, c))
-                if toks[pos] == ",":
-                    pos += 1
-                    continue
-                if toks[pos] == ")":
-                    pos += 1
-                    break
+            if tok == ",":
+                open_kids[-1].append(v)
+                break
+            if tok != ")":
                 raise ParseError("expected ',' or ')'")
-            return v
-        if toks[pos].isdigit():
-            v = fresh()
-            labels[v] = int(toks[pos])
-            pos += 1
-            return v
-        raise ParseError(f"unexpected token {toks[pos]!r}")
+            kids = open_kids.pop() + [v]
+            if network and toks[pos].startswith("#H"):
+                tag = toks[pos]
+                pos += 1
+                if tag in has_subtree:
+                    raise ParseError(f"duplicate subtree for {tag}")
+                has_subtree.add(tag)
+                v = tag_node[tag]
+            else:
+                v = fresh()
+            edges.extend((v, c) for c in kids)
+        if not open_kids:  # v is the root
+            if pos != len(toks) - 1:
+                raise ParseError(f"trailing content after {what}")
+            return fresh(), edges, labels  # the next unused id is the node count
 
-    root = parse_node()
-    if toks[pos] != ";":
-        raise ParseError("trailing content after tree")
-    T = model.make_graph(mode, range(nid[0]), edges, labels)
+
+def newick_to_tree(s: str, mode: str = ROOTED) -> Graph:
+    num, edges, labels = _parse(s, "tree")
+    # renumber in pre-order (written order): siblings' ids are in written order
+    kids: list[list[int]] = [[] for _ in range(num)]
+    for u, c in edges:
+        kids[u].append(c)
+    pre = [0] * num
+    stack = [num - 1]
+    for k in range(num):
+        v = stack.pop()
+        pre[v] = k
+        stack += reversed(kids[v])
+    T = model.make_graph(mode, range(num), [(pre[u], pre[c]) for u, c in edges],
+                         {pre[v]: x for v, x in labels.items()})
     if mode == UNROOTED and T.num_nodes > 1:
         # the written form roots the drawing at an internal node; a
         # two-leaf tree leaves that node with degree 2, so contract it
@@ -114,16 +144,7 @@ def network_to_enewick(N: Graph) -> str:
     children = model.out_adj(N)
     leaves = model.leaf_map(N)
     rets = model.reticulations_of(N)
-    root = model.root_of(N)
-    indeg = [0] * N.num_nodes
-    for _, v in N.edges:
-        indeg[v] += 1
-    order = [root]  # topological: a node follows all of its parents
-    for v in order:
-        for c in children[v]:
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                order.append(c)
+    order = model.topological_order(N)
     reach: dict[int, tuple] = {}  # sorted labels of the leaves below each node
     for v in reversed(order):
         if v in leaves:
@@ -143,7 +164,7 @@ def network_to_enewick(N: Graph) -> str:
     # textual occurrence carries its subtree and later ones are bare tags
     out: list[str] = []
     written: set[int] = set()
-    stack: list = [root]
+    stack: list = [order[0]]
     while stack:
         v = stack.pop()
         if type(v) is str:
@@ -164,66 +185,8 @@ def network_to_enewick(N: Graph) -> str:
 
 
 def enewick_to_network(s: str) -> Graph:
-    toks = _tokenize(s)
-    if not toks or toks[-1] != ";":
-        raise ParseError("missing trailing semicolon")
-    pos = 0
-    nid = [0]
-    edges: list[Edge] = []
-    labels: dict[int, int] = {}
-    ret_node: dict[str, int] = {}
-
-    def fresh() -> int:
-        nid[0] += 1
-        return nid[0] - 1
-
-    has_subtree: set[str] = set()
-
-    def parse_node() -> int:
-        nonlocal pos
-        if toks[pos] == "(":
-            pos += 1
-            kids = []
-            while True:
-                kids.append(parse_node())
-                if toks[pos] == ",":
-                    pos += 1
-                    continue
-                if toks[pos] == ")":
-                    pos += 1
-                    break
-                raise ParseError("expected ',' or ')'")
-            if pos < len(toks) and toks[pos].startswith("#H"):
-                tag = toks[pos]
-                pos += 1
-                if tag in has_subtree:
-                    raise ParseError(f"duplicate subtree for {tag}")
-                has_subtree.add(tag)
-                if tag not in ret_node:
-                    ret_node[tag] = fresh()
-                v = ret_node[tag]
-            else:
-                v = fresh()
-            for c in kids:
-                edges.append((v, c))
-            return v
-        if toks[pos].startswith("#H"):
-            tag = toks[pos]
-            pos += 1
-            if tag not in ret_node:
-                ret_node[tag] = fresh()
-            return ret_node[tag]
-        if toks[pos].isdigit():
-            v = fresh()
-            labels[v] = int(toks[pos])
-            pos += 1
-            return v
-        raise ParseError(f"unexpected token {toks[pos]!r}")
-
-    parse_node()
-    if toks[pos] != ";":
-        raise ParseError("trailing content after network")
-    N = model.make_graph(ROOTED, range(nid[0]), edges, labels)
+    num, edges, labels = _parse(s, "network")
+    N = model.make_graph(ROOTED, range(num), edges, labels)
     report = model.validate(N)
     if not report.ok:
         raise ParseError("; ".join(report.violations))

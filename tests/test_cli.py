@@ -107,9 +107,23 @@ def test_usage_error_exit_2(capsys):
     assert code == 2
 
 
-def test_domain_error_exit_1(capsys):
+def test_domain_error_exit_1(tmp_path, capsys):
     code, _ = run(capsys, "verify", "--lemmas", "--kmax", "3")
     assert code == 1
+    a, b, cat = tmp_path / "a.nwk", tmp_path / "b.nwk", tmp_path / "cat.nwk"
+    a.write_text("((1,2),(3,(4,5)));\n")
+    b.write_text("(1,(2,3));\n")
+    tail = "(1199,1200)"
+    for x in range(1198, 0, -1):
+        tail = f"({x},{tail})"
+    cat.write_text(tail + ";\n")  # 1,200-leaf caterpillar
+    for argv, err_code in [(["trivial", "--trees", a, "--trees", b], "LEAFSET_MISMATCH"),
+                           (["minret", "--trees", a, "--trees", b], "LEAFSET_MISMATCH"),
+                           (["minret", "--trees", cat], "BUDGET_EXCEEDED")]:
+        code = cli.run([str(x) for x in argv])
+        captured = capsys.readouterr()
+        assert code == 1 and not captured.out
+        assert captured.err.startswith(f"error [{err_code}]") and captured.err.count("\n") == 1
 
 
 def test_malformed_json_inputs_exit_1(tmp_path, capsys):

@@ -2,7 +2,7 @@ import pytest
 
 import retnet as rn
 from retnet import generate, model, serialize
-from retnet.errors import NotATree
+from retnet.errors import LeafsetMismatch, ModeMismatch, NotATree
 from retnet.model import PhyloTree, ROOTED, UNROOTED, RootedNetwork
 
 
@@ -83,6 +83,10 @@ def test_tree_set_rejects_mixed_leaf_counts():
     b = generate.enumerate_trees(4, ROOTED)[0]
     ts = model.TreeSet(ROOTED, (a, b))
     assert not model.validate(ts).ok
+    with pytest.raises(LeafsetMismatch):
+        model.tree_set([a, b])
+    with pytest.raises(ModeMismatch):
+        model.tree_set([a, generate.enumerate_trees(3, UNROOTED)[0]])
 
 
 def test_tree_set_rejects_networks():
@@ -143,3 +147,6 @@ def test_subdivide_then_suppress_roundtrip():
 def test_is_leaf_connecting():
     for N in generate.enumerate_networks(3, 1, UNROOTED):
         assert model.is_leaf_connecting(N)
+    # one unrooted (2, 3) network hangs a leaf-free block from a single edge
+    loose = generate.enumerate_networks(2, 3, UNROOTED, leaf_connecting=False)
+    assert [model.is_leaf_connecting(N) for N in loose].count(False) == 1

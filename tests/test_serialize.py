@@ -46,6 +46,27 @@ def test_writer_output_is_pinned():
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+# SHA-256 of the fields of each graph read back from the written forms of
+# WRITER_DIGESTS: node ids reach the CLI's output through `decode`
+READER_DIGESTS = [
+    (lambda s: serialize.newick_to_tree(s, ROOTED),
+     "21de233e9afdcec8c7ce411709428a46c3db10bfa611c52dcfd1da864100d686"),
+    (lambda s: serialize.newick_to_tree(s, UNROOTED),
+     "763253d561e4d252fd86cdab42f609d7f8266ded99dfb4f2023c991769866e08"),
+    (serialize.enewick_to_network,
+     "c581d7271639e8a1043e786f5bb043bf620d90271a933b4fa3d7a7ced9875b00"),
+    (serialize.enewick_to_network,
+     "410ca6f50267f3fd1ca0a15ccebf7575419fe7e3e4b86749472d136bf10033c9"),
+]
+
+
+def test_reader_numbering_is_pinned():
+    for (write, graphs, _), (read, digest) in zip(WRITER_DIGESTS, READER_DIGESTS):
+        read_back = (read(write(G)) for G in graphs())
+        text = "\n".join(repr((G.num_nodes, G.edges, G.leaf_labels)) for G in read_back)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def caterpillar(n: int, mode: str):
     """Spine nodes 0..k-1 with one pendant leaf each; the end nodes get a second leaf."""
     k = n - 1 if mode == ROOTED else n - 2
@@ -63,6 +84,9 @@ def test_writer_handles_deep_trees():
         T = caterpillar(n, mode)
         assert model.validate(T).ok
         assert serialize.tree_to_newick(T) == want
+        assert rn.canonical_code(serialize.newick_to_tree(want, mode)) == rn.canonical_code(T)
+        if mode == ROOTED:
+            assert rn.are_isomorphic(serialize.enewick_to_network(want), T)
 
 
 def test_newick_accepts_arbitrary_child_order():
@@ -72,9 +96,11 @@ def test_newick_accepts_arbitrary_child_order():
 
 
 def test_newick_parse_errors():
-    for bad in ["(1,2)", "(1,2));", "(1,(2,));", "(1,2);x", "(1,2;)"]:
+    for bad in ["(1,2)", "(1,2));", "(1,(2,));", "(1,2);x", "(1,2;)", "(1,2);(3,4);"]:
         with pytest.raises(ParseError):
             serialize.newick_to_tree(bad, ROOTED)
+    with pytest.raises(ParseError, match="trailing content after network"):
+        serialize.enewick_to_network("((1,(3)#H1),(2,#H1));(1,2);")
 
 
 def test_enewick_roundtrip_enumerated():
