@@ -184,9 +184,6 @@ def _lg_double_factorial(k: int) -> RealInterval:
     """Certified enclosure of lg k!! for odd k (k = 2m-1)."""
     if k <= 0:
         return RealInterval(Fraction(0), Fraction(0))
-    if k <= _EXACT_DF_LIMIT:
-        iv = _iv()
-        return _iv_to_interval(iv.log(iv.mpf(double_factorial(k))) / iv.log(2))
     m = (k + 1) // 2
     f2m = _lg_factorial(2 * m)
     fm = _lg_factorial(m)

@@ -84,11 +84,11 @@ _format_option = click.option("--format", "fmt", type=click.Choice(["jsonl", "cs
 @_format_option
 def trees(n: int, mode: str, count_only: bool, fmt: str) -> None:
     """Enumerate all binary trees on n labelled leaves."""
-    ts = generate.enumerate_trees(n, mode)
     if count_only:
-        click.echo(str(len(ts)))
+        click.echo(str(bounds.tree_count(n, mode)))
         return
-    _emit_stream([{"newick": serialize.tree_to_newick(T)} for T in ts], fmt)
+    _emit_stream([{"newick": serialize.tree_to_newick(T)}
+                  for T in generate.enumerate_trees(n, mode)], fmt)
 
 
 @main.command()

@@ -92,15 +92,13 @@ def enumerate_trees(n: int, mode: str = ROOTED) -> tuple[Graph, ...]:
     return _trees_sorted(n, mode)
 
 
-def enumerate_networks(n: int, r: int, mode: str = ROOTED, *,
-                       leaf_connecting: bool = True, cap: int | None = None):
+def enumerate_networks(n: int, r: int, mode: str = ROOTED, *, leaf_connecting: bool = True):
     """Every binary network class with n leaves and r reticulations, exactly once.
 
     Unrooted networks are restricted to the leaf-connecting class unless
     `leaf_connecting=False`.  Ordered by canonical code.
     """
-    if cap is None:
-        cap = _budget_cap(mode)
+    cap = _budget_cap(mode)
     if n + 2 * r > cap:
         raise BudgetExceeded(f"n + 2r = {n + 2 * r} exceeds cap {cap}")
     if r == 0:

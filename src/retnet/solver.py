@@ -6,32 +6,34 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from functools import lru_cache
 from typing import Optional
 
-from . import bounds, codec, display, generate, model
+from . import bounds, codec, display, generate
 from .canonical import automorphism_count, canonical_code
 from .errors import BudgetExceeded
 from .model import Graph, TreeSet, ROOTED, UNROOTED
 
 
-def _displayed_code_sets(n: int, r: int, mode: str):
-    """(network, frozenset of displayed tree codes) for every class in N_{n,r}."""
-    out = []
-    for N in generate.enumerate_networks(n, r, mode):
-        codes = frozenset(canonical_code(T).bytes for T in display.displayed_trees(N))
-        out.append((N, codes))
-    return out
+@lru_cache(maxsize=64)
+def _displayed_code_sets(n: int, r: int, mode: str) -> tuple[tuple[Graph, frozenset], ...]:
+    """(network, frozenset of displayed tree codes) for every class in N_{n,r}.
+
+    The solver reads displays only through this table."""
+    return tuple((N, frozenset(canonical_code(T).bytes for T in display.displayed_trees(N)))
+                 for N in generate.enumerate_networks(n, r, mode))
 
 
-def min_reticulations(ts: TreeSet, r_cap: Optional[int] = None) -> tuple[int, Graph]:
+def min_reticulations(ts: TreeSet) -> tuple[int, Graph]:
     """Least r such that some network with r reticulations displays every member.
 
-    Searches r upward through the canonical enumeration order, so the
-    witness is deterministic.  Bounded above by (t-1)n, the trivial
-    network's reticulation count.
+    A single tree is its own witness.  Otherwise searches r upward through
+    the canonical enumeration order, so the witness is deterministic, up
+    to (t-1)n, the trivial network's reticulation count.
     """
-    if r_cap is None:
-        r_cap = (ts.t - 1) * ts.n
+    if ts.t == 1:
+        return 0, ts.trees[0]
+    r_cap = (ts.t - 1) * ts.n
     target = frozenset(canonical_code(T).bytes for T in ts.trees)
     for r in range(r_cap + 1):
         for N, codes in _displayed_code_sets(ts.n, r, ts.mode):
@@ -45,53 +47,36 @@ def worst_case_r(n: int, t: int, mode: str = ROOTED, *,
     """Maximum of min_reticulations over t-element tree sets on [n].
 
     Exhaustive for n <= 4 rooted / n <= 5 unrooted; beyond that a sample
-    count must be given.
+    count must be given, and the maximum is over that many seeded draws.
+    The witness is the first maximal set searched: exhaustively, the
+    least maximal set in canonical order; sampled, the first maximal draw.
     """
     if samples is not None and samples < 1:
         raise ValueError("samples must be at least 1")
+    if t < 1:
+        raise ValueError("t must be at least 1")
     trees = generate.enumerate_trees(n, mode)
     if t > len(trees):
         raise ValueError(f"only {len(trees)} trees exist on {n} leaves")
-    code_of = {canonical_code(T).bytes: T for T in trees}
 
     exhaustive_limit = 4 if mode == ROOTED else 5
     if samples is None and n > exhaustive_limit:
         raise BudgetExceeded(f"exhaustive search capped at n = {exhaustive_limit}; "
                              "pass a sample count beyond that")
 
-    if samples is not None:
+    if samples is None:
+        candidates = itertools.combinations(trees, t)  # trees are in canonical order
+    else:
         rng = random.Random(seed)
-        best_r, best_set = -1, None
-        for _ in range(samples):
-            subset = rng.sample(trees, t)
-            ts = TreeSet(mode, tuple(sorted(subset, key=lambda T: canonical_code(T).bytes)))
-            r, _ = min_reticulations(ts)
-            if r > best_r:
-                best_r, best_set = r, ts
-        return best_r, best_set
-
-    remaining = {frozenset(c): None for c in itertools.combinations(sorted(code_of), t)}
-    r = 0
-    last_removed: list[frozenset] = []
-    while remaining:
-        removed = []
-        for _, codes in _displayed_code_sets(n, r, mode):
-            if len(codes) < t:
-                continue
-            for sub in itertools.combinations(sorted(codes), t):
-                key = frozenset(sub)
-                if key in remaining:
-                    del remaining[key]
-                    removed.append(key)
-        if removed:
-            last_removed = removed
-        if remaining:
-            r += 1
-        else:
-            break
-    witness_codes = min(sorted(tuple(sorted(s)) for s in last_removed))
-    witness = TreeSet(mode, tuple(code_of[c] for c in witness_codes))
-    return r, witness
+        candidates = (sorted(rng.sample(trees, t), key=lambda T: canonical_code(T).bytes)
+                      for _ in range(samples))
+    best_r, best_set = -1, None
+    for subset in candidates:
+        ts = TreeSet(mode, tuple(subset))
+        r, _ = min_reticulations(ts)
+        if r > best_r:
+            best_r, best_set = r, ts
+    return best_r, best_set
 
 
 def verify_counts(n_max: int, r_max: int, mode: str = ROOTED) -> list[bounds.BoundReport]:
@@ -107,33 +92,32 @@ def verify_counts(n_max: int, r_max: int, mode: str = ROOTED) -> list[bounds.Bou
         for r in range(1, r_max + 1):
             if mode == UNROOTED and n + 2 * r < 3:
                 continue
-            nets = generate.enumerate_networks(n, r, mode)
+            table = _displayed_code_sets(n, r, mode)
             params = {"n": n, "r": r, "mode": mode}
             nb = bounds.network_count_bound(n, r, mode)
             df_arg = 2 * (n + 2 * r) - (3 if mode == ROOTED else 5)
-            chain = len(nets) * math.factorial(r) <= bounds.double_factorial(df_arg)
+            chain = len(table) * math.factorial(r) <= bounds.double_factorial(df_arg)
             reports.append(bounds.BoundReport(
                 "counting-chain", params,
-                lhs=len(nets) * math.factorial(r),
+                lhs=len(table) * math.factorial(r),
                 rhs=bounds.double_factorial(df_arg), holds=chain))
-            tight_ok = len(nets) <= nb.tight
+            tight_ok = len(table) <= nb.tight
             relaxed_ok = nb.relaxed is None or nb.tight <= nb.relaxed
             reports.append(bounds.BoundReport(
-                "network-count-bound", params, lhs=len(nets),
+                "network-count-bound", params, lhs=len(table),
                 rhs=(nb.tight, nb.relaxed), holds=tight_ok and relaxed_ok))
 
             disp_ok = True
             codec_images: set[bytes] = set()
             labelled_codes: set[bytes] = set()
             autos_ok = True
-            for N in nets:
-                shown = display.displayed_trees(N)
+            for N, codes in table:
                 if mode == ROOTED:
-                    if len(shown) > 2 ** r:
+                    if len(codes) > 2 ** r:
                         disp_ok = False
                 else:
                     st = len(generate.enumerate_switchings(N))
-                    if len(shown) > st or st > math.comb(n + 3 * r - 3, r):
+                    if len(codes) > st or st > math.comb(n + 3 * r - 3, r):
                         disp_ok = False
                     if len(N.edges) != 2 * n + 3 * r - 3:
                         disp_ok = False

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 import retnet as rn
-from retnet import bounds, canonical, codec, display, generate, model, solver
+from retnet import bounds, canonical, codec, display, generate, model, serialize, solver
 from retnet.model import ROOTED, UNROOTED
 
 
@@ -143,9 +143,11 @@ def test_acceptance_08_trivial_network_random_tree_sets():
 def test_acceptance_09_worst_case_tiny():
     t0 = time.time()
     r32, _ = solver.worst_case_r(3, 2, ROOTED)
-    r42, _ = solver.worst_case_r(4, 2, ROOTED)
+    r42, w42 = solver.worst_case_r(4, 2, ROOTED)
     elapsed = time.time() - t0
     ok = (r32 == 1 and r42 == 2
+          and [serialize.tree_to_newick(T) for T in w42.trees] == ["(((1,2),3),4);",
+                                                                   "(((1,4),3),2);"]
           and bounds.counting_lower_bound(3, 2, ROOTED) <= r32
           and bounds.counting_lower_bound(4, 2, ROOTED) <= r42
           and elapsed < 600)

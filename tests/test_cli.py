@@ -1,7 +1,7 @@
 import json
 
 import retnet as rn
-from retnet import cli, serialize
+from retnet import bounds, cli, serialize
 
 
 def run(capsys, *argv):
@@ -14,6 +14,11 @@ def test_trees_count_only(capsys):
     code, out = run(capsys, "trees", "--n", "4", "--mode", "rooted", "--count-only")
     assert code == 0
     assert out.strip() == "15"
+    # the closed form, not an enumeration (about 5e38 rooted trees on 30 leaves)
+    for mode in ("rooted", "unrooted"):
+        code, out = run(capsys, "trees", "--n", "30", "--mode", mode, "--count-only")
+        assert code == 0
+        assert out.strip() == str(bounds.tree_count(30, mode))
 
 
 def test_trees_stream_jsonl(capsys):
@@ -110,20 +115,36 @@ def test_usage_error_exit_2(capsys):
 def test_domain_error_exit_1(tmp_path, capsys):
     code, _ = run(capsys, "verify", "--lemmas", "--kmax", "3")
     assert code == 1
-    a, b, cat = tmp_path / "a.nwk", tmp_path / "b.nwk", tmp_path / "cat.nwk"
+    a, b = tmp_path / "a.nwk", tmp_path / "b.nwk"
     a.write_text("((1,2),(3,(4,5)));\n")
     b.write_text("(1,(2,3));\n")
-    tail = "(1199,1200)"
+    cat, cat2 = tmp_path / "cat.nwk", tmp_path / "cat2.nwk"
+    tail, tail2 = "(1199,1200)", "(2,1)"
     for x in range(1198, 0, -1):
-        tail = f"({x},{tail})"
-    cat.write_text(tail + ";\n")  # 1,200-leaf caterpillar
+        tail, tail2 = f"({x},{tail})", f"({1201 - x},{tail2})"
+    cat.write_text(tail + ";\n")  # 1,200-leaf caterpillars with different cherries
+    cat2.write_text(tail2 + ";\n")
     for argv, err_code in [(["trivial", "--trees", a, "--trees", b], "LEAFSET_MISMATCH"),
                            (["minret", "--trees", a, "--trees", b], "LEAFSET_MISMATCH"),
-                           (["minret", "--trees", cat], "BUDGET_EXCEEDED")]:
+                           (["minret", "--trees", cat, "--trees", cat2], "BUDGET_EXCEEDED")]:
         code = cli.run([str(x) for x in argv])
         captured = capsys.readouterr()
         assert code == 1 and not captured.out
         assert captured.err.startswith(f"error [{err_code}]") and captured.err.count("\n") == 1
+
+
+def test_minret_single_tree_needs_no_search(tmp_path, capsys):
+    cat = tmp_path / "c13.nwk"
+    tail = "(1,2)"
+    for x in range(3, 14):
+        tail = f"({tail},{x})"
+    cat.write_text(tail + ";\n")  # 13 leaves: N(13, 0) is past the enumeration cap
+    code, out = run(capsys, "minret", "--trees", str(cat))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["r"] == 0
+    assert rn.are_isomorphic(serialize.enewick_to_network(doc["witness"]),
+                             serialize.newick_to_tree(tail + ";"))
 
 
 def test_malformed_json_inputs_exit_1(tmp_path, capsys):

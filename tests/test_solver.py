@@ -1,7 +1,7 @@
 import pytest
 
 import retnet as rn
-from retnet import bounds, display, generate, model, solver
+from retnet import bounds, display, generate, model, serialize, solver
 from retnet.errors import BudgetExceeded
 from retnet.model import ROOTED, UNROOTED
 
@@ -31,10 +31,24 @@ def test_min_reticulations_witness_displays_all():
         assert ok
 
 
+# (n, t, mode) -> (r, witness): the witness is the least maximal t-set in
+# canonical order
+EXHAUSTIVE_WORST_CASES = {
+    (3, 1, ROOTED): (0, ["((1,2),3);"]),
+    (3, 2, ROOTED): (1, ["((1,2),3);", "((1,3),2);"]),
+    (3, 3, ROOTED): (2, ["((1,2),3);", "((1,3),2);", "(1,(2,3));"]),
+    (4, 2, UNROOTED): (1, ["(1,(2,3),4);", "(1,(2,4),3);"]),
+    (4, 3, UNROOTED): (2, ["(1,(2,3),4);", "(1,(2,4),3);", "(1,2,(3,4));"]),
+}
+
+
 def test_worst_case_r_tiny_points():
     r3, ts3 = solver.worst_case_r(3, 2, ROOTED)
     assert r3 == 1
     assert solver.min_reticulations(ts3)[0] == 1
+    for (n, t, mode), (r, witness) in EXHAUSTIVE_WORST_CASES.items():
+        got_r, ts = solver.worst_case_r(n, t, mode)
+        assert (got_r, [serialize.tree_to_newick(T) for T in ts.trees]) == (r, witness)
 
 
 def test_worst_case_dominates_counting_lower_bound():
@@ -47,6 +61,12 @@ def test_worst_case_sampled_reproducible():
     assert a[0] == b[0]
     assert [rn.canonical_code(t) for t in a[1].trees] == \
         [rn.canonical_code(t) for t in b[1].trees]
+    # every pair on 3 leaves needs r = 1, so the witness is the seed's first draw
+    first_draw = {0: ["((1,3),2);", "(1,(2,3));"], 1: ["((1,2),3);", "(1,(2,3));"],
+                  2: ["((1,2),3);", "(1,(2,3));"], 7: ["((1,2),3);", "((1,3),2);"]}
+    for seed, witness in first_draw.items():
+        r, ts = solver.worst_case_r(3, 2, ROOTED, samples=4, seed=seed)
+        assert (r, [serialize.tree_to_newick(T) for T in ts.trees]) == (1, witness)
 
 
 def test_worst_case_exhaustive_limit():
@@ -58,6 +78,12 @@ def test_worst_case_rejects_samples_below_one():
     for samples in (0, -1):
         with pytest.raises(ValueError):
             solver.worst_case_r(3, 2, ROOTED, samples=samples)
+
+
+def test_worst_case_rejects_empty_sets():
+    for samples in (None, 2):
+        with pytest.raises(ValueError, match="t must be at least 1"):
+            solver.worst_case_r(3, 0, ROOTED, samples=samples)
 
 
 def test_verify_counts_all_hold():
