@@ -15,9 +15,7 @@ from .bounds import (BoundReport, NetworkCountBound, RealInterval,
 from .canonical import (CanonicalCode, are_isomorphic, automorphism_count,
                         canonical_code)
 from .codec import decode_tau, encode_tau
-from .display import (displayed_tree, displayed_trees, displays,
-                      displays_by_subdivision, find_embedding,
-                      trivial_network)
+from .display import displayed_tree, displayed_trees, displays, trivial_network
 from .errors import (BudgetExceeded, DomainError, InvalidLabelling,
                      LeafsetMismatch, ModeMismatch, NotATree, NotInImage,
                      ParseError, RetnetError, SwitchingMismatch, TTooLarge)
@@ -40,8 +38,7 @@ __all__ = [
     "enumerate_trees", "enumerate_networks", "enumerate_switchings",
     "fixed_switching", "reticulation_labellings", "all_reticulation_labellings",
     "encode_tau", "decode_tau",
-    "displayed_tree", "displayed_trees", "displays", "find_embedding",
-    "displays_by_subdivision", "trivial_network",
+    "displayed_tree", "displayed_trees", "displays", "trivial_network",
     "BoundReport", "RealInterval", "NetworkCountBound",
     "double_factorial", "tree_count", "tree_set_count",
     "tree_set_count_bounds", "network_count_bound", "pair_count_bound",

@@ -36,7 +36,7 @@ def canonical_code(G: Graph, edge_labels: Optional[ReticulationLabelling] = None
     elabels = {}
     if edge_labels is not None:
         elabels = {e: h for e, h in edge_labels.numbered}
-    if not elabels and model.is_tree_shaped(G):
+    if not elabels and model.reticulation_count(G) == 0:
         return CanonicalCode(header + b"T" + _tree_code(G))
     body, _, _ = _canon_general(G.mode, G.num_nodes, G.edges, dict(G.leaf_labels), elabels)
     return CanonicalCode(header + b"G" + body)

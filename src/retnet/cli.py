@@ -175,14 +175,12 @@ def display_cmd(net_path: str, tree_path: str) -> None:
 
 @main.command()
 @click.option("--network", "path", type=click.Path(exists=True), required=True)
-@click.option("--limit", type=int, default=display.DEFAULT_SWITCHING_LIMIT,
-              show_default=True)
 @click.option("--count-only", is_flag=True)
 @_format_option
-def displayed(path: str, limit: int, count_only: bool, fmt: str) -> None:
+def displayed(path: str, count_only: bool, fmt: str) -> None:
     """List every tree the network displays."""
     N = _read_network(path)
-    ts = display.displayed_trees(N, limit=limit)
+    ts = display.displayed_trees(N)
     if count_only:
         click.echo(str(len(ts)))
         return
@@ -272,10 +270,9 @@ def bounds_cmd(stmt: str, n: int, t: int | None, r: int | None, mode: str) -> No
 @click.option("--n-max", type=int, default=3, show_default=True)
 @click.option("--r-max", type=int, default=1, show_default=True)
 @click.option("--mode", type=_MODE, default=ROOTED, show_default=True)
-@_format_option
 def verify(lemmas: bool, counts: bool, kmax: int, n_max: int, r_max: int,
-           mode: str, fmt: str) -> None:
-    """Run the bound-verification suites; CSV by default."""
+           mode: str) -> None:
+    """Run the bound-verification suites; prints CSV."""
     if not lemmas and not counts:
         raise click.UsageError("pass --lemmas and/or --counts")
     reports = []
@@ -283,7 +280,7 @@ def verify(lemmas: bool, counts: bool, kmax: int, n_max: int, r_max: int,
         reports.extend(bounds.verify_math_lemmas(kmax))
     if counts:
         reports.extend(solver.verify_counts(n_max, r_max, mode))
-    _emit_stream(_report_rows(reports), "csv" if fmt == "jsonl" else fmt)
+    _emit_stream(_report_rows(reports), "csv")
     if not all(rep.holds for rep in reports):
         raise RetnetError("a verification check failed")
 

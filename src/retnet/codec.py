@@ -52,6 +52,8 @@ def decode_tau(T: Graph, n: int, r: int):
     labelling invariant (parallel edge, cycle, degree violation, 0-edges
     not forming a switching).
     """
+    if n < 1 or r < 0:
+        raise ValueError("n must be at least 1 and r at least 0")
     if r == 0:
         if T.n != n:
             raise ValueError("leaf count does not match n")
@@ -98,10 +100,10 @@ def decode_tau(T: Graph, n: int, r: int):
                          for (u, v), h in numbered)
     lab = ReticulationLabelling(net, new_numbered)
 
+    # A valid net makes lab valid too: nodes of T have in-degree at most 1,
+    # so each reticulation of net is entered by exactly one re-added edge,
+    # and the kept edges, T minus its pendant pairs, span net as a tree.
     report = model.validate(net)
-    if not report.ok:
-        raise NotInImage(report.violations[0])
-    report = model.validate(lab)
     if not report.ok:
         raise NotInImage(report.violations[0])
     return net, lab

@@ -8,7 +8,7 @@ class RetnetError(Exception):
 
 
 class BudgetExceeded(RetnetError):
-    """An enumeration request exceeds the configured desk-scale cap."""
+    """A request exceeds the item budget (RETNET_BUDGET) or a search cap."""
 
     code = "BUDGET_EXCEEDED"
 

@@ -5,33 +5,50 @@ class exactly once.  Networks are generated by decoding every tree on
 n + 2r leaves through the pendant-pair codec and deduplicating the
 underlying graphs by canonical code: every labelled network is the
 decoding of its own encoding, so the sweep is complete.
+
+Every enumerator checks its closed-form item count against one budget,
+`check_budget`, before it builds anything.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
+from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from . import codec, model
 from .canonical import canonical_code, canonical_positions
 from .errors import BudgetExceeded, DomainError, NotInImage, SwitchingMismatch
 from .model import Graph, ReticulationLabelling, Switching, ROOTED, UNROOTED
 
-DEFAULT_CAP = {ROOTED: 12, UNROOTED: 10}
-
 BUDGET_ENV = "RETNET_BUDGET"
+# 15!! <= 2^21 < 17!!: the sweep reaches n + 2r = 9 rooted and 10 unrooted
+DEFAULT_BUDGET = 1 << 21
 
 
-def _budget_cap(mode: str) -> int:
+def check_budget(factors: Iterable, what: str) -> None:
+    """Refuse a job of more than RETNET_BUDGET items before any is built.
+
+    The item count is the product of `factors`, each at least 1, so the
+    product is multiplied out only until it passes the budget.
+    """
     env = os.environ.get(BUDGET_ENV)
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise DomainError(f"{BUDGET_ENV} must be an integer, not {env!r}") from None
-    return DEFAULT_CAP[mode]
+    try:
+        budget = int(env) if env else DEFAULT_BUDGET
+    except ValueError:
+        raise DomainError(f"{BUDGET_ENV} must be an integer, not {env!r}") from None
+    items = 1
+    for f in factors:
+        items *= f
+        if items > budget:
+            raise BudgetExceeded(f"{what} exceed the budget of {budget} items ({BUDGET_ENV})")
+
+
+def _check_tree_budget(m: int, mode: str, leaves: str) -> None:
+    k = 2 * m - (3 if mode == ROOTED else 5)  # bounds.tree_count(m, mode) = k!!
+    check_budget(range(k, 1, -2), f"{k}!! {mode} trees on {leaves} leaves")
 
 
 def _raw_trees(n: int, mode: str) -> Iterator[Graph]:
@@ -89,6 +106,7 @@ def enumerate_trees(n: int, mode: str = ROOTED) -> tuple[Graph, ...]:
     """Every tree class on leaf set [n] exactly once, in canonical-code order."""
     if n < 1:
         raise ValueError("n must be at least 1")
+    _check_tree_budget(n, mode, str(n))
     return _trees_sorted(n, mode)
 
 
@@ -98,11 +116,11 @@ def enumerate_networks(n: int, r: int, mode: str = ROOTED, *, leaf_connecting: b
     Unrooted networks are restricted to the leaf-connecting class unless
     `leaf_connecting=False`.  Ordered by canonical code.
     """
-    cap = _budget_cap(mode)
-    if n + 2 * r > cap:
-        raise BudgetExceeded(f"n + 2r = {n + 2 * r} exceeds cap {cap}")
+    if n < 1 or r < 0:
+        raise ValueError("n must be at least 1 and r at least 0")
     if r == 0:
         return enumerate_trees(n, mode)
+    _check_tree_budget(n + 2 * r, mode, f"n + 2r = {n + 2 * r}")
     return _networks_cached(n, r, mode, leaf_connecting)
 
 
@@ -123,15 +141,23 @@ def _networks_cached(n: int, r: int, mode: str, leaf_connecting: bool):
 
 
 def enumerate_switchings(N: Graph) -> tuple[Switching, ...]:
-    """All switchings of N: 2^r for rooted, one per spanning tree for unrooted."""
+    """All switchings of N: 2^r for rooted, one per spanning tree for unrooted.
+
+    Unrooted switchings are found among the C(|E|, r) sets of r edges.
+    """
     if N.mode == ROOTED:
         rets = model.reticulations_of(N)
+        check_budget(itertools.repeat(2, len(rets)), f"2^{len(rets)} switchings")
         in_edges = [sorted((u, v) for u, v in N.edges if v == ret) for ret in rets]
         out = []
         for off in itertools.product(*in_edges):
             out.append(Switching(N, frozenset(off)))
         return tuple(out)
     r = model.reticulation_count(N)
+    m = len(N.edges)
+    # C(m, i) grows with i up to m/2, so multiply out the smaller side of C(m, r) = C(m, m - r)
+    check_budget((Fraction(m - i, i + 1) for i in range(min(r, m - r))),
+                 f"C({m}, {r}) edge sets")
     out = []
     for off in itertools.combinations(sorted(N.edges), r):
         on = [e for e in N.edges if e not in set(off)]
@@ -166,6 +192,7 @@ def reticulation_labellings(N: Graph, sigma: Switching) -> tuple[ReticulationLab
     if not report.ok:
         raise SwitchingMismatch("; ".join(report.violations))
     off = sorted(sigma.off_edges)
+    check_budget(range(1, len(off) + 1), f"{len(off)}! labellings")
     out = []
     for perm in itertools.permutations(range(1, len(off) + 1)):
         numbered = tuple(sorted(zip(off, perm), key=lambda eh: eh[1]))

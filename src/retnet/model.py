@@ -173,13 +173,6 @@ def reticulations_of(G: Graph) -> list[int]:
     return [v for v in range(G.num_nodes) if indeg[v] >= 2]
 
 
-def is_tree_shaped(G: Graph) -> bool:
-    """True if G has no reticulations (rooted) / no cycles (unrooted)."""
-    if G.mode == ROOTED:
-        return not reticulations_of(G)
-    return len(G.edges) == G.num_nodes - 1
-
-
 def reticulation_count(N: Graph) -> int:
     """r(N): in-degree-2 node count (rooted) or |E| - |V| + 1 (unrooted)."""
     if N.mode == ROOTED:
@@ -400,7 +393,7 @@ def validate(obj) -> ValidationReport:
                     v.append("member mode mismatch")
                 bad = validate(T).violations
                 v.extend(bad)
-                if not bad and not is_tree_shaped(T):
+                if not bad and reticulation_count(T) != 0:
                     v.append("member is not a tree")
             if len({T.n for T in obj.trees}) != 1:
                 v.append("members disagree on n")

@@ -55,14 +55,13 @@ def worst_case_r(n: int, t: int, mode: str = ROOTED, *,
         raise ValueError("samples must be at least 1")
     if t < 1:
         raise ValueError("t must be at least 1")
-    trees = generate.enumerate_trees(n, mode)
-    if t > len(trees):
-        raise ValueError(f"only {len(trees)} trees exist on {n} leaves")
-
     exhaustive_limit = 4 if mode == ROOTED else 5
     if samples is None and n > exhaustive_limit:
         raise BudgetExceeded(f"exhaustive search capped at n = {exhaustive_limit}; "
                              "pass a sample count beyond that")
+    trees = generate.enumerate_trees(n, mode)
+    if t > len(trees):
+        raise ValueError(f"only {len(trees)} trees exist on {n} leaves")
 
     if samples is None:
         candidates = itertools.combinations(trees, t)  # trees are in canonical order

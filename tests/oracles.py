@@ -1,0 +1,95 @@
+"""Test oracle for display: the direct subdivision-subgraph definition.
+
+`retnet.display` decides display through switchings; this brute-force
+embedding search is the independent definition it is checked against.
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import Optional
+
+from retnet import model
+from retnet.errors import ModeMismatch
+from retnet.model import Edge, Graph, ROOTED
+
+
+def find_embedding(N: Graph, T: Graph) -> Optional[frozenset[Edge]]:
+    """Brute-force search for a subgraph of N that is a subdivision of T.
+
+    Returns the edge set of the embedding, or None.  Exponential; meant
+    as the ground-truth oracle for `displays` at desk scale.
+    """
+    if N.mode != T.mode:
+        raise ModeMismatch(f"{N.mode} vs {T.mode}")
+    directed = N.mode == ROOTED
+    n_leaf_of = model.label_map(N)
+    t_leaves = model.leaf_map(T)
+    t_internal = [v for v in range(T.num_nodes) if v not in t_leaves]
+    n_leaves = set(model.leaf_map(N))
+    n_candidates = [v for v in range(N.num_nodes) if v not in n_leaves]
+
+    if directed:
+        nbr = model.out_adj(N)
+        t_edges = list(T.edges)
+    else:
+        nbr = model.undirected_adj(N)
+        t_edges = [tuple(e) for e in T.edges]
+
+    if not t_internal:
+        # T is a single leaf or a single edge
+        if len(t_leaves) == 1:
+            return frozenset()
+        (a, la), (b, lb) = sorted(t_leaves.items())
+        image = {a: n_leaf_of[la], b: n_leaf_of[lb]}
+        return _match_paths(N, t_edges, image, directed, nbr)
+
+    for assignment in itertools.permutations(n_candidates, len(t_internal)):
+        image = {tv: nv for tv, nv in zip(t_internal, assignment)}
+        for tv, lab in t_leaves.items():
+            image[tv] = n_leaf_of[lab]
+        emb = _match_paths(N, t_edges, image, directed, nbr)
+        if emb is not None:
+            return emb
+    return None
+
+
+def _match_paths(N: Graph, t_edges, image: dict[int, int], directed: bool,
+                 nbr) -> Optional[frozenset[Edge]]:
+    """Internally vertex-disjoint paths realizing each tree edge, by backtracking."""
+    targets = set(image.values())
+    if len(targets) != len(image):
+        return None
+
+    def simple_paths(a: int, b: int, blocked: set[int]):
+        stack = [(a, (a,))]
+        while stack:
+            v, path = stack.pop()
+            for w in nbr[v]:
+                if w in path or w in blocked:
+                    continue
+                if w == b:
+                    yield path + (w,)
+                elif w not in targets:
+                    stack.append((w, path + (w,)))
+
+    def rec(i: int, used: set[int], acc: list[Edge]):
+        if i == len(t_edges):
+            return frozenset(acc)
+        tu, tv = t_edges[i]
+        a, b = image[tu], image[tv]
+        for path in simple_paths(a, b, used):
+            internal = set(path[1:-1])
+            new_edges = [model._norm_edge(N.mode, path[j], path[j + 1])
+                         for j in range(len(path) - 1)]
+            res = rec(i + 1, used | internal, acc + new_edges)
+            if res is not None:
+                return res
+        return None
+
+    return rec(0, set(), [])
+
+
+def displays_by_subdivision(N: Graph, T: Graph) -> bool:
+    """Display per the direct definition: N contains a subdivision of T."""
+    return find_embedding(N, T) is not None

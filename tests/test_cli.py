@@ -1,4 +1,5 @@
 import json
+import time
 
 import retnet as rn
 from retnet import bounds, cli, serialize
@@ -110,6 +111,8 @@ def test_usage_error_exit_2(capsys):
     assert code == 2
     code, _ = run(capsys, "bounds", "--stmt", "counting-lower", "--n", "64")
     assert code == 2
+    code, _ = run(capsys, "verify", "--lemmas", "--format", "jsonl")
+    assert code == 2
 
 
 def test_domain_error_exit_1(tmp_path, capsys):
@@ -124,13 +127,47 @@ def test_domain_error_exit_1(tmp_path, capsys):
         tail, tail2 = f"({x},{tail})", f"({1201 - x},{tail2})"
     cat.write_text(tail + ";\n")  # 1,200-leaf caterpillars with different cherries
     cat2.write_text(tail2 + ";\n")
+    c3 = tmp_path / "c3.nwk"
+    c3.write_text("((1,2),3);\n")
     for argv, err_code in [(["trivial", "--trees", a, "--trees", b], "LEAFSET_MISMATCH"),
                            (["minret", "--trees", a, "--trees", b], "LEAFSET_MISMATCH"),
-                           (["minret", "--trees", cat, "--trees", cat2], "BUDGET_EXCEEDED")]:
+                           (["minret", "--trees", cat, "--trees", cat2], "BUDGET_EXCEEDED"),
+                           (["networks", "--n", "-3", "--r", "3"], None),
+                           (["networks", "--n", "0", "--r", "1"], None),
+                           (["networks", "--n", "2", "--r", "-1"], None),
+                           (["decode", "--tree", c3, "--n", "5", "--r", "-1"], None)]:
         code = cli.run([str(x) for x in argv])
         captured = capsys.readouterr()
         assert code == 1 and not captured.out
-        assert captured.err.startswith(f"error [{err_code}]") and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error [{err_code}]" if err_code else "error: ")
+        assert captured.err.count("\n") == 1
+
+
+def test_over_budget_refused_before_work(tmp_path, capsys):
+    a, b = tmp_path / "a.nwk", tmp_path / "b.nwk"
+    up, down = "1", "22"
+    for x in range(2, 23):
+        up, down = f"({up},{x})", f"({down},{23 - x})"
+    a.write_text(up + ";\n")
+    b.write_text(down + ";\n")
+    code, out = run(capsys, "trivial", "--trees", str(a), "--trees", str(b))
+    assert code == 0
+    net = tmp_path / "r22.enwk"
+    net.write_text(out)  # 22 reticulations: 2^22 switchings
+    for argv in (["trees", "--n", "30"], ["trees", "--n", "300000"],
+                 ["networks", "--n", "4", "--r", "3"],
+                 ["worstcase", "--n", "10", "--t", "3", "--samples", "5"],
+                 ["worstcase", "--n", "8", "--t", "2"],
+                 ["displayed", "--network", net], ["switchings", "--network", net],
+                 ["display", "--network", net, "--tree", a]):
+        start = time.perf_counter()
+        code = cli.run([str(x) for x in argv])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 1 and not captured.out
+        assert captured.err.startswith("error [BUDGET_EXCEEDED]")
+        assert captured.err.count("\n") == 1
+        assert elapsed < 1, (argv, elapsed)
 
 
 def test_minret_single_tree_needs_no_search(tmp_path, capsys):

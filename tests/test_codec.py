@@ -61,6 +61,19 @@ def test_injectivity_on_labelled_classes():
         assert len(images) == len(labelled)
 
 
+def test_decoded_labellings_are_valid():
+    # decode_tau validates only the network; the labelling is valid by construction
+    for mode in (ROOTED, UNROOTED):
+        for m in range(3, 8):
+            for T in generate.enumerate_trees(m, mode):
+                for r in range(1, (m - 1) // 2 + 1):
+                    try:
+                        _, lab = codec.decode_tau(T, m - 2 * r, r)
+                    except NotInImage:
+                        continue
+                    assert model.validate(lab).ok
+
+
 def test_most_random_trees_are_not_in_image():
     rng = random.Random(5)
     trees = generate.enumerate_trees(8, ROOTED)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import retnet as rn
+from oracles import displays_by_subdivision, find_embedding
 from retnet import display, generate, model, serialize
 from retnet.errors import LeafsetMismatch, SwitchingMismatch
 from retnet.model import ROOTED, UNROOTED
@@ -58,7 +59,7 @@ def test_switching_and_subdivision_oracles_agree_sample():
     for N in generate.enumerate_networks(3, 1, ROOTED)[:8]:
         for T in trees:
             ok, _ = display.displays(N, T)
-            assert ok == display.displays_by_subdivision(N, T)
+            assert ok == displays_by_subdivision(N, T)
 
 
 def test_trivial_network_two_trees():
@@ -93,5 +94,5 @@ def test_trivial_network_single_tree_is_tree():
 
 def test_find_embedding_witnesses_display(n6r4):
     T = display.displayed_trees(n6r4)[0]
-    emb = display.find_embedding(n6r4, T)
+    emb = find_embedding(n6r4, T)
     assert emb is not None

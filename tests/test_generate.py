@@ -53,6 +53,21 @@ def test_budget_cap_raises():
         generate.enumerate_networks(10, 4, ROOTED)
 
 
+def test_budget_counts_closed_form_items(monkeypatch, n6r4):
+    unrooted = generate.enumerate_networks(3, 2, UNROOTED)[0]  # 9 edges, r = 2
+    sigma = generate.fixed_switching(n6r4)
+    for items, job in [(15, lambda: generate.enumerate_trees(4, ROOTED)),  # 5!!
+                       (105, lambda: generate.enumerate_networks(1, 2, ROOTED)),  # 7!!
+                       (16, lambda: generate.enumerate_switchings(n6r4)),  # 2^4
+                       (36, lambda: generate.enumerate_switchings(unrooted)),  # C(9, 2)
+                       (24, lambda: generate.reticulation_labellings(n6r4, sigma))]:  # 4!
+        monkeypatch.setenv("RETNET_BUDGET", str(items))
+        job()
+        monkeypatch.setenv("RETNET_BUDGET", str(items - 1))
+        with pytest.raises(BudgetExceeded):
+            job()
+
+
 def test_rooted_switching_count_is_two_to_the_r(n6r4):
     assert len(generate.enumerate_switchings(n6r4)) == 2 ** 4
     for N in generate.enumerate_networks(3, 2, ROOTED):
