@@ -1,10 +1,16 @@
 """Exhaustive generation of trees, networks, switchings, and labellings.
 
 Trees are generated by leaf insertion, which emits every isomorphism
-class exactly once.  Networks are generated by decoding every tree on
-n + 2r leaves through the pendant-pair codec and deduplicating the
-underlying graphs by canonical code: every labelled network is the
-decoding of its own encoding, so the sweep is complete.
+class exactly once.  Rooted networks are generated from the trees by
+edge addition, one reticulation per level (moves (a) and (b) of
+`_add_edge`).  Levels below r keep binary multi-networks (parallel
+edges allowed), level r keeps the children that validate, and each
+level keeps one graph per canonical code.  This is complete: deleting
+an in-edge of a top reticulation (none above it) and suppressing gives
+a level k-1 multi-network, from which one move rebuilds the network.
+Unrooted networks come from decoding every tree on n + 2r leaves
+through the pendant-pair codec, complete because every labelled network
+is the decoding of its own encoding.
 
 Every enumerator checks its closed-form item count against one budget,
 `check_budget`, before it builds anything.
@@ -24,7 +30,7 @@ from .errors import BudgetExceeded, DomainError, NotInImage, SwitchingMismatch
 from .model import Graph, ReticulationLabelling, Switching, ROOTED, UNROOTED
 
 BUDGET_ENV = "RETNET_BUDGET"
-# 15!! <= 2^21 < 17!!: the sweep reaches n + 2r = 9 rooted and 10 unrooted
+# 15!! <= 2^21 < 17!!: networks are admitted up to n + 2r = 9 rooted and 10 unrooted
 DEFAULT_BUDGET = 1 << 21
 
 
@@ -126,6 +132,78 @@ def enumerate_networks(n: int, r: int, mode: str = ROOTED, *, leaf_connecting: b
 
 @lru_cache(maxsize=64)
 def _networks_cached(n: int, r: int, mode: str, leaf_connecting: bool):
+    if mode == UNROOTED:
+        return _sweep(n, r, mode, leaf_connecting)
+    return _classes(C for P in _rooted_level(n, r - 1) for C in _add_edge(P, parallel=False)
+                    if model.validate(C).ok)
+
+
+@lru_cache(maxsize=32)
+def _rooted_level(n: int, k: int) -> tuple[Graph, ...]:
+    """Rooted binary multi-networks (parallel edges allowed) with k reticulations."""
+    if k == 0:
+        return _trees_sorted(n, ROOTED)
+    return _classes(C for P in _rooted_level(n, k - 1) for C in _add_edge(P, parallel=True))
+
+
+def _classes(graphs: Iterable[Graph]) -> tuple[Graph, ...]:
+    """The first graph of each isomorphism class, in canonical-code order."""
+    seen: dict[bytes, Graph] = {}
+    for G in graphs:
+        seen.setdefault(canonical_code(G).bytes, G)
+    return tuple(seen[c] for c in sorted(seen))
+
+
+def _add_edge(P: Graph, parallel: bool) -> Iterator[Graph]:
+    """The children of P by one new edge u -> v between two new nodes.
+
+    (a) u and v subdivide two distinct edges, unless that closes a cycle;
+    (b) if `parallel`, u and v subdivide one edge, u above v, and u -> v
+    is doubled.  u's edge may be the virtual edge above the root.  So
+    that a child comes from one parent only, up to ties, v must be a top
+    reticulation with the least cluster (leaf labels below, as a bit set)
+    among the child's, and u's other child must not have a smaller
+    cluster than v's other parent's other child.
+    """
+    u, v = P.num_nodes, P.num_nodes + 1
+    edges = list(P.edges)
+    kids = model.out_adj(P)
+    parents = [[a for a, b in edges if b == x] for x in range(u)]
+    order = model.topological_order(P)
+    leaf, cluster = dict(P.leaf_labels), [0] * u
+    for x in reversed(order):  # a binary node has one or two children
+        cluster[x] = 1 << leaf[x] if x in leaf else cluster[kids[x][0]] | cluster[kids[x][-1]]
+    # each node with no reticulation at or above it -> its ancestors, itself included
+    above: dict[int, set[int]] = {}
+    for x in order:
+        ps = parents[x]
+        if not ps or (len(ps) == 1 and ps[0] in above):
+            above[x] = above[ps[0]] | {x} if ps else {x}
+    tops = [(x, above[ps[0]] | above[ps[1]] | {x}) for x, ps in enumerate(parents)
+            if len(ps) == 2 and ps[0] in above and ps[1] in above]
+    # heads d for which v on d's in-edge has the least cluster of the child's top reticulations
+    least = {d for d in range(u) if all(cluster[d] <= cluster[h] for h, up in tops if d not in up)}
+
+    def child(new_edges: list, *drop) -> Graph:
+        rest = [e for i, e in enumerate(edges) if i not in drop]
+        return Graph(ROOTED, v + 1, tuple(sorted(rest + new_edges)), P.leaf_labels)
+
+    # None stands for the virtual edge above the root
+    for i in [None] + [i for i, (a, _) in enumerate(edges) if a in above]:
+        a, b = (None, model.root_of(P)) if i is None else edges[i]
+        split = [(u, b)] + ([] if a is None else [(a, u)])
+        for j, (c, d) in enumerate(edges):
+            # d at or above a closes a cycle; if c == a, u is v's other parent's other child
+            if (j != i and c in above and (a is None or d not in above[a]) and d in least
+                    and cluster[b] >= (cluster[b] | cluster[d] if c == a
+                                       else cluster[kids[c][kids[c][0] == d]])):
+                yield child(split + [(c, v), (v, d), (u, v)], i, j)
+        if parallel and b in least:
+            yield child(split[1:] + [(u, v), (u, v), (v, b)], i)
+
+
+def _sweep(n: int, r: int, mode: str, leaf_connecting: bool) -> tuple[Graph, ...]:
+    """Decode every tree on n + 2r leaves and keep one network per class."""
     seen: dict[bytes, Graph] = {}
     for T in _raw_trees(n + 2 * r, mode):
         try:
@@ -160,7 +238,8 @@ def enumerate_switchings(N: Graph) -> tuple[Switching, ...]:
                  f"C({m}, {r}) edge sets")
     out = []
     for off in itertools.combinations(sorted(N.edges), r):
-        on = [e for e in N.edges if e not in set(off)]
+        off_set = set(off)
+        on = [e for e in N.edges if e not in off_set]
         if model._is_connected(N.num_nodes, on) and len(on) == N.num_nodes - 1:
             out.append(Switching(N, frozenset(off)))
     return tuple(out)

@@ -1,6 +1,8 @@
 import json
 import time
 
+from hypothesis import HealthCheck, given, settings, strategies as st
+
 import retnet as rn
 from retnet import bounds, cli, serialize
 
@@ -231,3 +233,44 @@ def test_seeded_worstcase_reproducible(capsys):
     _, b = run(capsys, "worstcase", "--n", "3", "--t", "2",
                "--samples", "5", "--seed", "9")
     assert a == b
+
+
+_VALID_INPUTS = ["((1,(3)#H1),(2,#H1));", "(1,(2,3));", "((1,2),(3,4));",
+                 '{"edge_labels": [[3, 2, 1]]}',
+                 '{"edges": [[2, 1], [3, 0], [3, 2], [5, 2], [5, 4], [6, 3], [6, 5]], '
+                 '"leaves": {"1": 0, "2": 4, "3": 1}, "nodes": [0, 1, 2, 3, 4, 5, 6]}']
+_NEWICKISH = '(),;#H0123456789-.: {}[]"edgsnlav\n'
+
+
+@st.composite
+def _file_text(draw):
+    """Arbitrary text, Newick/JSON-alphabet text, or a valid input with one splice."""
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        return draw(st.text(max_size=40))
+    if kind == 1:
+        return draw(st.text(alphabet=_NEWICKISH, max_size=40))
+    base = draw(st.sampled_from(_VALID_INPUTS))
+    i = draw(st.integers(0, len(base)))
+    cut = draw(st.integers(0, 4))
+    return base[:i] + draw(st.text(alphabet=_NEWICKISH, max_size=4)) + base[i + cut:]
+
+
+@given(st.sampled_from(["displayed", "display", "switchings", "trivial", "encode", "decode"]),
+       _file_text(), _file_text(), st.integers(-1, 4), st.integers(-1, 3))
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_cli_fuzzed_files_never_traceback(tmp_path, capsys, command, a, b, n, r):
+    fa, fb = tmp_path / "a", tmp_path / "b"
+    fa.write_text(a)
+    fb.write_text(b)
+    argv = {"displayed": ["--network", fa],
+            "display": ["--network", fa, "--tree", fb],
+            "switchings": ["--network", fa],
+            "trivial": ["--trees", fa, "--trees", fb],
+            "encode": ["--network", fa, "--labels", fb],
+            "decode": ["--tree", fa, "--n", n, "--r", r]}[command]
+    code = cli.run([command] + [str(x) for x in argv])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err

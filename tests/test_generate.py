@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -46,6 +47,32 @@ def test_unrooted_filter_keeps_only_leaf_connecting():
     assert set(N.edges for N in strict) <= set(N.edges for N in loose)
     for N in strict:
         assert model.is_leaf_connecting(N)
+
+
+def test_edge_addition_matches_sweep():
+    # the codec sweep is complete (every labelled network decodes from its encoding)
+    for n in range(1, 6):
+        for r in range(1, (7 - n) // 2 + 1):
+            codes = [canonical.canonical_code(N) for N in generate.enumerate_networks(n, r)]
+            oracle = [canonical.canonical_code(N) for N in generate._sweep(n, r, ROOTED, True)]
+            assert codes == oracle, (n, r)
+
+
+# (class count, SHA-256 of the sorted hex codes joined by newlines), recorded
+# from the codec sweep
+NETWORK_DIGESTS = {
+    (2, 3): (225, "e384d551de9b8a9fddef389c23d7093c7083fdf37a707ee98c6bdc0b31f47767"),
+    (4, 2): (4530, "dcd4f7272b60189a4157db44b6eeb6b57b14dac3d25783a3a240b133eb38fa89"),
+    (3, 3): (4980, "3323fe1b3c8408b92794a6807db703676e47ee18b08251e4ab5f41f089ffe9dc"),
+}
+
+
+def test_rooted_networks_match_stored_sweep_digests():
+    for (n, r), (count, digest) in NETWORK_DIGESTS.items():
+        codes = sorted(canonical.canonical_code(N).hex()
+                       for N in generate.enumerate_networks(n, r, ROOTED))
+        assert len(codes) == count
+        assert hashlib.sha256("\n".join(codes).encode()).hexdigest() == digest, (n, r)
 
 
 def test_budget_cap_raises():
