@@ -1,16 +1,27 @@
 """Exhaustive generation of trees, networks, switchings, and labellings.
 
 Trees are generated by leaf insertion, which emits every isomorphism
-class exactly once.  Rooted networks are generated from the trees by
-edge addition, one reticulation per level (moves (a) and (b) of
-`_add_edge`).  Levels below r keep binary multi-networks (parallel
-edges allowed), level r keeps the children that validate, and each
-level keeps one graph per canonical code.  This is complete: deleting
-an in-edge of a top reticulation (none above it) and suppressing gives
-a level k-1 multi-network, from which one move rebuilds the network.
-Unrooted networks come from decoding every tree on n + 2r leaves
-through the pendant-pair codec, complete because every labelled network
-is the decoding of its own encoding.
+class exactly once.  Networks are generated from the trees by edge
+addition, one reticulation per level (the moves of `_add_edge`).
+Levels below r keep binary multigraphs, each level keeps one graph per
+canonical code, and level r keeps the move-(a) children that are
+simple.  Unrooted networks are then restricted to the leaf-connecting
+ones, a class invariant tested once per class.
+
+Rooted, this is complete: deleting an in-edge of a top reticulation
+(none above it) and suppressing gives a level k-1 multi-network, from
+which one move rebuilds the network.
+
+Unrooted, the lower levels are connected multigraphs that may have
+parallel edges and loops.  This is complete for n >= 2.  Take a level-k
+multigraph.  If it has a loop at v, delete v with its loop and suppress
+v's neighbour, which inverts (c).  Otherwise delete any edge x - y on a
+cycle and suppress x and y, which inverts (b) if x - y was one of a
+parallel pair and (a) if not.  Either way the result is a connected
+level k-1 multigraph; suppression can create a loop, which is why the
+lower levels keep them.  For n = 1 the one-node tree has no edge to
+subdivide, so level 1 is seeded with its one graph, leaf - x with a
+loop at x, and the argument runs from there.
 
 Every enumerator checks its closed-form item count against one budget,
 `check_budget`, before it builds anything.
@@ -24,9 +35,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from . import codec, model
+from . import model
 from .canonical import canonical_code, canonical_positions
-from .errors import BudgetExceeded, DomainError, NotInImage, SwitchingMismatch
+from .errors import BudgetExceeded, DomainError, SwitchingMismatch
 from .model import Graph, ReticulationLabelling, Switching, ROOTED, UNROOTED
 
 BUDGET_ENV = "RETNET_BUDGET"
@@ -132,18 +143,26 @@ def enumerate_networks(n: int, r: int, mode: str = ROOTED, *, leaf_connecting: b
 
 @lru_cache(maxsize=64)
 def _networks_cached(n: int, r: int, mode: str, leaf_connecting: bool):
-    if mode == UNROOTED:
-        return _sweep(n, r, mode, leaf_connecting)
-    return _classes(C for P in _rooted_level(n, r - 1) for C in _add_edge(P, parallel=False)
-                    if model.validate(C).ok)
+    if mode == UNROOTED and leaf_connecting:  # a class invariant, so tested once per class
+        return tuple(N for N in _networks_cached(n, r, mode, False) if model.is_leaf_connecting(N))
+    # The moves keep the degrees, the labels, connectivity and (rooted) a single
+    # root and no directed cycle, so simplicity is all `model.validate` could still fail.
+    return _classes(C for P in _level(n, r - 1, mode) for C in _add_edge(P, multi=False)
+                    if len(set(C.edges)) == len(C.edges) and all(a != b for a, b in C.edges))
 
 
 @lru_cache(maxsize=32)
-def _rooted_level(n: int, k: int) -> tuple[Graph, ...]:
-    """Rooted binary multi-networks (parallel edges allowed) with k reticulations."""
+def _level(n: int, k: int, mode: str) -> tuple[Graph, ...]:
+    """Binary multigraphs with n leaves and k reticulations, one per class.
+
+    Rooted ones may have parallel edges; unrooted ones are connected and
+    may have parallel edges and loops.
+    """
     if k == 0:
-        return _trees_sorted(n, ROOTED)
-    return _classes(C for P in _rooted_level(n, k - 1) for C in _add_edge(P, parallel=True))
+        return _trees_sorted(n, mode)
+    if mode == UNROOTED and n == 1 and k == 1:  # the one-leaf tree has no edge to subdivide
+        return (Graph(UNROOTED, 2, ((0, 1), (1, 1)), ((0, 1),)),)
+    return _classes(C for P in _level(n, k - 1, mode) for C in _add_edge(P, multi=True))
 
 
 def _classes(graphs: Iterable[Graph]) -> tuple[Graph, ...]:
@@ -154,19 +173,35 @@ def _classes(graphs: Iterable[Graph]) -> tuple[Graph, ...]:
     return tuple(seen[c] for c in sorted(seen))
 
 
-def _add_edge(P: Graph, parallel: bool) -> Iterator[Graph]:
-    """The children of P by one new edge u -> v between two new nodes.
+def _add_edge(P: Graph, multi: bool) -> Iterator[Graph]:
+    """The children of P by one new edge u -> v (unrooted u - v) between two new nodes.
 
-    (a) u and v subdivide two distinct edges, unless that closes a cycle;
-    (b) if `parallel`, u and v subdivide one edge, u above v, and u -> v
-    is doubled.  u's edge may be the virtual edge above the root.  So
-    that a child comes from one parent only, up to ties, v must be a top
-    reticulation with the least cluster (leaf labels below, as a bit set)
-    among the child's, and u's other child must not have a smaller
-    cluster than v's other parent's other child.
+    (a) u and v subdivide two distinct edges; if `multi`, also (b) u and v
+    subdivide one edge, u above v, and u -> v is doubled, and, unrooted
+    only, (c) u subdivides one edge, v hangs from u and gets a loop.
+    Rooted: (a) is skipped where it closes a cycle, and u's edge may be
+    the virtual edge above the root.  So that a child comes from one
+    parent only, up to ties, v must be a top reticulation with the least
+    cluster (leaf labels below, as a bit set) among the child's, and u's
+    other child must not have a smaller cluster than v's other parent's
+    other child.
     """
     u, v = P.num_nodes, P.num_nodes + 1
     edges = list(P.edges)
+
+    def child(new_edges: list, *drop) -> Graph:
+        rest = [e for i, e in enumerate(edges) if i not in drop]
+        return Graph(P.mode, v + 1, tuple(sorted(rest + new_edges)), P.leaf_labels)
+
+    if P.mode == UNROOTED:  # u and v exceed every old id, so each new edge is (min, max)
+        for i, (a, b) in enumerate(edges):
+            for j in range(i + 1, len(edges)):
+                c, d = edges[j]
+                yield child([(a, u), (b, u), (c, v), (d, v), (u, v)], i, j)
+            if multi:
+                yield child([(a, u), (u, v), (u, v), (b, v)], i)
+                yield child([(a, u), (b, u), (u, v), (v, v)], i)
+        return
     kids = model.out_adj(P)
     parents = [[a for a, b in edges if b == x] for x in range(u)]
     order = model.topological_order(P)
@@ -184,10 +219,6 @@ def _add_edge(P: Graph, parallel: bool) -> Iterator[Graph]:
     # heads d for which v on d's in-edge has the least cluster of the child's top reticulations
     least = {d for d in range(u) if all(cluster[d] <= cluster[h] for h, up in tops if d not in up)}
 
-    def child(new_edges: list, *drop) -> Graph:
-        rest = [e for i, e in enumerate(edges) if i not in drop]
-        return Graph(ROOTED, v + 1, tuple(sorted(rest + new_edges)), P.leaf_labels)
-
     # None stands for the virtual edge above the root
     for i in [None] + [i for i, (a, _) in enumerate(edges) if a in above]:
         a, b = (None, model.root_of(P)) if i is None else edges[i]
@@ -198,24 +229,8 @@ def _add_edge(P: Graph, parallel: bool) -> Iterator[Graph]:
                     and cluster[b] >= (cluster[b] | cluster[d] if c == a
                                        else cluster[kids[c][kids[c][0] == d]])):
                 yield child(split + [(c, v), (v, d), (u, v)], i, j)
-        if parallel and b in least:
+        if multi and b in least:
             yield child(split[1:] + [(u, v), (u, v), (v, b)], i)
-
-
-def _sweep(n: int, r: int, mode: str, leaf_connecting: bool) -> tuple[Graph, ...]:
-    """Decode every tree on n + 2r leaves and keep one network per class."""
-    seen: dict[bytes, Graph] = {}
-    for T in _raw_trees(n + 2 * r, mode):
-        try:
-            net, _ = codec.decode_tau(T, n, r)
-        except NotInImage:
-            continue
-        if mode == UNROOTED and leaf_connecting and not model.is_leaf_connecting(net):
-            continue
-        code = canonical_code(net).bytes
-        if code not in seen:
-            seen[code] = net
-    return tuple(seen[c] for c in sorted(seen))
 
 
 def enumerate_switchings(N: Graph) -> tuple[Switching, ...]:

@@ -1,7 +1,9 @@
-"""Test oracle for display: the direct subdivision-subgraph definition.
+"""Slow, independent oracles for the fast paths of retnet.
 
-`retnet.display` decides display through switchings; this brute-force
-embedding search is the independent definition it is checked against.
+`retnet.display` decides display through switchings; the brute-force
+embedding search here is the direct subdivision-subgraph definition it
+is checked against.  `retnet.generate` builds networks by edge
+addition; `sweep` lists them by decoding every tree through the codec.
 """
 
 from __future__ import annotations
@@ -9,9 +11,10 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
-from retnet import model
-from retnet.errors import ModeMismatch
-from retnet.model import Edge, Graph, ROOTED
+from retnet import codec, generate, model
+from retnet.canonical import canonical_code
+from retnet.errors import ModeMismatch, NotInImage
+from retnet.model import Edge, Graph, ROOTED, UNROOTED
 
 
 def find_embedding(N: Graph, T: Graph) -> Optional[frozenset[Edge]]:
@@ -93,3 +96,21 @@ def _match_paths(N: Graph, t_edges, image: dict[int, int], directed: bool,
 def displays_by_subdivision(N: Graph, T: Graph) -> bool:
     """Display per the direct definition: N contains a subdivision of T."""
     return find_embedding(N, T) is not None
+
+
+def sweep(n: int, r: int, mode: str, leaf_connecting: bool) -> tuple[Graph, ...]:
+    """Decode every tree on n + 2r leaves and keep one network per class.
+
+    Complete because every labelled network decodes from its own
+    encoding.  Ordered by canonical code, like `enumerate_networks`.
+    """
+    seen: dict[bytes, Graph] = {}
+    for T in generate._raw_trees(n + 2 * r, mode):
+        try:
+            net, _ = codec.decode_tau(T, n, r)
+        except NotInImage:
+            continue
+        if mode == UNROOTED and leaf_connecting and not model.is_leaf_connecting(net):
+            continue
+        seen.setdefault(canonical_code(net).bytes, net)
+    return tuple(seen[c] for c in sorted(seen))

@@ -42,9 +42,13 @@ def test_trees_stream_csv(capsys):
 
 
 def test_networks_count(capsys):
-    code, out = run(capsys, "networks", "--n", "3", "--r", "1", "--count-only")
-    assert code == 0
-    assert out.strip() == "21"
+    for argv, count in [(["--n", "3", "--r", "1"], "21"),
+                        (["--n", "1", "--r", "3", "--mode", "unrooted", "--no-leaf-connecting"], "1"),
+                        (["--n", "2", "--r", "3", "--mode", "unrooted", "--no-leaf-connecting"], "5"),
+                        (["--n", "2", "--r", "3", "--mode", "unrooted"], "4")]:
+        code, out = run(capsys, "networks", *argv, "--count-only")
+        assert code == 0
+        assert out.strip() == count, argv
 
 
 def test_encode_decode_roundtrip(tmp_path, capsys):

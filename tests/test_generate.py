@@ -5,9 +5,15 @@ from fractions import Fraction
 import pytest
 
 import retnet as rn
+from oracles import sweep
 from retnet import bounds, canonical, generate, model
 from retnet.errors import BudgetExceeded
 from retnet.model import ROOTED, UNROOTED
+
+# every (mode, n, r, leaf_connecting) with r >= 1 and n + 2r <= 7; the filter is unrooted only
+ORACLE_POINTS = [(mode, n, r, lc) for mode in (ROOTED, UNROOTED) for n in range(1, 6)
+                 for r in range(1, (7 - n) // 2 + 1)
+                 for lc in ((True,) if mode == ROOTED else (True, False))]
 
 
 def test_tree_counts_match_double_factorials():
@@ -26,12 +32,13 @@ def test_enumeration_is_deterministic():
 
 
 def test_networks_pass_validation():
-    for mode, n, r in [(ROOTED, 3, 1), (ROOTED, 2, 2), (UNROOTED, 3, 2)]:
-        nets = generate.enumerate_networks(n, r, mode)
-        assert nets
-        for N in nets:
-            assert model.validate(N).ok
+    # generation checks only simplicity; this is the full check
+    for mode, n, r, lc in ORACLE_POINTS:
+        for N in generate.enumerate_networks(n, r, mode, leaf_connecting=lc):
+            assert model.validate(N).ok, (mode, n, r, lc)
             assert model.reticulation_count(N) == r
+    for mode, n, r in [(ROOTED, 3, 1), (ROOTED, 2, 2), (UNROOTED, 3, 2)]:
+        assert generate.enumerate_networks(n, r, mode)
 
 
 def test_networks_pairwise_nonisomorphic():
@@ -51,11 +58,18 @@ def test_unrooted_filter_keeps_only_leaf_connecting():
 
 def test_edge_addition_matches_sweep():
     # the codec sweep is complete (every labelled network decodes from its encoding)
-    for n in range(1, 6):
-        for r in range(1, (7 - n) // 2 + 1):
-            codes = [canonical.canonical_code(N) for N in generate.enumerate_networks(n, r)]
-            oracle = [canonical.canonical_code(N) for N in generate._sweep(n, r, ROOTED, True)]
-            assert codes == oracle, (n, r)
+    for mode, n, r, lc in ORACLE_POINTS:
+        codes = [canonical.canonical_code(N)
+                 for N in generate.enumerate_networks(n, r, mode, leaf_connecting=lc)]
+        oracle = [canonical.canonical_code(N) for N in sweep(n, r, mode, lc)]
+        assert codes == oracle, (mode, n, r, lc)
+
+
+def test_generate_does_not_use_the_codec():
+    # the codec sweep is the generator's oracle, so the generator must not rest on it
+    for name, value in vars(generate).items():
+        assert "retnet.codec" not in (getattr(value, "__name__", None),
+                                      getattr(value, "__module__", None)), name
 
 
 # (class count, SHA-256 of the sorted hex codes joined by newlines), recorded
@@ -65,14 +79,29 @@ NETWORK_DIGESTS = {
     (4, 2): (4530, "dcd4f7272b60189a4157db44b6eeb6b57b14dac3d25783a3a240b133eb38fa89"),
     (3, 3): (4980, "3323fe1b3c8408b92794a6807db703676e47ee18b08251e4ab5f41f089ffe9dc"),
 }
+# keyed (n, r, leaf_connecting)
+UNROOTED_DIGESTS = {
+    (4, 2, True): (66, "91ea8d7d6b390d10748298db5be39e21f3d722da8863711408b1593c05639e88"),
+    (3, 3, True): (41, "5edc6fa8beb9ead755141d1059e19b5fac95e1db687aeca2af334165d702a63d"),
+    (3, 3, False): (44, "c9a03b0f94fd226f7709b2eaff7edd59e21f4f83fb20ca63fa1073e84d9a0f97"),
+    (1, 4, False): (4, "04a26fb16472dd5dff7512175b53636a4420f1de46f9148dede8919574778837"),
+}
+
+
+def _digest(nets) -> tuple[int, str]:
+    codes = sorted(canonical.canonical_code(N).hex() for N in nets)
+    return len(codes), hashlib.sha256("\n".join(codes).encode()).hexdigest()
 
 
 def test_rooted_networks_match_stored_sweep_digests():
-    for (n, r), (count, digest) in NETWORK_DIGESTS.items():
-        codes = sorted(canonical.canonical_code(N).hex()
-                       for N in generate.enumerate_networks(n, r, ROOTED))
-        assert len(codes) == count
-        assert hashlib.sha256("\n".join(codes).encode()).hexdigest() == digest, (n, r)
+    for (n, r), expected in NETWORK_DIGESTS.items():
+        assert _digest(generate.enumerate_networks(n, r, ROOTED)) == expected, (n, r)
+
+
+def test_unrooted_networks_match_stored_sweep_digests():
+    for (n, r, lc), expected in UNROOTED_DIGESTS.items():
+        nets = generate.enumerate_networks(n, r, UNROOTED, leaf_connecting=lc)
+        assert _digest(nets) == expected, (n, r, lc)
 
 
 def test_budget_cap_raises():
