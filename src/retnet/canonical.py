@@ -10,7 +10,7 @@ taking the lexicographically least encoding over all refinement leaves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import model
 from .errors import ModeMismatch
@@ -40,6 +40,14 @@ def canonical_code(G: Graph, edge_labels: Optional[ReticulationLabelling] = None
         return CanonicalCode(header + b"T" + _tree_code(G))
     body, _, _ = _canon_general(G.mode, G.num_nodes, G.edges, dict(G.leaf_labels), elabels)
     return CanonicalCode(header + b"G" + body)
+
+
+def classes(graphs: Iterable[Graph]) -> tuple[Graph, ...]:
+    """The first graph of each isomorphism class, in canonical-code order."""
+    seen: dict[bytes, Graph] = {}
+    for G in graphs:
+        seen.setdefault(canonical_code(G).bytes, G)
+    return tuple(seen[c] for c in sorted(seen))
 
 
 def canonical_positions(G: Graph,

@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import sys
+from pathlib import Path
 
 import click
 
@@ -58,14 +59,14 @@ def _write_network(N) -> str:
 
 
 def _read_network(path: str):
-    text = open(path).read().strip()
+    text = Path(path).read_text().strip()
     if text.startswith("{"):
         return serialize.json_to_network(text)
     return serialize.enewick_to_network(text)
 
 
 def _read_tree(path: str, mode: str):
-    return serialize.newick_to_tree(open(path).read().strip(), mode)
+    return serialize.newick_to_tree(Path(path).read_text().strip(), mode)
 
 
 @click.group()
@@ -129,7 +130,7 @@ def switchings(path: str, count_only: bool, fmt: str) -> None:
 def encode(path: str, labels_path: str) -> None:
     """Encode a reticulation-labelled network as a tree; prints Newick."""
     N = _read_network(path)
-    lab = serialize.json_to_labelling(N, open(labels_path).read())
+    lab = serialize.json_to_labelling(N, Path(labels_path).read_text())
     T = codec.encode_tau(N, lab)
     click.echo(serialize.tree_to_newick(T))
 

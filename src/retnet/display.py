@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Optional
 
 from . import generate, model
-from .canonical import canonical_code
+from .canonical import canonical_code, classes
 from .errors import LeafsetMismatch, ModeMismatch, SwitchingMismatch
 from .model import Graph, Switching, TreeSet, ROOTED
 
@@ -25,11 +25,7 @@ def displayed_tree(N: Graph, sigma: Switching) -> Graph:
 
 def displayed_trees(N: Graph) -> tuple[Graph, ...]:
     """All trees displayed by N, deduplicated, in canonical-code order."""
-    seen: dict[bytes, Graph] = {}
-    for sigma in generate.enumerate_switchings(N):
-        T = displayed_tree(N, sigma)
-        seen.setdefault(canonical_code(T).bytes, T)
-    return tuple(seen[c] for c in sorted(seen))
+    return classes(displayed_tree(N, sigma) for sigma in generate.enumerate_switchings(N))
 
 
 def displays(N: Graph, T: Graph) -> tuple[bool, Optional[Switching]]:

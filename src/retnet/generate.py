@@ -1,12 +1,15 @@
 """Exhaustive generation of trees, networks, switchings, and labellings.
 
-Trees are generated by leaf insertion, which emits every isomorphism
-class exactly once.  Networks are generated from the trees by edge
-addition, one reticulation per level (the moves of `_add_edge`).
-Levels below r keep binary multigraphs, each level keeps one graph per
-canonical code, and level r keeps the move-(a) children that are
-simple.  Unrooted networks are then restricted to the leaf-connecting
-ones, a class invariant tested once per class.
+Everything comes from one augmentation recursion, level by level, and
+each level keeps the first graph of each class in canonical-code order
+(`canonical.classes`).  Level 0 holds the trees on [n], built from the
+trees on [n - 1] by the leaf move of `_add_leaf`; deleting leaf n
+inverts it, so every tree arises exactly once.  Level k + 1 is built
+from level k by the edge moves of `_add_edge`, one reticulation each.
+Levels below r keep binary multigraphs, and level r keeps the children
+that are simple, which only move (a) gives.  Unrooted networks are then
+restricted to the leaf-connecting ones, a class invariant tested once
+per class.
 
 Rooted, this is complete: deleting an in-edge of a top reticulation
 (none above it) and suppressing gives a level k-1 multi-network, from
@@ -36,7 +39,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator
 
 from . import model
-from .canonical import canonical_code, canonical_positions
+from .canonical import canonical_positions, classes
 from .errors import BudgetExceeded, DomainError, SwitchingMismatch
 from .model import Graph, ReticulationLabelling, Switching, ROOTED, UNROOTED
 
@@ -68,63 +71,12 @@ def _check_tree_budget(m: int, mode: str, leaves: str) -> None:
     check_budget(range(k, 1, -2), f"{k}!! {mode} trees on {leaves} leaves")
 
 
-def _raw_trees(n: int, mode: str) -> Iterator[Graph]:
-    """All trees on leaf set [n], one per class, in leaf-insertion order."""
-    if mode == ROOTED:
-        yield from _raw_rooted(n)
-    else:
-        yield from _raw_unrooted(n)
-
-
-def _raw_rooted(n: int) -> Iterator[Graph]:
-    def rec(k: int, nid: int, edges: tuple, root: int, labels: tuple) -> Iterator[Graph]:
-        if k > n:
-            yield model.make_graph(ROOTED, range(nid), edges, dict(labels))
-            return
-        z, w = nid, nid + 1
-        lab = labels + ((z, k),)
-        for i, (u, v) in enumerate(edges):
-            new_edges = edges[:i] + edges[i + 1:] + ((u, w), (w, v), (w, z))
-            yield from rec(k + 1, nid + 2, new_edges, root, lab)
-        # above the root
-        yield from rec(k + 1, nid + 2, edges + ((w, root), (w, z)), w, lab)
-
-    yield from rec(2, 1, (), 0, ((0, 1),))
-
-
-def _raw_unrooted(n: int) -> Iterator[Graph]:
-    if n == 1:
-        yield model.make_graph(UNROOTED, [0], [], {0: 1})
-        return
-    if n == 2:
-        yield model.make_graph(UNROOTED, [0, 1], [(0, 1)], {0: 1, 1: 2})
-        return
-
-    def rec(k: int, nid: int, edges: tuple, labels: tuple) -> Iterator[Graph]:
-        if k > n:
-            yield model.make_graph(UNROOTED, range(nid), edges, dict(labels))
-            return
-        z, w = nid, nid + 1
-        lab = labels + ((z, k),)
-        for i, (u, v) in enumerate(edges):
-            new_edges = edges[:i] + edges[i + 1:] + ((u, w), (w, v), (w, z))
-            yield from rec(k + 1, nid + 2, new_edges, lab)
-
-    star = ((3, 0), (3, 1), (3, 2))
-    yield from rec(4, 4, star, ((0, 1), (1, 2), (2, 3)))
-
-
-@lru_cache(maxsize=32)
-def _trees_sorted(n: int, mode: str) -> tuple[Graph, ...]:
-    return tuple(sorted(_raw_trees(n, mode), key=lambda T: canonical_code(T).bytes))
-
-
 def enumerate_trees(n: int, mode: str = ROOTED) -> tuple[Graph, ...]:
     """Every tree class on leaf set [n] exactly once, in canonical-code order."""
     if n < 1:
         raise ValueError("n must be at least 1")
     _check_tree_budget(n, mode, str(n))
-    return _trees_sorted(n, mode)
+    return _level(n, 0, mode)
 
 
 def enumerate_networks(n: int, r: int, mode: str = ROOTED, *, leaf_connecting: bool = True):
@@ -146,45 +98,60 @@ def _networks_cached(n: int, r: int, mode: str, leaf_connecting: bool):
     if mode == UNROOTED and leaf_connecting:  # a class invariant, so tested once per class
         return tuple(N for N in _networks_cached(n, r, mode, False) if model.is_leaf_connecting(N))
     # The moves keep the degrees, the labels, connectivity and (rooted) a single
-    # root and no directed cycle, so simplicity is all `model.validate` could still fail.
-    return _classes(C for P in _level(n, r - 1, mode) for C in _add_edge(P, multi=False)
-                    if len(set(C.edges)) == len(C.edges) and all(a != b for a, b in C.edges))
+    # root and no directed cycle, so simplicity is all `model.validate` could still fail;
+    # move (b) and (c) children never pass it.
+    return classes(C for P in _level(n, r - 1, mode) for C in _add_edge(P)
+                   if len(set(C.edges)) == len(C.edges) and all(a != b for a, b in C.edges))
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=64)
 def _level(n: int, k: int, mode: str) -> tuple[Graph, ...]:
     """Binary multigraphs with n leaves and k reticulations, one per class.
 
-    Rooted ones may have parallel edges; unrooted ones are connected and
-    may have parallel edges and loops.
+    Level 0 holds the trees.  Rooted ones above it may have parallel
+    edges; unrooted ones are connected and may have parallel edges and loops.
     """
     if k == 0:
-        return _trees_sorted(n, mode)
+        if n == 1:
+            return (Graph(mode, 1, (), ((0, 1),)),)
+        if n == 2 and mode == UNROOTED:  # the one-node tree has no edge to subdivide
+            return (Graph(UNROOTED, 2, ((0, 1),), ((0, 1), (1, 2))),)
+        return classes(C for P in _level(n - 1, 0, mode) for C in _add_leaf(P))
     if mode == UNROOTED and n == 1 and k == 1:  # the one-leaf tree has no edge to subdivide
         return (Graph(UNROOTED, 2, ((0, 1), (1, 1)), ((0, 1),)),)
-    return _classes(C for P in _level(n, k - 1, mode) for C in _add_edge(P, multi=True))
+    return classes(C for P in _level(n, k - 1, mode) for C in _add_edge(P))
 
 
-def _classes(graphs: Iterable[Graph]) -> tuple[Graph, ...]:
-    """The first graph of each isomorphism class, in canonical-code order."""
-    seen: dict[bytes, Graph] = {}
-    for G in graphs:
-        seen.setdefault(canonical_code(G).bytes, G)
-    return tuple(seen[c] for c in sorted(seen))
+def _add_leaf(P: Graph) -> Iterator[Graph]:
+    """The trees that give the tree P on deleting their largest leaf label, each once.
+
+    That leaf is a new node z hung from a new node w; w subdivides one
+    edge of P or, rooted only, the virtual edge above the root.
+    """
+    z, w = P.num_nodes, P.num_nodes + 1
+    labels = P.leaf_labels + ((z, P.n + 1),)
+    down = (lambda x: (x, w)) if P.mode == UNROOTED else (lambda x: (w, x))  # w is the largest id
+
+    def child(edges: tuple) -> Graph:
+        return Graph(P.mode, w + 1, tuple(sorted(edges + (down(z),))), labels)
+
+    for i, (a, b) in enumerate(P.edges):
+        yield child(P.edges[:i] + P.edges[i + 1:] + ((a, w), down(b)))
+    if P.mode == ROOTED:
+        yield child(P.edges + (down(model.root_of(P)),))
 
 
-def _add_edge(P: Graph, multi: bool) -> Iterator[Graph]:
+def _add_edge(P: Graph) -> Iterator[Graph]:
     """The children of P by one new edge u -> v (unrooted u - v) between two new nodes.
 
-    (a) u and v subdivide two distinct edges; if `multi`, also (b) u and v
-    subdivide one edge, u above v, and u -> v is doubled, and, unrooted
-    only, (c) u subdivides one edge, v hangs from u and gets a loop.
-    Rooted: (a) is skipped where it closes a cycle, and u's edge may be
-    the virtual edge above the root.  So that a child comes from one
-    parent only, up to ties, v must be a top reticulation with the least
-    cluster (leaf labels below, as a bit set) among the child's, and u's
-    other child must not have a smaller cluster than v's other parent's
-    other child.
+    (a) u and v subdivide two distinct edges; (b) u and v subdivide one
+    edge, u above v, and u -> v is doubled; unrooted only, (c) u
+    subdivides one edge, v hangs from u and gets a loop.  Rooted: (a) is
+    skipped where it closes a cycle, and u's edge may be the virtual edge
+    above the root.  So that a child comes from one parent only, up to
+    ties, v must be a top reticulation with the least cluster (leaf
+    labels below, as a bit set) among the child's, and u's other child
+    must not have a smaller cluster than v's other parent's other child.
     """
     u, v = P.num_nodes, P.num_nodes + 1
     edges = list(P.edges)
@@ -198,9 +165,8 @@ def _add_edge(P: Graph, multi: bool) -> Iterator[Graph]:
             for j in range(i + 1, len(edges)):
                 c, d = edges[j]
                 yield child([(a, u), (b, u), (c, v), (d, v), (u, v)], i, j)
-            if multi:
-                yield child([(a, u), (u, v), (u, v), (b, v)], i)
-                yield child([(a, u), (b, u), (u, v), (v, v)], i)
+            yield child([(a, u), (u, v), (u, v), (b, v)], i)
+            yield child([(a, u), (b, u), (u, v), (v, v)], i)
         return
     kids = model.out_adj(P)
     parents = [[a for a, b in edges if b == x] for x in range(u)]
@@ -229,7 +195,7 @@ def _add_edge(P: Graph, multi: bool) -> Iterator[Graph]:
                     and cluster[b] >= (cluster[b] | cluster[d] if c == a
                                        else cluster[kids[c][kids[c][0] == d]])):
                 yield child(split + [(c, v), (v, d), (u, v)], i, j)
-        if multi and b in least:
+        if b in least:
             yield child(split[1:] + [(u, v), (u, v), (v, b)], i)
 
 

@@ -473,40 +473,25 @@ def subdivide(G: Graph, edge: Edge, times: int = 1) -> Graph:
 
 
 def is_leaf_connecting(N: Graph) -> bool:
-    """True iff every edge of N lies on a simple path between two leaves."""
-    leaves = set(leaf_map(N))
-    adj = undirected_adj(N)
+    """True iff every edge of N lies on a simple path between two leaves.
 
-    def paths_to_leaves(start: int, blocked: frozenset[int]):
-        # all simple paths from start to any leaf, avoiding blocked vertices
-        stack = [(start, (start,))]
-        while stack:
-            v, path = stack.pop()
-            if v in leaves:
-                yield path
-                continue
-            for w in adj[v]:
-                if w not in blocked and w not in path:
-                    stack.append((w, path + (w,)))
-
-    for u, v in N.edges:
-        found = False
-        for pu in paths_to_leaves(u, frozenset({v})):
-            for _ in paths_to_leaves(v, frozenset(pu)):
-                found = True
-                break
-            if found:
-                break
-        if not found:
-            return False
-    return True
+    Join a new node s to every leaf.  An edge lies on a leaf-to-leaf path
+    iff it lies on a cycle through s.  A node that disconnects N + s
+    separates some edge from every such cycle, and without one any two
+    edges lie on a common cycle; so N is leaf-connecting iff no node of N
+    disconnects N + s.
+    """
+    s = N.num_nodes
+    edges = list(N.edges) + [(v, s) for v, _ in N.leaf_labels]
+    return all(_is_connected(s, [(a - (a > x), b - (b > x)) for a, b in edges if x not in (a, b)])
+               for x in range(s))
 
 
 def tree_set(trees: Iterable[Graph]) -> TreeSet:
     """Build a TreeSet, dropping isomorphic duplicates, in canonical-code order.
 
     Members must share one mode (else ModeMismatch) and n (else LeafsetMismatch)."""
-    from .canonical import canonical_code
+    from .canonical import classes
 
     trees = list(trees)
     if not trees:
@@ -517,8 +502,4 @@ def tree_set(trees: Iterable[Graph]) -> TreeSet:
             raise ModeMismatch(f"{mode} vs {T.mode}")
         if T.n != n:
             raise LeafsetMismatch(f"{n} vs {T.n} leaves")
-    by_code = {}
-    for T in trees:
-        by_code.setdefault(canonical_code(T).bytes, T)
-    ordered = tuple(by_code[c] for c in sorted(by_code))
-    return TreeSet(mode, ordered)
+    return TreeSet(mode, classes(trees))

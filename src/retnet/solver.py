@@ -10,7 +10,7 @@ from functools import lru_cache
 from typing import Optional
 
 from . import bounds, codec, display, generate
-from .canonical import automorphism_count, canonical_code
+from .canonical import automorphism_count, canonical_code, classes
 from .errors import BudgetExceeded
 from .model import Graph, TreeSet, ROOTED, UNROOTED
 
@@ -67,8 +67,7 @@ def worst_case_r(n: int, t: int, mode: str = ROOTED, *,
         candidates = itertools.combinations(trees, t)  # trees are in canonical order
     else:
         rng = random.Random(seed)
-        candidates = (sorted(rng.sample(trees, t), key=lambda T: canonical_code(T).bytes)
-                      for _ in range(samples))
+        candidates = (classes(rng.sample(trees, t)) for _ in range(samples))
     best_r, best_set = -1, None
     for subset in candidates:
         ts = TreeSet(mode, tuple(subset))

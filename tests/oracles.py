@@ -4,6 +4,8 @@
 embedding search here is the direct subdivision-subgraph definition it
 is checked against.  `retnet.generate` builds networks by edge
 addition; `sweep` lists them by decoding every tree through the codec.
+`model.is_leaf_connecting` is a cut-node test; `is_leaf_connecting`
+here searches the leaf-to-leaf paths themselves.
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ import itertools
 from typing import Optional
 
 from retnet import codec, generate, model
-from retnet.canonical import canonical_code
+from retnet.canonical import classes
 from retnet.errors import ModeMismatch, NotInImage
-from retnet.model import Edge, Graph, ROOTED, UNROOTED
+from retnet.model import Edge, Graph, ROOTED
 
 
 def find_embedding(N: Graph, T: Graph) -> Optional[frozenset[Edge]]:
@@ -98,19 +100,43 @@ def displays_by_subdivision(N: Graph, T: Graph) -> bool:
     return find_embedding(N, T) is not None
 
 
+def is_leaf_connecting(N: Graph) -> bool:
+    """True iff every edge of N lies on a simple path between two leaves, by path search.
+
+    Exponential in the worst case; the oracle for `model.is_leaf_connecting`.
+    """
+    leaves = set(model.leaf_map(N))
+    adj = model.undirected_adj(N)
+
+    def paths_to_leaves(start: int, blocked: frozenset[int]):
+        # all simple paths from start to any leaf, avoiding blocked vertices
+        stack = [(start, (start,))]
+        while stack:
+            v, path = stack.pop()
+            if v in leaves:
+                yield path
+                continue
+            for w in adj[v]:
+                if w not in blocked and w not in path:
+                    stack.append((w, path + (w,)))
+
+    return all(any(True for pu in paths_to_leaves(u, frozenset({v}))
+                   for _ in paths_to_leaves(v, frozenset(pu)))
+               for u, v in N.edges)
+
+
 def sweep(n: int, r: int, mode: str, leaf_connecting: bool) -> tuple[Graph, ...]:
     """Decode every tree on n + 2r leaves and keep one network per class.
 
     Complete because every labelled network decodes from its own
     encoding.  Ordered by canonical code, like `enumerate_networks`.
     """
-    seen: dict[bytes, Graph] = {}
-    for T in generate._raw_trees(n + 2 * r, mode):
-        try:
-            net, _ = codec.decode_tau(T, n, r)
-        except NotInImage:
-            continue
-        if mode == UNROOTED and leaf_connecting and not model.is_leaf_connecting(net):
-            continue
-        seen.setdefault(canonical_code(net).bytes, net)
-    return tuple(seen[c] for c in sorted(seen))
+    def decoded():
+        for T in generate.enumerate_trees(n + 2 * r, mode):
+            try:
+                yield codec.decode_tau(T, n, r)[0]
+            except NotInImage:
+                pass
+
+    return classes(N for N in decoded()
+                   if mode == ROOTED or not leaf_connecting or is_leaf_connecting(N))

@@ -104,6 +104,23 @@ def test_unrooted_networks_match_stored_sweep_digests():
         assert _digest(nets) == expected, (n, r, lc)
 
 
+# SHA-256 of repr([(num_nodes, edges, leaf_labels), ...]): unrooted `networks`
+# JSON and demo 02 print node ids, so the representatives' ids are pinned too
+NODE_ID_DIGESTS = {  # keyed (n, r, mode); r = 0 lists the trees
+    (6, 0, ROOTED): "ff1c595e494cfeedf8f261c1efaea3024be03a4cf24bd85c2d54b155e5b78f03",
+    (6, 0, UNROOTED): "d38795ad65903ec57f625dac97342f9934b7bc76d49f91be3f565e33063f82d0",
+    (3, 2, ROOTED): "316c425586e4c057e52838ad3e491836d3e1fb870873b92f55471e2435313774",
+    (4, 2, UNROOTED): "a4eccc6c206e2d5eca21da73ac3319f4b193d149444eed57d7ea26d49264019e",
+}
+
+
+def test_representatives_keep_their_node_ids():
+    for (n, r, mode), expected in NODE_ID_DIGESTS.items():
+        graphs = generate.enumerate_networks(n, r, mode)
+        pinned = repr([(G.num_nodes, G.edges, G.leaf_labels) for G in graphs])
+        assert hashlib.sha256(pinned.encode()).hexdigest() == expected, (n, r, mode)
+
+
 def test_budget_cap_raises():
     with pytest.raises(BudgetExceeded):
         generate.enumerate_networks(10, 4, ROOTED)

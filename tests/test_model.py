@@ -1,5 +1,6 @@
 import pytest
 
+import oracles
 import retnet as rn
 from retnet import generate, model, serialize
 from retnet.errors import LeafsetMismatch, ModeMismatch, NotATree
@@ -150,3 +151,12 @@ def test_is_leaf_connecting():
     # one unrooted (2, 3) network hangs a leaf-free block from a single edge
     loose = generate.enumerate_networks(2, 3, UNROOTED, leaf_connecting=False)
     assert [model.is_leaf_connecting(N) for N in loose].count(False) == 1
+
+
+def test_leaf_connecting_cut_node_test_matches_path_search():
+    # every unfiltered unrooted network with n + 2r <= 8, trees included
+    nets = [N for n in range(1, 9) for r in range((8 - n) // 2 + 1)
+            for N in generate.enumerate_networks(n, r, UNROOTED, leaf_connecting=False)]
+    verdicts = [model.is_leaf_connecting(N) for N in nets]
+    assert verdicts == [oracles.is_leaf_connecting(N) for N in nets]
+    assert verdicts.count(False) > 0
