@@ -32,14 +32,9 @@ class CanonicalCode:
 
 def canonical_code(G: Graph, edge_labels: Optional[ReticulationLabelling] = None) -> CanonicalCode:
     """Deterministic, node-id-invariant code for a labelled graph."""
-    header = bytes([CODE_VERSION]) + (b"R" if G.mode == ROOTED else b"U")
-    elabels = {}
-    if edge_labels is not None:
-        elabels = {e: h for e, h in edge_labels.numbered}
-    if not elabels and model.reticulation_count(G) == 0:
-        return CanonicalCode(header + b"T" + _tree_code(G))
-    body, _, _ = _canon_general(G.mode, G.num_nodes, G.edges, dict(G.leaf_labels), elabels)
-    return CanonicalCode(header + b"G" + body)
+    if (edge_labels is None or not edge_labels.numbered) and model.reticulation_count(G) == 0:
+        return CanonicalCode(_header(G.mode) + b"T" + _tree_code(G))
+    return _general_code(G, edge_labels)[0]
 
 
 def classes(graphs: Iterable[Graph]) -> tuple[Graph, ...]:
@@ -58,9 +53,7 @@ def canonical_positions(G: Graph,
     edges compared in canonical coordinates are class invariants.  With
     edge labels supplied the ordering respects them too.
     """
-    elabels = {} if edge_labels is None else {e: h for e, h in edge_labels.numbered}
-    _, perm, _ = _canon_general(G.mode, G.num_nodes, G.edges, dict(G.leaf_labels), elabels)
-    return tuple(perm)
+    return tuple(_search(G, edge_labels)[1])
 
 
 def are_isomorphic(A: Graph, B: Graph) -> bool:
@@ -77,28 +70,61 @@ def automorphism_count(X) -> int:
     possible (parent-swap symmetries).
     """
     if isinstance(X, ReticulationLabelling):
-        G, elabels = X.host, dict(X.numbered)
-    else:
-        G, elabels = X, {}
-    _, _, ties = _canon_general(G.mode, G.num_nodes, G.edges, dict(G.leaf_labels), elabels)
-    return ties
+        return _search(X.host, X)[2]
+    return _search(X, None)[2]
+
+
+def _header(mode: str) -> bytes:
+    return bytes([CODE_VERSION]) + (b"R" if mode == ROOTED else b"U")
+
+
+def _general_code(G: Graph, edge_labels: Optional[ReticulationLabelling]
+                  ) -> tuple[CanonicalCode, int]:
+    """The general-path code of G and its automorphism count, from one search."""
+    body, _, ties = _search(G, edge_labels)
+    return CanonicalCode(_header(G.mode) + b"G" + body), ties
+
+
+def _search(G: Graph, edge_labels: Optional[ReticulationLabelling]) -> tuple[bytes, list[int], int]:
+    elabels = {} if edge_labels is None else dict(edge_labels.numbered)
+    return _canon_general(G.mode, G.num_nodes, G.edges, dict(G.leaf_labels), elabels)
 
 
 # ---------------------------------------------------------------------------
 # fast tree codes
 
 
-def _tree_code(G: Graph) -> bytes:
+def _tree_code(G: Graph, start: Optional[int] = None,
+               leaves: Optional[dict[int, int]] = None) -> bytes:
     """Nested sorted leaf labels, built bottom-up from the root (rooted) or
-    below leaf 1 (unrooted; leaf labels make this invariant)."""
-    leaves = model.leaf_map(G)
-    start = model.root_of(G) if G.mode == ROOTED else model.label_map(G)[1]
+    below leaf 1 (unrooted; leaf labels make this invariant).
+
+    G need not be suppressed: a node with one coded child passes that
+    code up, and a subtree without leaves has no code, so a subdivided
+    tree with unlabelled pendant chains gets the code of its
+    suppression.  `start` (the root, or leaf 1's node) and `leaves`
+    (node -> label) may be passed in when many trees share them.
+    """
+    if leaves is None:
+        leaves = model.leaf_map(G)
+    if start is None:
+        start = model.root_of(G) if G.mode == ROOTED else model.label_map(G)[1]
     order, parent = model.hang(G, start)
     below: list[list[bytes]] = [[] for _ in range(G.num_nodes)]
     for v in reversed(order):
-        code = b"%d" % leaves[v] if v in leaves else b"(" + b",".join(sorted(below[v])) + b")"
+        kids = below[v]
+        if v in leaves:
+            code = b"%d" % leaves[v]
+        elif len(kids) > 1:
+            code = b"(" + b",".join(sorted(kids)) + b")"
+        elif kids:
+            code = kids[0]
+        else:
+            continue
         below[parent[v]].append(code)
-    if G.mode == ROOTED or G.num_nodes == 1:
+    # unrooted, the start leaf's own code closes below[start]; a lone
+    # entry means no other leaf, so the tree is leaf 1 alone
+    if G.mode == ROOTED or len(below[start]) == 1:
         return code
     return b"[1|" + below[start][0] + b"]"
 

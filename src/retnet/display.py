@@ -1,16 +1,21 @@
 """Display semantics: which trees a network displays, and the trivial network.
 
 Display is computed through switchings, a finite certificate per
-displayed tree.  The tests cross-check it at desk scale against the
-direct subdivision-subgraph definition.
+displayed tree.  A switching's tree is not suppressed to be compared:
+its canonical code is read straight off the network's on edges (the
+tree code ignores subdivisions and leafless subtrees), and
+`displayed_tree` runs only for the first switching of each class that
+is returned.  The tests cross-check display at desk scale against the
+direct subdivision-subgraph definition, and the codes against those of
+`displayed_tree`.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import generate, model
-from .canonical import canonical_code, classes
+from .canonical import _header, _tree_code, canonical_code
 from .errors import LeafsetMismatch, ModeMismatch, SwitchingMismatch
 from .model import Graph, Switching, TreeSet, ROOTED
 
@@ -24,8 +29,13 @@ def displayed_tree(N: Graph, sigma: Switching) -> Graph:
 
 
 def displayed_trees(N: Graph) -> tuple[Graph, ...]:
-    """All trees displayed by N, deduplicated, in canonical-code order."""
-    return classes(displayed_tree(N, sigma) for sigma in generate.enumerate_switchings(N))
+    """All trees displayed by N, deduplicated, in canonical-code order.
+
+    Each class is represented by the tree of its first switching."""
+    first: dict[bytes, Switching] = {}
+    for sigma, code in _switching_codes(N):
+        first.setdefault(code, sigma)
+    return tuple(displayed_tree(N, first[c]) for c in sorted(first))
 
 
 def displays(N: Graph, T: Graph) -> tuple[bool, Optional[Switching]]:
@@ -35,10 +45,25 @@ def displays(N: Graph, T: Graph) -> tuple[bool, Optional[Switching]]:
     if N.n != T.n:
         raise LeafsetMismatch(f"{N.n} vs {T.n} leaves")
     code = canonical_code(T).bytes
-    for sigma in generate.enumerate_switchings(N):
-        if canonical_code(displayed_tree(N, sigma)).bytes == code:
+    for sigma, c in _switching_codes(N):
+        if c == code:
             return True, sigma
     return False, None
+
+
+def _switching_codes(N: Graph) -> Iterator[tuple[Switching, bytes]]:
+    """(switching, canonical code of its displayed tree) for every switching of N.
+
+    In `generate.enumerate_switchings` order; each code equals
+    `canonical_code(displayed_tree(N, sigma)).bytes`.
+    """
+    header = _header(N.mode) + b"T"
+    leaves = model.leaf_map(N)
+    start = model.root_of(N) if N.mode == ROOTED else model.label_map(N)[1]
+    for sigma in generate._switchings(N):
+        off = sigma.off_edges
+        on = Graph(N.mode, N.num_nodes, tuple(e for e in N.edges if e not in off), N.leaf_labels)
+        yield sigma, header + _tree_code(on, start, leaves)
 
 
 # ---------------------------------------------------------------------------

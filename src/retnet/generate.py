@@ -204,26 +204,31 @@ def enumerate_switchings(N: Graph) -> tuple[Switching, ...]:
 
     Unrooted switchings are found among the C(|E|, r) sets of r edges.
     """
+    return tuple(_switchings(N))
+
+
+def _switchings(N: Graph) -> Iterator[Switching]:
+    """The switchings of N one at a time, in `enumerate_switchings` order.
+
+    The item budget is checked before the first one is built.
+    """
     if N.mode == ROOTED:
         rets = model.reticulations_of(N)
         check_budget(itertools.repeat(2, len(rets)), f"2^{len(rets)} switchings")
         in_edges = [sorted((u, v) for u, v in N.edges if v == ret) for ret in rets]
-        out = []
         for off in itertools.product(*in_edges):
-            out.append(Switching(N, frozenset(off)))
-        return tuple(out)
+            yield Switching(N, frozenset(off))
+        return
     r = model.reticulation_count(N)
     m = len(N.edges)
     # C(m, i) grows with i up to m/2, so multiply out the smaller side of C(m, r) = C(m, m - r)
     check_budget((Fraction(m - i, i + 1) for i in range(min(r, m - r))),
                  f"C({m}, {r}) edge sets")
-    out = []
     for off in itertools.combinations(sorted(N.edges), r):
         off_set = set(off)
         on = [e for e in N.edges if e not in off_set]
         if model._is_connected(N.num_nodes, on) and len(on) == N.num_nodes - 1:
-            out.append(Switching(N, frozenset(off)))
-    return tuple(out)
+            yield Switching(N, frozenset(off))
 
 
 def fixed_switching(N: Graph) -> Switching:

@@ -10,7 +10,7 @@ from functools import lru_cache
 from typing import Optional
 
 from . import bounds, codec, display, generate
-from .canonical import automorphism_count, canonical_code, classes
+from .canonical import _general_code, canonical_code, classes
 from .errors import BudgetExceeded
 from .model import Graph, TreeSet, ROOTED, UNROOTED
 
@@ -20,7 +20,7 @@ def _displayed_code_sets(n: int, r: int, mode: str) -> tuple[tuple[Graph, frozen
     """(network, frozenset of displayed tree codes) for every class in N_{n,r}.
 
     The solver reads displays only through this table."""
-    return tuple((N, frozenset(canonical_code(T).bytes for T in display.displayed_trees(N)))
+    return tuple((N, frozenset(code for _, code in display._switching_codes(N)))
                  for N in generate.enumerate_networks(n, r, mode))
 
 
@@ -121,9 +121,10 @@ def verify_counts(n_max: int, r_max: int, mode: str = ROOTED) -> list[bounds.Bou
                         disp_ok = False
                 for lab in generate.all_reticulation_labellings(N):
                     # distinct labelled networks must encode to distinct trees
-                    labelled_codes.add(canonical_code(N, lab).bytes)
+                    code, autos = _general_code(N, lab)
+                    labelled_codes.add(code.bytes)
                     codec_images.add(canonical_code(codec.encode_tau(N, lab)).bytes)
-                    if automorphism_count(lab) != 1:
+                    if autos != 1:
                         autos_ok = False
             reports.append(bounds.BoundReport(
                 "displayed-trees-bound", params, lhs=None, rhs=None, holds=disp_ok))

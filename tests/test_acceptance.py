@@ -9,9 +9,6 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
-import retnet as rn
 from oracles import displays_by_subdivision
 from retnet import bounds, canonical, codec, display, generate, model, serialize, solver
 from retnet.model import ROOTED, UNROOTED

@@ -169,3 +169,41 @@ def test_code_equality_matches_networkx():
         assert (code_a == code_b) == same
         matches += same
     assert matches > 50
+
+
+def unsuppressed(T, rng):
+    """T with a chain above the root (rooted), some edges subdivided, and
+    unlabelled pendant chains: the shapes a switching's on edges take."""
+    edges, nid = list(T.edges), T.num_nodes
+    leaves = model.leaf_map(T)
+    if T.mode == ROOTED:
+        top = model.root_of(T)
+        for _ in range(rng.randrange(3)):
+            edges.append((nid, top))
+            top, nid = nid, nid + 1
+    for _ in range(rng.randrange(4) if edges else 0):
+        u, v = edges.pop(rng.randrange(len(edges)))
+        edges += [(u, nid), (nid, v)]
+        nid += 1
+    for _ in range(rng.randrange(4)):
+        # a lone leaf may carry a leafless subtree (unrooted n = 1 displays
+        # one); other leaves stay leaves
+        hosts = [v for v in range(nid) if v not in leaves or T.n == 1]
+        if not hosts:  # the unrooted one-edge tree, not subdivided
+            break
+        prev = rng.choice(hosts)
+        for _ in range(rng.randint(1, 3)):
+            edges.append((prev, nid))
+            prev, nid = nid, nid + 1
+    return model.make_graph(T.mode, range(nid), edges, leaves)
+
+
+@pytest.mark.parametrize("mode", [ROOTED, UNROOTED])
+def test_tree_code_reads_unsuppressed_trees(mode):
+    rng = random.Random(7)
+    for n in range(1, 7):
+        for T in generate.enumerate_trees(n, mode)[:60]:
+            for _ in range(3):
+                G = unsuppressed(T, rng)
+                code = canonical._tree_code(G)
+                assert code == canonical._tree_code(model.suppress(G)) == canonical._tree_code(T)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -7,6 +8,58 @@ from oracles import displays_by_subdivision, find_embedding
 from retnet import display, generate, model, serialize
 from retnet.errors import LeafsetMismatch, SwitchingMismatch
 from retnet.model import ROOTED, UNROOTED
+
+from test_generate import ORACLE_POINTS
+
+# (n, t, seed) of a seeded trivial network, and the SHA-256 of its
+# displayed_trees (Newick and node ids) and displays witnesses, recorded
+# with the per-switching suppress-then-code path
+TRIVIAL_PINS = [
+    (8, 2, 8, "55feed12449ac90c56f028a99e35c707907e4a614d6b41732ecdb6cfd382cd3d"),
+    (6, 3, 6, "09824e80ee63d412ee66167a6a985c101507c31cf6807d6e962cb67d56927610"),
+]
+
+
+def random_rooted_tree(n: int, rng: random.Random) -> model.Graph:
+    """A rooted tree on [n] by random leaf insertion (the virtual root edge included)."""
+    edges, labels, root, nid = [], {0: 1}, 0, 1
+    for x in range(2, n + 1):
+        w, z = nid, nid + 1
+        nid += 2
+        i = rng.randrange(len(edges) + 1)
+        if i == len(edges):
+            edges.append((w, root))
+            root = w
+        else:
+            u, v = edges[i]
+            edges[i] = (u, w)
+            edges.append((w, v))
+        edges.append((w, z))
+        labels[z] = x
+    return model.make_graph(ROOTED, range(nid), edges, labels)
+
+
+def seeded_trivial(n: int, t: int, seed: int):
+    """The trivial network of t seeded trees on [n], and queries: the members and one more tree."""
+    rng = random.Random(seed)
+    ts = model.tree_set(random_rooted_tree(n, rng) for _ in range(t))
+    assert ts.t == t
+    return display.trivial_network(ts), list(ts.trees) + [random_rooted_tree(n, rng)]
+
+
+def display_digest(N, queries) -> str:
+    lines = [f"{serialize.tree_to_newick(T)} {(T.num_nodes, T.edges, T.leaf_labels)}"
+             for T in display.displayed_trees(N)]
+    for T in queries:
+        ok, witness = display.displays(N, T)
+        lines.append(repr(sorted(witness.off_edges)) if ok else "-")
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def oracle_codes(N):
+    """(switching, code) through the suppressed tree of every switching."""
+    return [(s, rn.canonical_code(display.displayed_tree(N, s)).bytes)
+            for s in generate.enumerate_switchings(N)]
 
 
 def test_each_switching_displays_one_tree(n6r4):
@@ -96,3 +149,17 @@ def test_find_embedding_witnesses_display(n6r4):
     T = display.displayed_trees(n6r4)[0]
     emb = find_embedding(n6r4, T)
     assert emb is not None
+
+
+@pytest.mark.parametrize("mode,n,r,lc", ORACLE_POINTS)
+def test_switching_codes_match_displayed_tree_codes(mode, n, r, lc):
+    for N in generate.enumerate_networks(n, r, mode, leaf_connecting=lc):
+        assert list(display._switching_codes(N)) == oracle_codes(N)
+
+
+@pytest.mark.parametrize("n,t,seed,digest", TRIVIAL_PINS, ids=lambda v: str(v)[:8])
+def test_trivial_network_codes_and_outputs(n, t, seed, digest):
+    N, queries = seeded_trivial(n, t, seed)
+    assert model.reticulation_count(N) == (t - 1) * n
+    assert list(display._switching_codes(N)) == oracle_codes(N)
+    assert display_digest(N, queries) == digest

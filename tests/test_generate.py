@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-import retnet as rn
 from oracles import sweep
 from retnet import bounds, canonical, generate, model
 from retnet.errors import BudgetExceeded
