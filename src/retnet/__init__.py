@@ -21,7 +21,7 @@ from .errors import (BudgetExceeded, DomainError, InvalidLabelling,
                      ParseError, RetnetError, SwitchingMismatch, TTooLarge)
 from .generate import (all_reticulation_labellings, enumerate_networks,
                        enumerate_switchings, enumerate_trees,
-                       fixed_switching, reticulation_labellings)
+                       reticulation_labellings)
 from .model import (Graph, PhyloTree, ReticulationLabelling, RootedNetwork,
                     Switching, TreeSet, UnrootedNetwork, ValidationReport,
                     ROOTED, UNROOTED, tree_set, validate)
@@ -36,7 +36,7 @@ __all__ = [
     "tree_set", "validate",
     "CanonicalCode", "canonical_code", "are_isomorphic", "automorphism_count",
     "enumerate_trees", "enumerate_networks", "enumerate_switchings",
-    "fixed_switching", "reticulation_labellings", "all_reticulation_labellings",
+    "reticulation_labellings", "all_reticulation_labellings",
     "encode_tau", "decode_tau",
     "displayed_tree", "displayed_trees", "displays", "trivial_network",
     "BoundReport", "RealInterval", "NetworkCountBound",

@@ -43,14 +43,6 @@ class RealInterval:
     def __float__(self) -> float:
         return float(self.midpoint)
 
-    def certainly_gt(self, other) -> Optional[bool]:
-        o = other if isinstance(other, RealInterval) else RealInterval(Fraction(other), Fraction(other))
-        if self.lo > o.hi:
-            return True
-        if self.hi <= o.lo:
-            return False
-        return None
-
 
 @dataclass(frozen=True)
 class BoundReport:

@@ -10,10 +10,11 @@ taking the lexicographically least encoding over all refinement leaves.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Optional
 
 from . import model
-from .errors import ModeMismatch
+from .errors import ModeMismatch, NotATree
 from .model import Graph, ReticulationLabelling, ROOTED
 
 CODE_VERSION = 1
@@ -53,7 +54,7 @@ def canonical_positions(G: Graph,
     edges compared in canonical coordinates are class invariants.  With
     edge labels supplied the ordering respects them too.
     """
-    return tuple(_search(G, edge_labels)[1])
+    return _canon_general(G, edge_labels)[1]
 
 
 def are_isomorphic(A: Graph, B: Graph) -> bool:
@@ -70,8 +71,8 @@ def automorphism_count(X) -> int:
     possible (parent-swap symmetries).
     """
     if isinstance(X, ReticulationLabelling):
-        return _search(X.host, X)[2]
-    return _search(X, None)[2]
+        return _canon_general(X.host, X)[2]
+    return _canon_general(X, None)[2]
 
 
 def _header(mode: str) -> bytes:
@@ -81,13 +82,8 @@ def _header(mode: str) -> bytes:
 def _general_code(G: Graph, edge_labels: Optional[ReticulationLabelling]
                   ) -> tuple[CanonicalCode, int]:
     """The general-path code of G and its automorphism count, from one search."""
-    body, _, ties = _search(G, edge_labels)
+    body, _, ties = _canon_general(G, edge_labels)
     return CanonicalCode(_header(G.mode) + b"G" + body), ties
-
-
-def _search(G: Graph, edge_labels: Optional[ReticulationLabelling]) -> tuple[bytes, list[int], int]:
-    elabels = {} if edge_labels is None else dict(edge_labels.numbered)
-    return _canon_general(G.mode, G.num_nodes, G.edges, dict(G.leaf_labels), elabels)
 
 
 # ---------------------------------------------------------------------------
@@ -106,11 +102,14 @@ def _tree_code(G: Graph, start: Optional[int] = None,
     (node -> label) may be passed in when many trees share them.
     """
     if leaves is None:
-        leaves = model.leaf_map(G)
+        leaves = dict(G.leaf_labels)
     if start is None:
-        start = model.root_of(G) if G.mode == ROOTED else model.label_map(G)[1]
+        start = model.root_of(G) if G.mode == ROOTED else model.label_map(G).get(1)
+        if start is None:
+            raise NotATree("unrooted tree has no leaf labelled 1")
     order, parent = model.hang(G, start)
     below: list[list[bytes]] = [[] for _ in range(G.num_nodes)]
+    code = None
     for v in reversed(order):
         kids = below[v]
         if v in leaves:
@@ -122,6 +121,8 @@ def _tree_code(G: Graph, start: Optional[int] = None,
         else:
             continue
         below[parent[v]].append(code)
+    if code is None:
+        raise NotATree("tree has no labelled leaf")
     # unrooted, the start leaf's own code closes below[start]; a lone
     # entry means no other leaf, so the tree is leaf 1 alone
     if G.mode == ROOTED or len(below[start]) == 1:
@@ -133,15 +134,18 @@ def _tree_code(G: Graph, start: Optional[int] = None,
 # general labelled-graph canonization
 
 
-def _canon_general(mode: str, num_nodes: int, edges, vlabels: dict[int, int],
-                   elabels: dict[tuple[int, int], int]) -> tuple[bytes, list[int], int]:
+@lru_cache(maxsize=1)  # encode_tau repeats the search verify_counts has just run
+def _canon_general(G: Graph, edge_labels: Optional[ReticulationLabelling]
+                   ) -> tuple[bytes, tuple[int, ...], int]:
     """Least encoding, its node -> position map, and how many search leaves reach it.
 
     Every branch of the search is explored and target cells are chosen
     canonically, so the leaves reaching the least encoding correspond one
     to one with the automorphisms of the labelled graph.
     """
-    directed = mode == ROOTED
+    num_nodes, edges, vlabels = G.num_nodes, G.edges, dict(G.leaf_labels)
+    elabels = {} if edge_labels is None else dict(edge_labels.numbered)
+    directed = G.mode == ROOTED
     out_nb: list[list[tuple[int, int]]] = [[] for _ in range(num_nodes)]
     in_nb: list[list[tuple[int, int]]] = [[] for _ in range(num_nodes)]
     for e in edges:
@@ -193,7 +197,7 @@ def _canon_general(mode: str, num_nodes: int, edges, vlabels: dict[int, int],
         if target is None:
             enc = encode(cols)
             if not best or enc < best[0]:
-                best[:] = [enc, cols, 1]
+                best[:] = [enc, tuple(cols), 1]
             elif enc == best[0]:
                 best[2] += 1
             return

@@ -61,14 +61,14 @@ def decode_tau(T: Graph, n: int, r: int):
     if T.n != n + 2 * r:
         raise ValueError("tree must have n + 2r leaves")
     by_label = model.label_map(T)
-    leaves = model.leaf_map(T)
+    leaves = dict(T.leaf_labels)
     if sorted(leaves.values()) != list(range(1, n + 2 * r + 1)):
         raise ValueError("leaves must be labelled 1..n+2r")
 
     if T.mode == ROOTED:
         parent = {v: u for u, v in T.edges}
     else:
-        nb = model.undirected_adj(T)
+        nb = model.adjacency(T)
         parent = {v: nb[v][0] for v in leaves if len(nb[v]) == 1}
 
     drop_nodes = set()

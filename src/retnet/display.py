@@ -24,8 +24,8 @@ def displayed_tree(N: Graph, sigma: Switching) -> Graph:
     """The unique tree certified by one switching of N."""
     if sigma.host != N:
         raise SwitchingMismatch("switching is not hosted by this network")
-    on_edges = {e for e in N.edges if e not in sigma.off_edges}
-    return model._suppress_raw(N.mode, N.num_nodes, on_edges, dict(N.leaf_labels))
+    on_edges = tuple(e for e in N.edges if e not in sigma.off_edges)
+    return model.suppress(Graph(N.mode, N.num_nodes, on_edges, N.leaf_labels))
 
 
 def displayed_trees(N: Graph) -> tuple[Graph, ...]:
@@ -58,7 +58,7 @@ def _switching_codes(N: Graph) -> Iterator[tuple[Switching, bytes]]:
     `canonical_code(displayed_tree(N, sigma)).bytes`.
     """
     header = _header(N.mode) + b"T"
-    leaves = model.leaf_map(N)
+    leaves = dict(N.leaf_labels)
     start = model.root_of(N) if N.mode == ROOTED else model.label_map(N)[1]
     for sigma in generate._switchings(N):
         off = sigma.off_edges
@@ -131,6 +131,7 @@ def trivial_network(ts: TreeSet) -> Graph:
         edges.append((prev_m, z))
         labels[z] = x
 
-    # degenerate single-node trees left their old leaf node isolated; drop them
+    # every member's old leaf nodes lost their edges to the merge chains and
+    # are isolated now; drop the unused nodes
     used = {u for e in edges for u in e}
     return model.make_graph(ROOTED, used, edges, labels)

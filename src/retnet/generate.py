@@ -39,7 +39,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator
 
 from . import model
-from .canonical import canonical_positions, classes
+from .canonical import classes
 from .errors import BudgetExceeded, DomainError, SwitchingMismatch
 from .model import Graph, ReticulationLabelling, Switching, ROOTED, UNROOTED
 
@@ -90,7 +90,8 @@ def enumerate_networks(n: int, r: int, mode: str = ROOTED, *, leaf_connecting: b
     if r == 0:
         return enumerate_trees(n, mode)
     _check_tree_budget(n + 2 * r, mode, f"n + 2r = {n + 2 * r}")
-    return _networks_cached(n, r, mode, leaf_connecting)
+    # the restriction is unrooted only, so rooted calls share one cache entry
+    return _networks_cached(n, r, mode, leaf_connecting or mode == ROOTED)
 
 
 @lru_cache(maxsize=64)
@@ -168,7 +169,7 @@ def _add_edge(P: Graph) -> Iterator[Graph]:
             yield child([(a, u), (u, v), (u, v), (b, v)], i)
             yield child([(a, u), (b, u), (u, v), (v, v)], i)
         return
-    kids = model.out_adj(P)
+    kids = model.adjacency(P)
     parents = [[a for a, b in edges if b == x] for x in range(u)]
     order = model.topological_order(P)
     leaf, cluster = dict(P.leaf_labels), [0] * u
@@ -229,24 +230,6 @@ def _switchings(N: Graph) -> Iterator[Switching]:
         on = [e for e in N.edges if e not in off_set]
         if model._is_connected(N.num_nodes, on) and len(on) == N.num_nodes - 1:
             yield Switching(N, frozenset(off))
-
-
-def fixed_switching(N: Graph) -> Switching:
-    """A deterministic switching per isomorphism class.
-
-    The lexicographically least switching when edges are named by their
-    canonical node positions; isomorphic networks get isomorphic fixed
-    switchings.
-    """
-    options = enumerate_switchings(N)
-    if len(options) == 1:
-        return options[0]
-    pos = canonical_positions(N)
-
-    def key(s: Switching):
-        return sorted(model._norm_edge(N.mode, pos[u], pos[v]) for u, v in s.off_edges)
-
-    return min(options, key=key)
 
 
 def reticulation_labellings(N: Graph, sigma: Switching) -> tuple[ReticulationLabelling, ...]:

@@ -29,11 +29,6 @@ def _norm_edge(mode: str, u: int, v: int) -> Edge:
     return (u, v) if u <= v else (v, u)
 
 
-def _freeze_labels(labels: Mapping[int, int] | Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    items = labels.items() if isinstance(labels, Mapping) else labels
-    return tuple(sorted(items))
-
-
 @dataclass(frozen=True)
 class Graph:
     """A binary phylogenetic network, rooted or unrooted, with leaves labelled 1..n.
@@ -74,10 +69,6 @@ class ReticulationLabelling:
 
     host: Graph
     numbered: tuple[tuple[Edge, int], ...]  # ((u, v), h) sorted by h
-
-    @property
-    def r(self) -> int:
-        return len(self.numbered)
 
     def switching(self) -> Switching:
         return Switching(self.host, frozenset(e for e, _ in self.numbered))
@@ -125,41 +116,36 @@ def make_graph(mode: str, nodes: Iterable[int], edges: Iterable[tuple[int, int]]
     order = sorted(set(nodes))
     idx = {v: i for i, v in enumerate(order)}
     new_edges = tuple(sorted(_norm_edge(mode, idx[u], idx[v]) for u, v in edges))
-    new_labels = _freeze_labels({idx[v]: x for v, x in labels.items()})
+    new_labels = tuple(sorted((idx[v], x) for v, x in labels.items()))
     return Graph(mode, len(order), new_edges, new_labels)
 
 
-def leaf_map(G: Graph) -> dict[int, int]:
-    """node -> label for the labelled leaves of G."""
-    return dict(G.leaf_labels)
-
-
 def label_map(G: Graph) -> dict[int, int]:
-    """label -> node, the inverse of leaf_map."""
+    """label -> node, the inverse of `dict(G.leaf_labels)`."""
     return {x: v for v, x in G.leaf_labels}
 
 
-def out_adj(G: Graph) -> dict[int, list[int]]:
-    adj: dict[int, list[int]] = {v: [] for v in range(G.num_nodes)}
+def adjacency(G: Graph) -> list[list[int]]:
+    """Each node's children (rooted) or neighbours (unrooted), in edge order."""
+    adj: list[list[int]] = [[] for _ in range(G.num_nodes)]
+    undirected = G.mode != ROOTED
     for u, v in G.edges:
         adj[u].append(v)
+        if undirected:
+            adj[v].append(u)
     return adj
 
 
-def undirected_adj(G: Graph) -> dict[int, list[int]]:
-    adj: dict[int, list[int]] = {v: [] for v in range(G.num_nodes)}
-    for u, v in G.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return adj
+def _indegrees(G: Graph) -> list[int]:
+    indeg = [0] * G.num_nodes
+    for _, v in G.edges:
+        indeg[v] += 1
+    return indeg
 
 
 def root_of(G: Graph) -> int:
     """The unique in-degree-0 node of a rooted graph."""
-    indeg = [0] * G.num_nodes
-    for _, v in G.edges:
-        indeg[v] += 1
-    roots = [v for v in range(G.num_nodes) if indeg[v] == 0]
+    roots = [v for v, d in enumerate(_indegrees(G)) if d == 0]
     if len(roots) != 1:
         raise ValueError("graph does not have a single root")
     return roots[0]
@@ -167,10 +153,7 @@ def root_of(G: Graph) -> int:
 
 def reticulations_of(G: Graph) -> list[int]:
     """In-degree-2 nodes of a rooted graph, in id order."""
-    indeg = [0] * G.num_nodes
-    for _, v in G.edges:
-        indeg[v] += 1
-    return [v for v in range(G.num_nodes) if indeg[v] >= 2]
+    return [v for v, d in enumerate(_indegrees(G)) if d >= 2]
 
 
 def reticulation_count(N: Graph) -> int:
@@ -190,7 +173,7 @@ def hang(G: Graph, start: int) -> tuple[list[int], list[int]]:
     Rooted graphs are walked along their edge directions.  `start` is its
     own parent; unreached nodes have parent -1.
     """
-    adj = (out_adj if G.mode == ROOTED else undirected_adj)(G)
+    adj = adjacency(G)
     parent = [-1] * G.num_nodes
     parent[start] = start
     order = [start]
@@ -207,12 +190,8 @@ def topological_order(G: Graph) -> list[int]:
 
     Nodes on or below a directed cycle are missing: a cycle shows as a short order.
     """
-    children: list[list[int]] = [[] for _ in range(G.num_nodes)]
-    indeg = [0] * G.num_nodes
-    for u, v in G.edges:
-        children[u].append(v)
-        indeg[v] += 1
-    order = [v for v in range(G.num_nodes) if indeg[v] == 0]
+    children, indeg = adjacency(G), _indegrees(G)
+    order = [v for v, d in enumerate(indeg) if d == 0]
     for v in order:
         for c in children[v]:
             indeg[c] -= 1
@@ -258,11 +237,7 @@ def _validate_rooted_graph(G: Graph) -> list[str]:
         if dict(G.leaf_labels) != {0: 1}:
             bad.append("degenerate tree must be one leaf labelled 1")
         return bad
-    indeg = [0] * G.num_nodes
-    outdeg = [0] * G.num_nodes
-    for u, v in G.edges:
-        outdeg[u] += 1
-        indeg[v] += 1
+    indeg, outdeg = _indegrees(G), [len(c) for c in adjacency(G)]
     if len(topological_order(G)) != G.num_nodes:
         bad.append("directed cycle")
     roots = [v for v in range(G.num_nodes) if indeg[v] == 0]
@@ -314,10 +289,7 @@ def _validate_unrooted_graph(G: Graph) -> list[str]:
     if not _is_connected(G.num_nodes, G.edges):
         bad.append("not connected")
         return bad
-    deg = [0] * G.num_nodes
-    for u, v in G.edges:
-        deg[u] += 1
-        deg[v] += 1
+    deg = [len(nb) for nb in adjacency(G)]
     labelled = set(v for v, _ in G.leaf_labels)
     for v in range(G.num_nodes):
         if deg[v] == 1:
@@ -415,22 +387,15 @@ def suppress(G: Graph) -> Graph:
     Removes unlabelled pendant chains, then contracts degree-2 vertices
     (rooted: in-degree-1/out-degree-1 nodes and out-degree-1 roots).
     Inverse of edge subdivision.
+
+    One bottom-up pass, from the root (rooted) or a labelled node
+    (unrooted): a node survives iff it is labelled or at least two of its
+    subtrees hold labels; each survivor hangs from its nearest surviving
+    ancestor.
     """
-    return _suppress_raw(G.mode, G.num_nodes, G.edges, dict(G.leaf_labels))
-
-
-def _suppress_raw(mode: str, num_nodes: int, edges: Iterable[Edge],
-                  labels: dict[int, int]) -> Graph:
-    """One bottom-up pass over the tree on nodes 0..num_nodes-1.
-
-    The walk starts at the root (rooted) or at a labelled node (unrooted).
-    A node survives iff it is labelled or at least two of its subtrees
-    hold labels; each survivor hangs from its nearest surviving ancestor.
-    """
-    G = Graph(mode, num_nodes, tuple(edges), ())
+    mode, num_nodes, labels = G.mode, G.num_nodes, dict(G.leaf_labels)
     if mode == ROOTED:
-        child = {v for _, v in G.edges}
-        start = next((v for v in range(num_nodes) if v not in child), None)
+        start = next((v for v, d in enumerate(_indegrees(G)) if d == 0), None)
     else:
         start = min(labels, default=0)
     # |E| = |V| - 1 and every node reached from the start: a tree (rooted:
@@ -451,21 +416,6 @@ def _suppress_raw(mode: str, num_nodes: int, edges: Iterable[Edge],
         elif below[v]:
             below[parent[v]].append(below[v][0])
     return make_graph(mode, kept, new_edges, labels)
-
-
-def subdivide(G: Graph, edge: Edge, times: int = 1) -> Graph:
-    """Replace one edge of G by a path with `times` internal vertices."""
-    edges = list(G.edges)
-    edges.remove(edge)
-    u, v = edge
-    prev = u
-    nid = G.num_nodes
-    for _ in range(times):
-        edges.append(_norm_edge(G.mode, prev, nid))
-        prev = nid
-        nid += 1
-    edges.append(_norm_edge(G.mode, prev, v))
-    return make_graph(G.mode, range(nid), edges, dict(G.leaf_labels))
 
 
 # ---------------------------------------------------------------------------

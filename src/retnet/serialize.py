@@ -115,9 +115,7 @@ def _parse(s: str, what: str) -> tuple[int, list[Edge], dict[int, int]]:
 def newick_to_tree(s: str, mode: str = ROOTED) -> Graph:
     num, edges, labels = _parse(s, "tree")
     # renumber in pre-order (written order): siblings' ids are in written order
-    kids: list[list[int]] = [[] for _ in range(num)]
-    for u, c in edges:
-        kids[u].append(c)
+    kids = model.adjacency(Graph(ROOTED, num, tuple(edges), ()))
     pre = [0] * num
     stack = [num - 1]
     for k in range(num):
@@ -141,8 +139,8 @@ def newick_to_tree(s: str, mode: str = ROOTED) -> Graph:
 
 def network_to_enewick(N: Graph) -> str:
     """Extended Newick for a rooted network or tree, children in sorted order."""
-    children = model.out_adj(N)
-    leaves = model.leaf_map(N)
+    children = model.adjacency(N)
+    leaves = dict(N.leaf_labels)
     rets = model.reticulations_of(N)
     order = model.topological_order(N)
     reach: dict[int, tuple] = {}  # sorted labels of the leaves below each node

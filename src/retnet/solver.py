@@ -12,7 +12,7 @@ from typing import Optional
 from . import bounds, codec, display, generate
 from .canonical import _general_code, canonical_code, classes
 from .errors import BudgetExceeded
-from .model import Graph, TreeSet, ROOTED, UNROOTED
+from .model import Graph, TreeSet, ROOTED
 
 
 @lru_cache(maxsize=64)
@@ -88,8 +88,6 @@ def verify_counts(n_max: int, r_max: int, mode: str = ROOTED) -> list[bounds.Bou
     reports: list[bounds.BoundReport] = []
     for n in range(1, n_max + 1):
         for r in range(1, r_max + 1):
-            if mode == UNROOTED and n + 2 * r < 3:
-                continue
             table = _displayed_code_sets(n, r, mode)
             params = {"n": n, "r": r, "mode": mode}
             nb = bounds.network_count_bound(n, r, mode)

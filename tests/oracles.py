@@ -5,7 +5,8 @@ embedding search here is the direct subdivision-subgraph definition it
 is checked against.  `retnet.generate` builds networks by edge
 addition; `sweep` lists them by decoding every tree through the codec.
 `model.is_leaf_connecting` is a cut-node test; `is_leaf_connecting`
-here searches the leaf-to-leaf paths themselves.
+here searches the leaf-to-leaf paths themselves.  `subdivide` is the
+inverse of `model.suppress`.
 """
 
 from __future__ import annotations
@@ -29,17 +30,13 @@ def find_embedding(N: Graph, T: Graph) -> Optional[frozenset[Edge]]:
         raise ModeMismatch(f"{N.mode} vs {T.mode}")
     directed = N.mode == ROOTED
     n_leaf_of = model.label_map(N)
-    t_leaves = model.leaf_map(T)
+    t_leaves = dict(T.leaf_labels)
     t_internal = [v for v in range(T.num_nodes) if v not in t_leaves]
-    n_leaves = set(model.leaf_map(N))
+    n_leaves = set(dict(N.leaf_labels))
     n_candidates = [v for v in range(N.num_nodes) if v not in n_leaves]
 
-    if directed:
-        nbr = model.out_adj(N)
-        t_edges = list(T.edges)
-    else:
-        nbr = model.undirected_adj(N)
-        t_edges = [tuple(e) for e in T.edges]
+    nbr = model.adjacency(N)
+    t_edges = list(T.edges)
 
     if not t_internal:
         # T is a single leaf or a single edge
@@ -105,8 +102,8 @@ def is_leaf_connecting(N: Graph) -> bool:
 
     Exponential in the worst case; the oracle for `model.is_leaf_connecting`.
     """
-    leaves = set(model.leaf_map(N))
-    adj = model.undirected_adj(N)
+    leaves = set(dict(N.leaf_labels))
+    adj = model.adjacency(N)
 
     def paths_to_leaves(start: int, blocked: frozenset[int]):
         # all simple paths from start to any leaf, avoiding blocked vertices
@@ -123,6 +120,21 @@ def is_leaf_connecting(N: Graph) -> bool:
     return all(any(True for pu in paths_to_leaves(u, frozenset({v}))
                    for _ in paths_to_leaves(v, frozenset(pu)))
                for u, v in N.edges)
+
+
+def subdivide(G: Graph, edge: Edge, times: int = 1) -> Graph:
+    """Replace one edge of G by a path with `times` internal vertices."""
+    edges = list(G.edges)
+    edges.remove(edge)
+    u, v = edge
+    prev = u
+    nid = G.num_nodes
+    for _ in range(times):
+        edges.append(model._norm_edge(G.mode, prev, nid))
+        prev = nid
+        nid += 1
+    edges.append(model._norm_edge(G.mode, prev, v))
+    return model.make_graph(G.mode, range(nid), edges, dict(G.leaf_labels))
 
 
 def sweep(n: int, r: int, mode: str, leaf_connecting: bool) -> tuple[Graph, ...]:

@@ -100,11 +100,3 @@ def test_binomial_slack_refuses_small_argument():
     # the certified slack needs lg(df_arg!!) > 64; this must hold under -O too
     with pytest.raises(DomainError):
         bounds._lg_binomial_of_df(5, 2)
-
-
-def test_real_interval_comparisons():
-    a = bounds.RealInterval(Fraction(1), Fraction(2))
-    b = bounds.RealInterval(Fraction(3), Fraction(4))
-    assert b.certainly_gt(a) is True
-    assert a.certainly_gt(b) is False
-    assert a.certainly_gt(bounds.RealInterval(Fraction(1), Fraction(3))) is None

@@ -5,7 +5,7 @@ import pytest
 
 import retnet as rn
 from retnet import canonical, generate, model
-from retnet.errors import ModeMismatch
+from retnet.errors import ModeMismatch, NotATree
 from retnet.model import ROOTED, UNROOTED
 
 
@@ -21,7 +21,7 @@ def brute_force_isomorphic(A, B) -> bool:
     """Oracle: try every node bijection that respects leaf labels."""
     if A.num_nodes != B.num_nodes or A.mode != B.mode:
         return False
-    la, lb = model.leaf_map(A), model.leaf_map(B)
+    la, lb = dict(A.leaf_labels), dict(B.leaf_labels)
     if sorted(la.values()) != sorted(lb.values()):
         return False
     fixed = {v: next(w for w, x in lb.items() if x == la[v]) for v in la}
@@ -67,10 +67,16 @@ def test_tree_and_general_paths_agree_on_isomorphism():
     # same trees, once with the fast tree code and once forced through
     # the general path by attaching (empty) edge labels
     trees = generate.enumerate_trees(4, ROOTED)
-    gen_codes = {canonical._canon_general(T.mode, T.num_nodes, T.edges,
-                                          dict(T.leaf_labels), {})[0]
-                 for T in trees}
+    gen_codes = {canonical._canon_general(T, None)[0] for T in trees}
     assert len(gen_codes) == len(trees)
+
+
+def test_code_of_non_tree_raises_not_a_tree():
+    # no labelled leaf, and an unrooted tree whose leaves are 2 and 3 only
+    for G in (model.Graph(ROOTED, 3, ((0, 1), (0, 2)), ()),
+              model.Graph(UNROOTED, 3, ((0, 1), (0, 2)), ((1, 2), (2, 3)))):
+        with pytest.raises(NotATree):
+            canonical.canonical_code(G)
 
 
 def test_mode_mismatch_raises():
@@ -81,7 +87,7 @@ def test_mode_mismatch_raises():
 
 
 def test_edge_labels_distinguish_labellings(n6r4):
-    sigma = generate.fixed_switching(n6r4)
+    sigma = generate.enumerate_switchings(n6r4)[0]
     labs = generate.reticulation_labellings(n6r4, sigma)
     codes = {canonical.canonical_code(n6r4, lab).bytes for lab in labs}
     assert len(codes) == len(labs)
@@ -175,7 +181,7 @@ def unsuppressed(T, rng):
     """T with a chain above the root (rooted), some edges subdivided, and
     unlabelled pendant chains: the shapes a switching's on edges take."""
     edges, nid = list(T.edges), T.num_nodes
-    leaves = model.leaf_map(T)
+    leaves = dict(T.leaf_labels)
     if T.mode == ROOTED:
         top = model.root_of(T)
         for _ in range(rng.randrange(3)):

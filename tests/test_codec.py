@@ -18,22 +18,22 @@ def test_r_zero_is_identity():
 
 
 def test_encode_leaf_count(n6r4):
-    sigma = generate.fixed_switching(n6r4)
+    sigma = generate.enumerate_switchings(n6r4)[0]
     lab = generate.reticulation_labellings(n6r4, sigma)[0]
     T = codec.encode_tau(n6r4, lab)
     assert model.validate(T).ok
-    leaves = sorted(model.leaf_map(T).values())
+    leaves = sorted(dict(T.leaf_labels).values())
     assert leaves == list(range(1, 6 + 2 * 4 + 1))
 
 
 def test_encode_pendant_pair_structure(n6r4):
     # the two new leaves for edge number h are 6+2h-1 under the tail's
     # image and 6+2h under the head's image; all four pairs are pendant
-    sigma = generate.fixed_switching(n6r4)
+    sigma = generate.enumerate_switchings(n6r4)[0]
     lab = generate.reticulation_labellings(n6r4, sigma)[0]
     T = codec.encode_tau(n6r4, lab)
     parents = {c: p for p, c in T.edges}
-    labels = model.leaf_map(T)
+    labels = dict(T.leaf_labels)
     for h in range(1, 5):
         za = next(v for v, x in labels.items() if x == 6 + 2 * h - 1)
         zb = next(v for v, x in labels.items() if x == 6 + 2 * h)

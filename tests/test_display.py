@@ -66,7 +66,7 @@ def test_each_switching_displays_one_tree(n6r4):
     for sigma in generate.enumerate_switchings(n6r4):
         T = display.displayed_tree(n6r4, sigma)
         assert model.validate(T).ok
-        assert sorted(model.leaf_map(T).values()) == [1, 2, 3, 4, 5, 6]
+        assert sorted(dict(T.leaf_labels).values()) == [1, 2, 3, 4, 5, 6]
 
 
 def test_worked_example_displays_expected_tree(n6r4):
@@ -92,7 +92,7 @@ def test_displays_rejects_wrong_leafset(n6r4):
 
 def test_switching_host_mismatch(n6r4):
     other = generate.enumerate_networks(3, 1, ROOTED)[0]
-    sigma = generate.fixed_switching(other)
+    sigma = generate.enumerate_switchings(other)[0]
     with pytest.raises(SwitchingMismatch):
         display.displayed_tree(n6r4, sigma)
 

@@ -55,6 +55,12 @@ def test_unrooted_filter_keeps_only_leaf_connecting():
         assert model.is_leaf_connecting(N)
 
 
+def test_rooted_networks_ignore_leaf_connecting():
+    # the restriction is unrooted only: both spellings are one cache entry
+    assert (generate.enumerate_networks(3, 1, ROOTED, leaf_connecting=False)
+            is generate.enumerate_networks(3, 1, ROOTED))
+
+
 def test_edge_addition_matches_sweep():
     # the codec sweep is complete (every labelled network decodes from its encoding)
     for mode, n, r, lc in ORACLE_POINTS:
@@ -127,7 +133,7 @@ def test_budget_cap_raises():
 
 def test_budget_counts_closed_form_items(monkeypatch, n6r4):
     unrooted = generate.enumerate_networks(3, 2, UNROOTED)[0]  # 9 edges, r = 2
-    sigma = generate.fixed_switching(n6r4)
+    sigma = generate.enumerate_switchings(n6r4)[0]
     for items, job in [(15, lambda: generate.enumerate_trees(4, ROOTED)),  # 5!!
                        (105, lambda: generate.enumerate_networks(1, 2, ROOTED)),  # 7!!
                        (16, lambda: generate.enumerate_switchings(n6r4)),  # 2^4
@@ -187,30 +193,12 @@ def test_unrooted_switchings_match_matrix_tree_count():
 
 
 def test_labellings_per_switching_is_r_factorial(n6r4):
-    sigma = generate.fixed_switching(n6r4)
+    sigma = generate.enumerate_switchings(n6r4)[0]
     labs = generate.reticulation_labellings(n6r4, sigma)
     assert len(labs) == math.factorial(4)
     for lab in labs:
         assert lab.switching() == sigma
         assert model.validate(lab).ok
-
-
-def test_fixed_switching_is_isomorphism_invariant():
-    import random
-    from test_canonical import permuted
-
-    rng = random.Random(3)
-    for N in generate.enumerate_networks(3, 1, ROOTED)[:10]:
-        perm = list(range(N.num_nodes))
-        rng.shuffle(perm)
-        M = permuted(N, perm)
-        sN = generate.fixed_switching(N)
-        sM = generate.fixed_switching(M)
-        pos_n = canonical.canonical_positions(N)
-        pos_m = canonical.canonical_positions(M)
-        canon = lambda G, s, pos: sorted(
-            tuple(sorted((pos[u], pos[v]))) for u, v in s.off_edges)
-        assert canon(N, sN, pos_n) == canon(M, sM, pos_m)
 
 
 def test_all_labellings_count(n6r4):
@@ -219,12 +207,12 @@ def test_all_labellings_count(n6r4):
 
 
 def test_fixed_switching_count_identity():
-    # |networks| * r! distinct labelled graphs from fixed switchings
+    # |networks| * r! distinct labelled graphs from one switching per network
     for mode, n, r in [(ROOTED, 3, 1), (ROOTED, 2, 2), (UNROOTED, 3, 2)]:
         nets = generate.enumerate_networks(n, r, mode)
         codes = set()
         for N in nets:
-            sigma = generate.fixed_switching(N)
+            sigma = generate.enumerate_switchings(N)[0]
             for lab in generate.reticulation_labellings(N, sigma):
                 codes.add(canonical.canonical_code(N, lab).bytes)
         assert len(codes) == len(nets) * math.factorial(r)

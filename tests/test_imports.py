@@ -1,10 +1,12 @@
-"""Every imported name is read somewhere in its module, or re-exported by `__all__`."""
+"""Every imported name is read somewhere in its module, or re-exported by `__all__`;
+every public function or class of the package is read somewhere in it, or exported."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(p for d in ("src/retnet", "tests", "demos") for p in (ROOT / d).rglob("*.py"))
+PACKAGE = sorted((ROOT / "src/retnet").rglob("*.py"))
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -35,3 +37,34 @@ def test_no_unused_imports():
     found = {str(p.relative_to(ROOT)): unused_imports(ast.parse(p.read_text()))
              for p in SOURCES}
     assert {k: v for k, v in found.items() if v} == {}
+
+
+def _is_click_command(node: ast.AST) -> bool:
+    # @main.command(), @click.group() and the like register the function with click
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+               and d.func.attr in ("command", "group") for d in node.decorator_list)
+
+
+def dead_public_names(trees: dict[str, ast.Module]) -> list[str]:
+    """Public module-level functions and classes that no package code reads."""
+    read: set[str] = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                read.update(ast.literal_eval(node.value))
+    return [f"{mod}.{node.name}" for mod, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and not _is_click_command(node)
+            and node.name not in read]
+
+
+def test_no_dead_public_names():
+    trees = {p.stem: ast.parse(p.read_text()) for p in PACKAGE}
+    assert dead_public_names(trees) == []

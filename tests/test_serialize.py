@@ -133,7 +133,7 @@ def test_json_roundtrip_unrooted_networks():
 
 
 def test_labelling_sidecar_roundtrip(n6r4):
-    sigma = generate.fixed_switching(n6r4)
+    sigma = generate.enumerate_switchings(n6r4)[0]
     for lab in generate.reticulation_labellings(n6r4, sigma)[:4]:
         s = serialize.labelling_to_json(lab)
         lab2 = serialize.json_to_labelling(n6r4, s)

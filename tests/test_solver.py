@@ -1,7 +1,7 @@
 import pytest
 
 import retnet as rn
-from retnet import bounds, display, generate, model, serialize, solver
+from retnet import bounds, canonical, display, generate, model, serialize, solver
 from retnet.errors import BudgetExceeded
 from retnet.model import ROOTED, UNROOTED
 
@@ -84,6 +84,18 @@ def test_worst_case_rejects_empty_sets():
     for samples in (None, 2):
         with pytest.raises(ValueError, match="t must be at least 1"):
             solver.worst_case_r(3, 0, ROOTED, samples=samples)
+
+
+def test_verify_counts_runs_each_canonical_search_once():
+    # encode_tau's unrooted search repeats the one verify_counts has just run
+    search = canonical._canon_general
+    for mode, searches, repeats in [(UNROOTED, 204, 171), (ROOTED, 2861, 64)]:
+        for cached in (generate._level, generate._networks_cached,
+                       solver._displayed_code_sets, search):
+            cached.cache_clear()
+        solver.verify_counts(3, 2, mode)
+        info = search.cache_info()
+        assert (info.misses, info.hits) == (searches, repeats), mode
 
 
 def test_verify_counts_all_hold():
