@@ -99,15 +99,24 @@ def _tree_code(G: Graph, start: Optional[int] = None,
     code up, and a subtree without leaves has no code, so a subdivided
     tree with unlabelled pendant chains gets the code of its
     suppression.  `start` (the root, or leaf 1's node) and `leaves`
-    (node -> label) may be passed in when many trees share them.
+    (node -> label) may be passed in when many trees share them.  A
+    graph that is not a tree (no single root, or a node out of reach)
+    raises `NotATree`.
     """
     if leaves is None:
         leaves = dict(G.leaf_labels)
-    if start is None:
-        start = model.root_of(G) if G.mode == ROOTED else model.label_map(G).get(1)
+    if start is None and G.mode == ROOTED:
+        try:
+            start = model.root_of(G)
+        except ValueError:
+            raise NotATree("rooted graph does not have a single root") from None
+    elif start is None:
+        start = model.label_map(G).get(1)
         if start is None:
             raise NotATree("unrooted tree has no leaf labelled 1")
     order, parent = model.hang(G, start)
+    if len(order) < G.num_nodes:
+        raise NotATree("graph is not connected")
     below: list[list[bytes]] = [[] for _ in range(G.num_nodes)]
     code = None
     for v in reversed(order):

@@ -5,18 +5,28 @@ displayed tree.  A switching's tree is not suppressed to be compared:
 its canonical code is read straight off the network's on edges (the
 tree code ignores subdivisions and leafless subtrees), and
 `displayed_tree` runs only for the first switching of each class that
-is returned.  The tests cross-check display at desk scale against the
-direct subdivision-subgraph definition, and the codes against those of
+is returned.
+
+Rooted, the codes are updated incrementally.  `generate._switchings`
+walks the product of the reticulations' in-edges, last reticulation
+fastest, so from one switching to the next only a suffix of the
+reticulations changes its on parent, and only the nodes above that
+suffix are recomputed; no graph is built.  Unrooted switchings are
+spanning trees with no such structure, and each is coded afresh.
+
+The tests cross-check display at desk scale against the direct
+subdivision-subgraph definition, and the codes against those of
 `displayed_tree`.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterator, Optional
 
 from . import generate, model
 from .canonical import _header, _tree_code, canonical_code
-from .errors import LeafsetMismatch, ModeMismatch, SwitchingMismatch
+from .errors import LeafsetMismatch, ModeMismatch, NotATree, SwitchingMismatch
 from .model import Graph, Switching, TreeSet, ROOTED
 
 
@@ -55,15 +65,94 @@ def _switching_codes(N: Graph) -> Iterator[tuple[Switching, bytes]]:
     """(switching, canonical code of its displayed tree) for every switching of N.
 
     In `generate.enumerate_switchings` order; each code equals
-    `canonical_code(displayed_tree(N, sigma)).bytes`.
+    `canonical_code(displayed_tree(N, sigma)).bytes`.  Unrooted, each
+    spanning tree is coded afresh by `_tree_code` on its on edges.
+
+    Rooted, node codes are kept from one switching to the next.  A node's
+    code is the one `_tree_code` builds on the on edges (its leaf label,
+    the sorted codes of its coded on children, or its one coded child's
+    code), so it depends only on the on parents of the reticulations
+    strictly below it.  Number the reticulations in id order, the order of
+    `generate._switchings`' product, and let last[v] be the largest index
+    of a reticulation strictly below v (-1 for none).  When the least
+    index whose off edge changed is k, only the nodes with last[v] >= k
+    can change code, and they are recomputed, children first.  That holds
+    in any switching order; the product varies the last reticulation
+    fastest, so most switchings change a short suffix and recompute only
+    the nodes above it.
     """
     header = _header(N.mode) + b"T"
-    leaves = dict(N.leaf_labels)
-    start = model.root_of(N) if N.mode == ROOTED else model.label_map(N)[1]
+    if N.mode != ROOTED:
+        leaves = dict(N.leaf_labels)
+        start = model.label_map(N)[1]
+        for sigma in generate._switchings(N):
+            off = sigma.off_edges
+            on = Graph(N.mode, N.num_nodes, tuple(e for e in N.edges if e not in off), N.leaf_labels)
+            yield sigma, header + _tree_code(on, start, leaves)
+        return
+
+    num_nodes, kids = N.num_nodes, model.adjacency(N)
+    indeg = model._indegrees(N)
+    rank: dict[int, int] = {}  # reticulation -> its index in the product
+    order = []
+    for v, d in enumerate(indeg):
+        if d == 0:
+            order.append(v)
+        elif d >= 2:
+            rank[v] = len(rank)
+    if len(order) != 1:
+        raise ValueError("graph does not have a single root")
+    root = order[0]
+    for v in order:  # Kahn on kids and indeg, each node after its parents
+        for c in kids[v]:
+            indeg[c] -= 1
+            if indeg[c] == 0:
+                order.append(c)
+    code: list[Optional[bytes]] = [None] * num_nodes
+    for v, x in N.leaf_labels:
+        code[v] = b"%d" % x
+    # bucket the unlabelled nodes by last[v] + 1, children first within a
+    # bucket; a parent's last is at least its children's, so the nodes with
+    # last >= k are redo[start[k + 1]:], still children first
+    below = [-1] * num_nodes  # the largest reticulation index at or below v
+    buckets: list[list[int]] = [[] for _ in range(len(rank) + 1)]
+    for v in reversed(order):
+        last = -1  # max() calls would double the set-up cost at r = 1
+        for c in kids[v]:
+            if below[c] > last:
+                last = below[c]
+        if code[v] is None:
+            buckets[last + 1].append(v)
+        below[v] = rank[v] if v in rank and rank[v] > last else last
+    redo = [v for b in buckets for v in b]
+    start = list(itertools.accumulate(map(len, buckets), initial=0))
+    # par[c] is c's on parent; a reticulation's is the sum of its parents
+    # less its off parent
+    par = [0] * num_nodes
+    for u, v in N.edges:
+        par[v] += u
+    both = par[:]
+    prev: frozenset = frozenset()
     for sigma in generate._switchings(N):
         off = sigma.off_edges
-        on = Graph(N.mode, N.num_nodes, tuple(e for e in N.edges if e not in off), N.leaf_labels)
-        yield sigma, header + _tree_code(on, start, leaves)
+        # k: the least index whose off edge changed; the first switching
+        # codes every node, those below no reticulation too
+        k = len(rank) if prev else -1
+        for u, c in off - prev:
+            par[c] = both[c] - u
+            if rank[c] < k:
+                k = rank[c]
+        prev = off
+        for v in redo[start[k + 1]:]:
+            got = [x for c in kids[v] if par[c] == v and (x := code[c]) is not None]
+            if len(got) > 1:
+                got.sort()
+                code[v] = b"(" + b",".join(got) + b")"
+            else:
+                code[v] = got[0] if got else None
+        if code[root] is None:
+            raise NotATree("network has no labelled leaf")
+        yield sigma, header + code[root]
 
 
 # ---------------------------------------------------------------------------

@@ -112,7 +112,7 @@ def verify_counts(n_max: int, r_max: int, mode: str = ROOTED) -> list[bounds.Bou
                     if len(codes) > 2 ** r:
                         disp_ok = False
                 else:
-                    st = len(generate.enumerate_switchings(N))
+                    st = sum(1 for _ in generate._switchings(N))
                     if len(codes) > st or st > math.comb(n + 3 * r - 3, r):
                         disp_ok = False
                     if len(N.edges) != 2 * n + 3 * r - 3:

@@ -72,9 +72,15 @@ def test_tree_and_general_paths_agree_on_isomorphism():
 
 
 def test_code_of_non_tree_raises_not_a_tree():
-    # no labelled leaf, and an unrooted tree whose leaves are 2 and 3 only
+    # no labelled leaf, an unrooted tree whose leaves are 2 and 3 only, two
+    # roots, a directed 3-cycle (no root), and a cycle beside a tree, rooted
+    # and unrooted (no reticulation, yet not connected)
     for G in (model.Graph(ROOTED, 3, ((0, 1), (0, 2)), ()),
-              model.Graph(UNROOTED, 3, ((0, 1), (0, 2)), ((1, 2), (2, 3)))):
+              model.Graph(UNROOTED, 3, ((0, 1), (0, 2)), ((1, 2), (2, 3))),
+              model.Graph(ROOTED, 4, ((0, 1), (2, 3)), ((1, 1), (3, 2))),
+              model.Graph(ROOTED, 3, ((0, 1), (1, 2), (2, 0)), ()),
+              model.Graph(ROOTED, 4, ((0, 1), (2, 3), (3, 2)), ((1, 1),)),
+              model.Graph(UNROOTED, 5, ((0, 1), (2, 3), (3, 4), (2, 4)), ((0, 1), (1, 2)))):
         with pytest.raises(NotATree):
             canonical.canonical_code(G)
 

@@ -10,6 +10,7 @@ from retnet import canonical, codec, display, generate, model, serialize
 from retnet.model import ROOTED, UNROOTED
 
 from test_canonical import permuted
+from test_display import oracle_codes
 
 
 def random_permutation(G, seed):
@@ -77,3 +78,16 @@ def test_displayed_tree_leafset_preserved(pick):
     for sigma in generate.enumerate_switchings(N):
         T = display.displayed_tree(N, sigma)
         assert sorted(dict(T.leaf_labels).values()) == [1, 2, 3]
+
+
+@given(st.sampled_from([(n, 2) for n in range(3, 8)] + [(n, 3) for n in range(3, 7)]),
+       st.integers(0, 2 ** 16))
+@settings(max_examples=25, deadline=None)
+def test_incremental_switching_codes_on_trivial_networks(nt, seed):
+    # t = 3 nests each leaf's merge chain (one merge reticulation sits below
+    # the other), so a node's last index must be read through reticulations;
+    # (t - 1) n <= 12 keeps each oracle pass to at most 2^12 switchings
+    n, t = nt
+    trees = random.Random(seed).sample(generate.enumerate_trees(n, ROOTED), t)
+    N = display.trivial_network(model.tree_set(trees))
+    assert list(display._switching_codes(N)) == oracle_codes(N)
