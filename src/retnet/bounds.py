@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-import mpmath
-
 from .errors import DomainError, TTooLarge
 from .model import ROOTED
 
@@ -54,6 +52,8 @@ class BoundReport:
 
 
 def _mpf_to_fraction(x) -> Fraction:
+    import mpmath
+
     sign, man, exp, _ = mpmath.mpf(x)._mpf_
     num = -man if sign else man
     if exp >= 0:
@@ -151,6 +151,10 @@ _EXACT_DF_LIMIT = 400  # below this, plain big integers are cheap
 
 
 def _iv():
+    # imported on first use: `import retnet` and the commands that evaluate
+    # no interval bound never load mpmath
+    import mpmath
+
     mpmath.iv.prec = _IV_PREC
     return mpmath.iv
 

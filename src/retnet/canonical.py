@@ -139,6 +139,31 @@ def _tree_code(G: Graph, start: Optional[int] = None,
     return b"[1|" + below[start][0] + b"]"
 
 
+def _shape(T: Graph) -> tuple[bytes, list[int]]:
+    """T's unlabelled shape, and its leaf labels in the order of a walk that ignores them.
+
+    The walk starts at the root (unrooted: at the leaf whose hung shape is
+    least) and visits children in shape order.  Trees of one shape have
+    the same walk up to an automorphism of the shape, so naming the i-th
+    leaf of the walk i gives isomorphic labelled trees.
+    """
+    leaves = dict(T.leaf_labels)
+    best: Optional[tuple[bytes, list[int]]] = None
+    for start in [model.root_of(T)] if T.mode == ROOTED else sorted(leaves):
+        order, parent = model.hang(T, start)
+        kids: list[list[int]] = [[] for _ in range(T.num_nodes)]
+        for v in order[1:]:
+            kids[parent[v]].append(v)
+        shape, walk = [b""] * T.num_nodes, [[] for _ in range(T.num_nodes)]
+        for v in reversed(order):
+            below = sorted(kids[v], key=shape.__getitem__)
+            shape[v] = (b"L(" if v in leaves else b"(") + b"".join(shape[c] for c in below) + b")"
+            walk[v] = ([leaves[v]] if v in leaves else []) + [x for c in below for x in walk[c]]
+        if best is None or shape[start] < best[0]:
+            best = (shape[start], walk[start])
+    return best
+
+
 # ---------------------------------------------------------------------------
 # general labelled-graph canonization
 

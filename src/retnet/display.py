@@ -7,7 +7,7 @@ tree code ignores subdivisions and leafless subtrees), and
 `displayed_tree` runs only for the first switching of each class that
 is returned.
 
-Rooted, the codes are updated incrementally.  `generate._switchings`
+Rooted, the codes are updated incrementally.  `generate._off_edges`
 walks the product of the reticulations' in-edges, last reticulation
 fastest, so from one switching to the next only a suffix of the
 reticulations changes its on parent, and only the nodes above that
@@ -26,7 +26,7 @@ from typing import Iterator, Optional
 
 from . import generate, model
 from .canonical import _header, _tree_code, canonical_code
-from .errors import LeafsetMismatch, ModeMismatch, NotATree, SwitchingMismatch
+from .errors import DomainError, LeafsetMismatch, ModeMismatch, NotATree, SwitchingMismatch
 from .model import Graph, Switching, TreeSet, ROOTED
 
 
@@ -42,10 +42,11 @@ def displayed_trees(N: Graph) -> tuple[Graph, ...]:
     """All trees displayed by N, deduplicated, in canonical-code order.
 
     Each class is represented by the tree of its first switching."""
-    first: dict[bytes, Switching] = {}
-    for sigma, code in _switching_codes(N):
-        first.setdefault(code, sigma)
-    return tuple(displayed_tree(N, first[c]) for c in sorted(first))
+    _check_network(N)
+    first: dict[bytes, tuple[int, ...]] = {}
+    for off, code in _switching_codes(N):
+        first.setdefault(code, off)
+    return tuple(displayed_tree(N, generate._switching(N, first[c])) for c in sorted(first))
 
 
 def displays(N: Graph, T: Graph) -> tuple[bool, Optional[Switching]]:
@@ -54,26 +55,36 @@ def displays(N: Graph, T: Graph) -> tuple[bool, Optional[Switching]]:
         raise ModeMismatch(f"{N.mode} vs {T.mode}")
     if N.n != T.n:
         raise LeafsetMismatch(f"{N.n} vs {T.n} leaves")
+    _check_network(N)
     code = canonical_code(T).bytes
-    for sigma, c in _switching_codes(N):
+    for off, c in _switching_codes(N):
         if c == code:
-            return True, sigma
+            return True, generate._switching(N, off)
     return False, None
 
 
-def _switching_codes(N: Graph) -> Iterator[tuple[Switching, bytes]]:
-    """(switching, canonical code of its displayed tree) for every switching of N.
+def _check_network(N: Graph) -> None:
+    report = model.validate(N)
+    if not report.ok:
+        raise DomainError("invalid network: " + "; ".join(report.violations))
 
-    In `generate.enumerate_switchings` order; each code equals
-    `canonical_code(displayed_tree(N, sigma)).bytes`.  Unrooted, each
-    spanning tree is coded afresh by `_tree_code` on its on edges.
+
+def _switching_codes(N: Graph) -> Iterator[tuple[tuple[int, ...], bytes]]:
+    """(off edge indices, canonical code of the displayed tree) for every switching of N.
+
+    In `generate._off_edges` order; each code is that of the suppressed
+    tree on the other edges, `canonical_code(displayed_tree(N, sigma)).bytes`
+    on a simple network.  N may be one of the multigraphs of
+    `generate._tower`; the public entry points validate their network
+    first.  Unrooted, each spanning tree is coded afresh by `_tree_code`
+    on its on edges.
 
     Rooted, node codes are kept from one switching to the next.  A node's
     code is the one `_tree_code` builds on the on edges (its leaf label,
     the sorted codes of its coded on children, or its one coded child's
     code), so it depends only on the on parents of the reticulations
     strictly below it.  Number the reticulations in id order, the order of
-    `generate._switchings`' product, and let last[v] be the largest index
+    `generate._off_edges`' product, and let last[v] be the largest index
     of a reticulation strictly below v (-1 for none).  When the least
     index whose off edge changed is k, only the nodes with last[v] >= k
     can change code, and they are recomputed, children first.  That holds
@@ -85,13 +96,14 @@ def _switching_codes(N: Graph) -> Iterator[tuple[Switching, bytes]]:
     if N.mode != ROOTED:
         leaves = dict(N.leaf_labels)
         start = model.label_map(N)[1]
-        for sigma in generate._switchings(N):
-            off = sigma.off_edges
-            on = Graph(N.mode, N.num_nodes, tuple(e for e in N.edges if e not in off), N.leaf_labels)
-            yield sigma, header + _tree_code(on, start, leaves)
+        for off in generate._off_edges(N):
+            skip = set(off)
+            on = tuple(e for i, e in enumerate(N.edges) if i not in skip)
+            yield off, header + _tree_code(Graph(N.mode, N.num_nodes, on, N.leaf_labels),
+                                           start, leaves)
         return
 
-    num_nodes, kids = N.num_nodes, model.adjacency(N)
+    num_nodes, edges, kids = N.num_nodes, N.edges, model.adjacency(N)
     indeg = model._indegrees(N)
     rank: dict[int, int] = {}  # reticulation -> its index in the product
     order = []
@@ -108,6 +120,8 @@ def _switching_codes(N: Graph) -> Iterator[tuple[Switching, bytes]]:
             indeg[c] -= 1
             if indeg[c] == 0:
                 order.append(c)
+    if len(set(edges)) < len(edges):  # a child under two parallel in-edges is one child
+        kids = [list(set(c)) for c in kids]
     code: list[Optional[bytes]] = [None] * num_nodes
     for v, x in N.leaf_labels:
         code[v] = b"%d" % x
@@ -129,19 +143,22 @@ def _switching_codes(N: Graph) -> Iterator[tuple[Switching, bytes]]:
     # par[c] is c's on parent; a reticulation's is the sum of its parents
     # less its off parent
     par = [0] * num_nodes
-    for u, v in N.edges:
+    for u, v in edges:
         par[v] += u
     both = par[:]
-    prev: frozenset = frozenset()
-    for sigma in generate._switchings(N):
-        off = sigma.off_edges
-        # k: the least index whose off edge changed; the first switching
+    prev: tuple[int, ...] = ()
+    for off in generate._off_edges(N):  # off[i] is the off in-edge of rank i
+        # k: the least rank whose off edge changed; the first switching
         # codes every node, those below no reticulation too
-        k = len(rank) if prev else -1
-        for u, c in off - prev:
+        k = 0
+        if prev:
+            while off[k] == prev[k]:
+                k += 1
+        else:
+            k = -1
+        for i in range(max(k, 0), len(off)):
+            u, c = edges[off[i]]
             par[c] = both[c] - u
-            if rank[c] < k:
-                k = rank[c]
         prev = off
         for v in redo[start[k + 1]:]:
             got = [x for c in kids[v] if par[c] == v and (x := code[c]) is not None]
@@ -152,7 +169,7 @@ def _switching_codes(N: Graph) -> Iterator[tuple[Switching, bytes]]:
                 code[v] = got[0] if got else None
         if code[root] is None:
             raise NotATree("network has no labelled leaf")
-        yield sigma, header + code[root]
+        yield off, header + code[root]
 
 
 # ---------------------------------------------------------------------------

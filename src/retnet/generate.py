@@ -26,6 +26,12 @@ lower levels keep them.  For n = 1 the one-node tree has no edge to
 subdivide, so level 1 is seeded with its one graph, leaf - x with a
 loop at x, and the argument runs from there.
 
+Anchored generation (`_tower`) runs the same recursion from one tree T1
+in place of all the trees, with rooted rule 3 of `_add_edge` switched
+off; its level r holds the networks of N(n, r) that display T1, in the
+same order, which is all that a search for a network displaying T1
+and other trees needs to look at.
+
 Every enumerator checks its closed-form item count against one budget,
 `check_budget`, before it builds anything.
 """
@@ -98,11 +104,14 @@ def enumerate_networks(n: int, r: int, mode: str = ROOTED, *, leaf_connecting: b
 def _networks_cached(n: int, r: int, mode: str, leaf_connecting: bool):
     if mode == UNROOTED and leaf_connecting:  # a class invariant, so tested once per class
         return tuple(N for N in _networks_cached(n, r, mode, False) if model.is_leaf_connecting(N))
+    return classes(C for P in _level(n, r - 1, mode) for C in _add_edge(P) if _is_simple(C))
+
+
+def _is_simple(G: Graph) -> bool:
     # The moves keep the degrees, the labels, connectivity and (rooted) a single
     # root and no directed cycle, so simplicity is all `model.validate` could still fail;
     # move (b) and (c) children never pass it.
-    return classes(C for P in _level(n, r - 1, mode) for C in _add_edge(P)
-                   if len(set(C.edges)) == len(C.edges) and all(a != b for a, b in C.edges))
+    return len(set(G.edges)) == len(G.edges) and all(a != b for a, b in G.edges)
 
 
 @lru_cache(maxsize=64)
@@ -121,6 +130,52 @@ def _level(n: int, k: int, mode: str) -> tuple[Graph, ...]:
     if mode == UNROOTED and n == 1 and k == 1:  # the one-leaf tree has no edge to subdivide
         return (Graph(UNROOTED, 2, ((0, 1), (1, 1)), ((0, 1),)),)
     return classes(C for P in _level(n, k - 1, mode) for C in _add_edge(P))
+
+
+def _anchored_networks(T1: Graph, r: int) -> tuple[Graph, ...]:
+    """The networks of `enumerate_networks(T1.n, r, T1.mode)` that display T1, in its order.
+
+    They are the simple (unrooted: also leaf-connecting) graphs of level r
+    of T1's tower.  Both lists are ordered by canonical code, so the first
+    network here with a property is the first one there.
+    """
+    nets = tuple(G for G in _tower(T1, r) if _is_simple(G))
+    if T1.mode == UNROOTED:
+        return tuple(N for N in nets if model.is_leaf_connecting(N))
+    return nets
+
+
+@lru_cache(maxsize=64)
+def _tower(T1: Graph, k: int) -> tuple[Graph, ...]:
+    """Level k of T1's tower: the binary multigraphs of `_level`'s level k that
+    display T1, one per class, in canonical-code order.
+
+    Level 0 is T1, and level k holds the classes of the children of level
+    k - 1 by `_add_edge` with rooted rule 3 switched off.  Every child
+    displays T1: the parent's T1 switching with the new edge u -> v off
+    still has T1's tree code (u and v only subdivide, or hang leafless).
+    Conversely, take a level-k multigraph G with a T1 switching, and a top
+    reticulation v that rules 1 and 2 accept.  Deleting v's off in-edge and
+    suppressing gives a level k - 1 multigraph that keeps the switching, so
+    displays T1, and a move rebuilds G.  Rule 3 would fix which in-edge of v
+    is new, and that may be the on edge, so it is off here.  Unrooted, delete
+    an off edge (a loop, with its node, if there is one) as in the module
+    docstring.
+
+    Before a level is built, |level k - 1| times the moves per parent is
+    checked against the budget: (|E| + 1)^2 rooted and C(|E|, 2) + 2|E|
+    unrooted, for the |E| edges of a level k - 1 graph.
+    """
+    if k == 0:
+        return (T1,)
+    if T1.mode == UNROOTED and T1.n == 1:  # `_level`'s seed; every graph displays a lone leaf
+        return _level(1, k, UNROOTED)
+    below = _tower(T1, k - 1)
+    e = len(T1.edges) + 3 * (k - 1)  # each move adds three edges
+    moves = (e + 1) ** 2 if T1.mode == ROOTED else e * (e - 1) // 2 + 2 * e
+    check_budget((len(below), moves),
+                 f"the {len(below)} x {moves} moves that build level {k} of the tower")
+    return classes(C for P in below for C in _add_edge(P, any_in_edge=True))
 
 
 def _add_leaf(P: Graph) -> Iterator[Graph]:
@@ -142,7 +197,7 @@ def _add_leaf(P: Graph) -> Iterator[Graph]:
         yield child(P.edges + (down(model.root_of(P)),))
 
 
-def _add_edge(P: Graph) -> Iterator[Graph]:
+def _add_edge(P: Graph, any_in_edge: bool = False) -> Iterator[Graph]:
     """The children of P by one new edge u -> v (unrooted u - v) between two new nodes.
 
     (a) u and v subdivide two distinct edges; (b) u and v subdivide one
@@ -152,7 +207,8 @@ def _add_edge(P: Graph) -> Iterator[Graph]:
     above the root.  So that a child comes from one parent only, up to
     ties, v must be a top reticulation with the least cluster (leaf
     labels below, as a bit set) among the child's, and u's other child
-    must not have a smaller cluster than v's other parent's other child.
+    must not have a smaller cluster than v's other parent's other child
+    (rule 3, skipped if `any_in_edge`).
     """
     u, v = P.num_nodes, P.num_nodes + 1
     edges = list(P.edges)
@@ -193,8 +249,8 @@ def _add_edge(P: Graph) -> Iterator[Graph]:
         for j, (c, d) in enumerate(edges):
             # d at or above a closes a cycle; if c == a, u is v's other parent's other child
             if (j != i and c in above and (a is None or d not in above[a]) and d in least
-                    and cluster[b] >= (cluster[b] | cluster[d] if c == a
-                                       else cluster[kids[c][kids[c][0] == d]])):
+                    and (any_in_edge or cluster[b] >= (cluster[b] | cluster[d] if c == a
+                                                       else cluster[kids[c][kids[c][0] == d]]))):
                 yield child(split + [(c, v), (v, d), (u, v)], i, j)
         if b in least:
             yield child(split[1:] + [(u, v), (u, v), (v, b)], i)
@@ -205,31 +261,42 @@ def enumerate_switchings(N: Graph) -> tuple[Switching, ...]:
 
     Unrooted switchings are found among the C(|E|, r) sets of r edges.
     """
-    return tuple(_switchings(N))
+    return tuple(_switching(N, off) for off in _off_edges(N))
 
 
-def _switchings(N: Graph) -> Iterator[Switching]:
-    """The switchings of N one at a time, in `enumerate_switchings` order.
+def _switching(N: Graph, off: tuple[int, ...]) -> Switching:
+    return Switching(N, frozenset(N.edges[i] for i in off))
 
-    The item budget is checked before the first one is built.
+
+def _off_edges(N: Graph) -> Iterator[tuple[int, ...]]:
+    """Each switching of N as the indices in N.edges of its off edges, one at
+    a time, in `enumerate_switchings` order.
+
+    Rooted, one in-edge per reticulation, reticulations in id order, each
+    one's in-edges sorted, the last reticulation varying fastest.  Indices
+    tell apart parallel edges, which the lower levels of `_level` and
+    `_tower` have; there a switching may turn either of two parallel
+    in-edges off, and unrooted, a loop is never on a spanning tree.  The
+    item budget is checked before the first switching is built.
     """
+    edges = N.edges
     if N.mode == ROOTED:
-        rets = model.reticulations_of(N)
-        check_budget(itertools.repeat(2, len(rets)), f"2^{len(rets)} switchings")
-        in_edges = [sorted((u, v) for u, v in N.edges if v == ret) for ret in rets]
-        for off in itertools.product(*in_edges):
-            yield Switching(N, frozenset(off))
+        into: list[list[int]] = [[] for _ in range(N.num_nodes)]
+        for i, (_, v) in enumerate(edges):
+            into[v].append(i)
+        choices = [sorted(ix, key=edges.__getitem__) for ix in into if len(ix) >= 2]
+        check_budget(itertools.repeat(2, len(choices)), f"2^{len(choices)} switchings")
+        yield from itertools.product(*choices)
         return
-    r = model.reticulation_count(N)
-    m = len(N.edges)
+    m, r = len(edges), model.reticulation_count(N)
     # C(m, i) grows with i up to m/2, so multiply out the smaller side of C(m, r) = C(m, m - r)
     check_budget((Fraction(m - i, i + 1) for i in range(min(r, m - r))),
                  f"C({m}, {r}) edge sets")
-    for off in itertools.combinations(sorted(N.edges), r):
-        off_set = set(off)
-        on = [e for e in N.edges if e not in off_set]
+    for off in itertools.combinations(sorted(range(m), key=edges.__getitem__), r):
+        skip = set(off)
+        on = [e for i, e in enumerate(edges) if i not in skip]
         if model._is_connected(N.num_nodes, on) and len(on) == N.num_nodes - 1:
-            yield Switching(N, frozenset(off))
+            yield off
 
 
 def reticulation_labellings(N: Graph, sigma: Switching) -> tuple[ReticulationLabelling, ...]:

@@ -1,5 +1,14 @@
 """Brute-force ground truth: minimum reticulations, worst-case tree sets,
-and the enumeration-vs-bounds verification harness."""
+and the enumeration-vs-bounds verification harness.
+
+Every network that displays a tree set displays its first tree T1, so
+`min_reticulations` searches T1's tower (`generate._tower`), level by
+level, in place of all of N(n, r).  `worst_case_r` relabels each
+candidate set so that its first tree becomes the first tree of its
+unlabelled shape, and searches that shape's tower: the minimum does not
+change under leaf relabelling, and the candidates then share one tower
+per shape.
+"""
 
 from __future__ import annotations
 
@@ -10,36 +19,71 @@ from functools import lru_cache
 from typing import Optional
 
 from . import bounds, codec, display, generate
-from .canonical import _general_code, canonical_code, classes
+from .canonical import _general_code, _shape, canonical_code, classes
 from .errors import BudgetExceeded
 from .model import Graph, TreeSet, ROOTED
 
 
+def _code_set(N: Graph) -> frozenset:
+    return frozenset(code for _, code in display._switching_codes(N))
+
+
 @lru_cache(maxsize=64)
 def _displayed_code_sets(n: int, r: int, mode: str) -> tuple[tuple[Graph, frozenset], ...]:
-    """(network, frozenset of displayed tree codes) for every class in N_{n,r}.
+    """(network, frozenset of displayed tree codes) for every class in N_{n,r}."""
+    return tuple((N, _code_set(N)) for N in generate.enumerate_networks(n, r, mode))
 
-    The solver reads displays only through this table."""
-    return tuple((N, frozenset(code for _, code in display._switching_codes(N)))
-                 for N in generate.enumerate_networks(n, r, mode))
+
+@lru_cache(maxsize=64)
+def _anchored_code_sets(T1: Graph, r: int) -> tuple[tuple[Graph, frozenset], ...]:
+    """(network, frozenset of displayed tree codes) for every network in
+    N_{n,r} that displays T1, in canonical order."""
+    return tuple((N, _code_set(N)) for N in generate._anchored_networks(T1, r))
+
+
+def _least_r(T1: Graph, target: frozenset, r_cap: int) -> tuple[int, Graph]:
+    """The least r, and the first network in canonical order with r
+    reticulations, that displays every code in `target`; T1 must be one of them."""
+    for r in range(r_cap + 1):
+        for N, codes in _anchored_code_sets(T1, r):
+            if target <= codes:
+                return r, N
+    raise BudgetExceeded(f"no displaying network found up to r = {r_cap}")
 
 
 def min_reticulations(ts: TreeSet) -> tuple[int, Graph]:
     """Least r such that some network with r reticulations displays every member.
 
-    A single tree is its own witness.  Otherwise searches r upward through
-    the canonical enumeration order, so the witness is deterministic, up
-    to (t-1)n, the trivial network's reticulation count.
+    A single tree is its own witness.  Otherwise searches r upward, up to
+    (t-1)n, the trivial network's reticulation count, through the networks
+    that display the first member, in canonical order; so the witness is
+    the first network of N(n, r) in canonical order that displays the set.
     """
     if ts.t == 1:
         return 0, ts.trees[0]
-    r_cap = (ts.t - 1) * ts.n
     target = frozenset(canonical_code(T).bytes for T in ts.trees)
-    for r in range(r_cap + 1):
-        for N, codes in _displayed_code_sets(ts.n, r, ts.mode):
-            if target <= codes:
-                return r, N
-    raise BudgetExceeded(f"no displaying network found up to r = {r_cap}")
+    return _least_r(ts.trees[0], target, (ts.t - 1) * ts.n)
+
+
+@lru_cache(maxsize=16)
+def _shapes(n: int, mode: str) -> dict[bytes, tuple[Graph, list[int]]]:
+    """Unlabelled shape -> its first tree in canonical order, and that tree's walk."""
+    reps: dict[bytes, tuple[Graph, list[int]]] = {}
+    for T in generate.enumerate_trees(n, mode):
+        shape, walk = _shape(T)
+        reps.setdefault(shape, (T, walk))
+    return reps
+
+
+def _relabelling(T: Graph) -> tuple[Graph, dict[int, int]]:
+    """The first tree R of T's unlabelled shape, and a leaf relabelling taking T onto R."""
+    shape, walk = _shape(T)
+    R, rep_walk = _shapes(T.n, T.mode)[shape]
+    return R, dict(zip(walk, rep_walk))
+
+
+def _relabel(T: Graph, to: dict[int, int]) -> Graph:
+    return Graph(T.mode, T.num_nodes, T.edges, tuple((v, to[x]) for v, x in T.leaf_labels))
 
 
 def worst_case_r(n: int, t: int, mode: str = ROOTED, *,
@@ -50,6 +94,8 @@ def worst_case_r(n: int, t: int, mode: str = ROOTED, *,
     count must be given, and the maximum is over that many seeded draws.
     The witness is the first maximal set searched: exhaustively, the
     least maximal set in canonical order; sampled, the first maximal draw.
+    Each set's minimum is read, after relabelling, from the tower of the
+    first tree of its first member's shape.
     """
     if samples is not None and samples < 1:
         raise ValueError("samples must be at least 1")
@@ -70,10 +116,11 @@ def worst_case_r(n: int, t: int, mode: str = ROOTED, *,
         candidates = (classes(rng.sample(trees, t)) for _ in range(samples))
     best_r, best_set = -1, None
     for subset in candidates:
-        ts = TreeSet(mode, tuple(subset))
-        r, _ = min_reticulations(ts)
+        R, to = _relabelling(subset[0])
+        target = frozenset(canonical_code(_relabel(T, to)).bytes for T in subset)
+        r, _ = _least_r(R, target, (t - 1) * n)
         if r > best_r:
-            best_r, best_set = r, ts
+            best_r, best_set = r, TreeSet(mode, tuple(subset))
     return best_r, best_set
 
 
@@ -112,7 +159,7 @@ def verify_counts(n_max: int, r_max: int, mode: str = ROOTED) -> list[bounds.Bou
                     if len(codes) > 2 ** r:
                         disp_ok = False
                 else:
-                    st = sum(1 for _ in generate._switchings(N))
+                    st = sum(1 for _ in generate._off_edges(N))
                     if len(codes) > st or st > math.comb(n + 3 * r - 3, r):
                         disp_ok = False
                     if len(N.edges) != 2 * n + 3 * r - 3:

@@ -176,6 +176,26 @@ def test_over_budget_refused_before_work(tmp_path, capsys):
         assert elapsed < 1, (argv, elapsed)
 
 
+def test_minret_searches_past_the_enumeration_cap(tmp_path, capsys):
+    # 12 leaves, one rSPR move apart: N(12, 1) is past the enumeration cap,
+    # the first tree's tower is not
+    a, b = tmp_path / "a.nwk", tmp_path / "b.nwk"
+    up, down = "1", "(1,2)"
+    for x in range(2, 13):
+        up = f"({up},{x})"
+    for x in range(4, 12):
+        down = f"({down},{x})"
+    a.write_text(up + ";\n")
+    b.write_text(f"({down},(3,12));\n")  # leaf 3 regrafted onto 12's edge
+    code, out = run(capsys, "minret", "--trees", str(a), "--trees", str(b))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["r"] == 1
+    N = serialize.enewick_to_network(doc["witness"])
+    for path in (a, b):
+        assert rn.displays(N, serialize.newick_to_tree(path.read_text().strip()))[0]
+
+
 def test_minret_single_tree_needs_no_search(tmp_path, capsys):
     cat = tmp_path / "c13.nwk"
     tail = "(1,2)"

@@ -6,7 +6,7 @@ import pytest
 import retnet as rn
 from oracles import displays_by_subdivision, find_embedding
 from retnet import display, generate, model, serialize
-from retnet.errors import LeafsetMismatch, SwitchingMismatch
+from retnet.errors import DomainError, LeafsetMismatch, SwitchingMismatch
 from retnet.model import ROOTED, UNROOTED
 
 from test_generate import ORACLE_POINTS
@@ -57,9 +57,19 @@ def display_digest(N, queries) -> str:
 
 
 def oracle_codes(N):
-    """(switching, code) through the suppressed tree of every switching."""
-    return [(s, rn.canonical_code(display.displayed_tree(N, s)).bytes)
-            for s in generate.enumerate_switchings(N)]
+    """(off edge indices, code) through the suppressed tree of every switching."""
+    return [(off, rn.canonical_code(display.displayed_tree(N, generate._switching(N, off))).bytes)
+            for off in generate._off_edges(N)]
+
+
+def multigraph_oracle_codes(G):
+    """`oracle_codes` with the on edges picked by index, which tells apart parallel edges."""
+    out = []
+    for off in generate._off_edges(G):
+        on = tuple(e for i, e in enumerate(G.edges) if i not in off)
+        T = model.suppress(model.Graph(G.mode, G.num_nodes, on, G.leaf_labels))
+        out.append((off, rn.canonical_code(T).bytes))
+    return out
 
 
 def test_each_switching_displays_one_tree(n6r4):
@@ -88,6 +98,33 @@ def test_displays_rejects_wrong_leafset(n6r4):
     T = generate.enumerate_trees(5, ROOTED)[0]
     with pytest.raises(LeafsetMismatch):
         display.displays(n6r4, T)
+
+
+def test_display_entry_points_validate_the_network():
+    # parallel edges into node 2: the switching codes alone would read ((1,1),2)
+    N = model.Graph(ROOTED, 5, ((0, 1), (1, 2), (1, 2), (2, 3), (0, 4)), ((3, 1), (4, 2)))
+    T = serialize.newick_to_tree("(1,2);", ROOTED)
+    for call in (lambda: display.displays(N, T), lambda: display.displayed_trees(N)):
+        with pytest.raises(DomainError, match="^invalid network: parallel edges$"):
+            call()
+    # the internal path codes the multigraph's one tree, under either parallel in-edge
+    assert [c for _, c in display._switching_codes(N)] == [rn.canonical_code(T).bytes] * 2
+
+
+def test_tower_multigraph_codes_match_suppressed_trees():
+    # the lower tower levels have parallel in-edges (rooted), and parallel
+    # edges and loops (unrooted)
+    seen = set()
+    for mode, n, k in [(ROOTED, 1, 3), (ROOTED, 2, 2), (ROOTED, 3, 2), (ROOTED, 4, 1),
+                       (UNROOTED, 1, 3), (UNROOTED, 2, 2), (UNROOTED, 3, 2), (UNROOTED, 4, 2)]:
+        for T1 in generate.enumerate_trees(n, mode):
+            for G in generate._tower(T1, k):
+                codes = multigraph_oracle_codes(G)
+                assert list(display._switching_codes(G)) == codes
+                assert rn.canonical_code(T1).bytes in {c for _, c in codes}  # every member displays T1
+                seen.update(("parallel" if len(set(G.edges)) < len(G.edges) else "simple",
+                             "loop" if any(a == b for a, b in G.edges) else "no loop"))
+    assert seen == {"parallel", "simple", "loop", "no loop"}
 
 
 def test_switching_host_mismatch(n6r4):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import sweep
-from retnet import bounds, canonical, generate, model
+from retnet import bounds, canonical, generate, model, solver
 from retnet.errors import BudgetExceeded
 from retnet.model import ROOTED, UNROOTED
 
@@ -68,6 +68,33 @@ def test_edge_addition_matches_sweep():
                  for N in generate.enumerate_networks(n, r, mode, leaf_connecting=lc)]
         oracle = [canonical.canonical_code(N) for N in sweep(n, r, mode, lc)]
         assert codes == oracle, (mode, n, r, lc)
+
+
+def test_towers_match_filtered_enumeration():
+    # every point with n + 2r <= 7, every tree as the anchor; unrooted n = 1
+    # starts from `_level`'s seed
+    for mode in (ROOTED, UNROOTED):
+        for n in range(1, 6):
+            for r in range((7 - n) // 2 + 1):
+                table = solver._displayed_code_sets(n, r, mode)
+                for T1 in generate.enumerate_trees(n, mode):
+                    code = canonical.canonical_code(T1).bytes
+                    want = [canonical.canonical_code(N) for N, codes in table if code in codes]
+                    got = [canonical.canonical_code(N) for N in generate._anchored_networks(T1, r)]
+                    assert got == want, (mode, n, r, T1)
+
+
+def test_tower_refusal_names_its_level(monkeypatch):
+    generate._tower.cache_clear()  # a level already built is not checked again
+    T1 = generate.enumerate_trees(4, ROOTED)[0]  # 6 edges: 7^2 moves at level 1
+    monkeypatch.setenv("RETNET_BUDGET", "48")
+    assert generate._tower(T1, 0) == (T1,)
+    with pytest.raises(BudgetExceeded, match=r"^the 1 x 49 moves that build level 1 of the tower"):
+        generate._tower(T1, 1)
+    U1 = generate.enumerate_trees(4, UNROOTED)[0]  # 5 edges: C(5, 2) + 10 moves
+    monkeypatch.setenv("RETNET_BUDGET", "19")
+    with pytest.raises(BudgetExceeded, match=r"^the 1 x 20 moves that build level 1 of the tower"):
+        generate._tower(U1, 1)
 
 
 def test_generate_does_not_use_the_codec():

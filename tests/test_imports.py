@@ -2,6 +2,9 @@
 every public function or class of the package is read somewhere in it, or exported."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -68,3 +71,12 @@ def dead_public_names(trees: dict[str, ast.Module]) -> list[str]:
 def test_no_dead_public_names():
     trees = {p.stem: ast.parse(p.read_text()) for p in PACKAGE}
     assert dead_public_names(trees) == []
+
+
+def test_cli_import_skips_mpmath():
+    # only the interval-certified bounds need mpmath, and they import it on first use
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    probe = "import sys, retnet.cli; print('mpmath' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 import retnet as rn
@@ -29,6 +31,43 @@ def test_min_reticulations_witness_displays_all():
     for T in trees:
         ok, _ = display.displays(N, T)
         assert ok
+
+
+def scan_min_reticulations(ts):
+    """min_reticulations by a scan of all of N(n, r), r upward."""
+    target = frozenset(canonical.canonical_code(T).bytes for T in ts.trees)
+    for r in range((ts.t - 1) * ts.n + 1):
+        for N, codes in solver._displayed_code_sets(ts.n, r, ts.mode):
+            if target <= codes:
+                return r, N
+
+
+def test_tower_search_matches_full_scan():
+    # pairs up to n = 4 rooted and n = 5 unrooted; each first tree costs a
+    # tower, so at the largest n only three of them anchor
+    for mode, n_max in [(ROOTED, 4), (UNROOTED, 5)]:
+        for n in range(3, n_max + 1):
+            trees = generate.enumerate_trees(n, mode)
+            anchors = 3 if n == n_max else len(trees)
+            for i, j in itertools.combinations(range(len(trees)), 2):
+                if i >= anchors:
+                    break
+                ts = model.tree_set([trees[i], trees[j]])
+                (r, N), (want_r, want) = solver.min_reticulations(ts), scan_min_reticulations(ts)
+                assert r == want_r, ts
+                if mode == ROOTED:  # eNewick is a graph invariant; unrooted JSON shows node ids
+                    assert serialize.network_to_enewick(N) == serialize.network_to_enewick(want)
+                else:
+                    assert rn.are_isomorphic(N, want)
+
+
+def test_relabelled_tree_is_its_shape_representative():
+    for mode in (ROOTED, UNROOTED):
+        for n in range(1, 7):
+            for T in generate.enumerate_trees(n, mode):
+                R, to = solver._relabelling(T)
+                assert sorted(to) == sorted(to.values()) == list(range(1, n + 1))
+                assert rn.are_isomorphic(solver._relabel(T, to), R), (mode, T)
 
 
 # (n, t, mode) -> (r, witness): the witness is the least maximal t-set in
