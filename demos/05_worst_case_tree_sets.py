@@ -4,8 +4,10 @@ Hybridization number, brute-forced
 
 min_reticulations finds the least r such that some network with r
 reticulations displays every tree of a given set, by exhaustive search
-through the canonical enumeration.  worst_case_r maximizes that over all
-t-element tree sets, giving ground truth for the counting lower bound.
+through the tower of the set's first tree: level by level, the networks
+that display it, in canonical order.  worst_case_r maximizes that over
+all t-element tree sets, one tower per tree shape, giving ground truth
+for the counting lower bound.
 """
 
 from retnet import ROOTED, counting_lower_bound, min_reticulations, worst_case_r

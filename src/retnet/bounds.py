@@ -122,14 +122,12 @@ def network_count_bound(n: int, r: int, mode: str = ROOTED) -> NetworkCountBound
         raise DomainError("need n >= 1 and r >= 0")
     if mode == ROOTED:
         tight = Fraction(double_factorial(2 * n + 4 * r - 3), math.factorial(r))
-        relaxed = None
-        if r >= 1:
-            relaxed = math.factorial(n) * math.factorial(r - 1) * 2 ** (2 * n + 6 * r - 3)
+        relaxed = (math.factorial(n) * math.factorial(r - 1) * 2 ** (2 * n + 6 * r - 3)
+                   if r >= 1 else None)
     else:
         tight = Fraction(double_factorial(2 * n + 4 * r - 5), math.factorial(r))
-        relaxed = None
-        if r >= 2:
-            relaxed = math.factorial(n) * math.factorial(r - 2) * 2 ** (2 * n + 6 * r - 6)
+        relaxed = (math.factorial(n) * math.factorial(r - 2) * 2 ** (2 * n + 6 * r - 6)
+                   if r >= 2 else None)
     return NetworkCountBound(tight, relaxed)
 
 
@@ -208,26 +206,18 @@ def _pair_bound_tight_holds(n: int, t: int, r: int, mode: str) -> bool:
     else:
         df_net, df_tree = 2 * n + 4 * r - 5, 2 * n - 5
         lhs_pow = t * (n + 3 * r - 3)
-    if df_tree <= _EXACT_DF_LIMIT:
-        m = double_factorial(df_tree)
-        if t > m:
-            return True  # no t-sets exist at all
-        lhs = 2 ** lhs_pow * double_factorial(df_net)
-        rhs = math.comb(m, t) * math.factorial(r)
-        return lhs >= rhs
-    lhs = _lg_double_factorial(df_net)
-    lgr = _lg_factorial(r)
-    lhs = RealInterval(lhs.lo + lhs_pow - lgr.hi, lhs.hi + lhs_pow - lgr.lo)
-    rhs = _lg_binomial_of_df(df_tree, t)
-    if lhs.lo >= rhs.hi:
-        return True
-    if lhs.hi < rhs.lo:
-        return False
-    # inconclusive interval: settle exactly (only reachable at razor-thin margins)
+    if df_tree > _EXACT_DF_LIMIT:
+        lhs = _lg_double_factorial(df_net)
+        lgr = _lg_factorial(r)
+        lhs = RealInterval(lhs.lo + lhs_pow - lgr.hi, lhs.hi + lhs_pow - lgr.lo)
+        rhs = _lg_binomial_of_df(df_tree, t)
+        if lhs.lo >= rhs.hi or lhs.hi < rhs.lo:
+            return lhs.lo >= rhs.hi
+        # inconclusive interval: settle exactly (only reachable at razor-thin margins)
     m = double_factorial(df_tree)
-    lhs_exact = 2 ** lhs_pow * double_factorial(df_net)
-    rhs_exact = math.comb(m, t) * math.factorial(r)
-    return lhs_exact >= rhs_exact
+    if t > m:
+        return True  # no t-sets exist at all
+    return 2 ** lhs_pow * double_factorial(df_net) >= math.comb(m, t) * math.factorial(r)
 
 
 def counting_lower_bound(n: int, t: int, mode: str = ROOTED) -> int:

@@ -34,22 +34,13 @@ def _emit_stream(rows: list[dict], fmt: str) -> None:
     buf = io.StringIO()
     w = csv.DictWriter(buf, fieldnames=cols)
     w.writeheader()
-    for row in rows:
-        w.writerow(row)
+    w.writerows(rows)
     click.echo(buf.getvalue(), nl=False)
 
 
 def _report_rows(reports) -> list[dict]:
-    out = []
-    for rep in reports:
-        out.append({
-            "name": rep.name,
-            "parameters": json.dumps(rep.parameters, sort_keys=True),
-            "lhs": str(rep.lhs),
-            "rhs": str(rep.rhs),
-            "holds": rep.holds,
-        })
-    return out
+    return [{"name": rep.name, "parameters": json.dumps(rep.parameters, sort_keys=True),
+             "lhs": str(rep.lhs), "rhs": str(rep.rhs), "holds": rep.holds} for rep in reports]
 
 
 def _write_network(N) -> str:

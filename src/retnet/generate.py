@@ -32,8 +32,11 @@ off; its level r holds the networks of N(n, r) that display T1, in the
 same order, which is all that a search for a network displaying T1
 and other trees needs to look at.
 
-Every enumerator checks its closed-form item count against one budget,
-`check_budget`, before it builds anything.
+Every job is checked against one budget, `check_budget`, before it is
+built.  Each edge-addition level, of `_level` and `_tower` alike, is
+checked by the moves that build it (`_grow`), once the level below it
+is built; level 0 is counted in closed form, so a level-1 refusal builds
+nothing.  A cached level is not checked again.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import itertools
 import os
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 from . import model
 from .canonical import classes
@@ -50,12 +53,13 @@ from .errors import BudgetExceeded, DomainError, SwitchingMismatch
 from .model import Graph, ReticulationLabelling, Switching, ROOTED, UNROOTED
 
 BUDGET_ENV = "RETNET_BUDGET"
-# 15!! <= 2^21 < 17!!: networks are admitted up to n + 2r = 9 rooted and 10 unrooted
+# 15!! <= 2^21 < 17!!: trees up to 9 leaves rooted and 10 unrooted; rooted N(4, 3)
+# passes its top level's 7,335 x 13^2 moves, and N(8, 1) fails at 13!! x 15^2
 DEFAULT_BUDGET = 1 << 21
 
 
-def check_budget(factors: Iterable, what: str) -> None:
-    """Refuse a job of more than RETNET_BUDGET items before any is built.
+def check_budget(factors: Iterable, what: str) -> int:
+    """Refuse a job of more than RETNET_BUDGET items before any is built; return its item count.
 
     The item count is the product of `factors`, each at least 1, so the
     product is multiplied out only until it passes the budget.
@@ -64,24 +68,32 @@ def check_budget(factors: Iterable, what: str) -> None:
     try:
         budget = int(env) if env else DEFAULT_BUDGET
     except ValueError:
-        raise DomainError(f"{BUDGET_ENV} must be an integer, not {env!r}") from None
+        budget = 0
+    if budget < 1:
+        raise DomainError(f"{BUDGET_ENV} must be a positive integer, not {env!r}")
     items = 1
     for f in factors:
         items *= f
         if items > budget:
             raise BudgetExceeded(f"{what} exceed the budget of {budget} items ({BUDGET_ENV})")
+    return items
 
 
-def _check_tree_budget(m: int, mode: str, leaves: str) -> None:
-    k = 2 * m - (3 if mode == ROOTED else 5)  # bounds.tree_count(m, mode) = k!!
-    check_budget(range(k, 1, -2), f"{k}!! {mode} trees on {leaves} leaves")
+def _check_choose(m: int, r: int, what: str) -> None:
+    # C(m, i) grows with i up to m/2, so multiply out the smaller side of C(m, r) = C(m, m - r)
+    check_budget((Fraction(m - i, i + 1) for i in range(min(r, m - r))), f"C({m}, {r}) {what}")
+
+
+def _tree_count(n: int, mode: str) -> int:
+    k = 2 * n - (3 if mode == ROOTED else 5)  # bounds.tree_count(n, mode) = k!!
+    return check_budget(range(k, 1, -2), f"{k}!! {mode} trees on {n} leaves")
 
 
 def enumerate_trees(n: int, mode: str = ROOTED) -> tuple[Graph, ...]:
     """Every tree class on leaf set [n] exactly once, in canonical-code order."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    _check_tree_budget(n, mode, str(n))
+    _tree_count(n, mode)
     return _level(n, 0, mode)
 
 
@@ -95,7 +107,6 @@ def enumerate_networks(n: int, r: int, mode: str = ROOTED, *, leaf_connecting: b
         raise ValueError("n must be at least 1 and r at least 0")
     if r == 0:
         return enumerate_trees(n, mode)
-    _check_tree_budget(n + 2 * r, mode, f"n + 2r = {n + 2 * r}")
     # the restriction is unrooted only, so rooted calls share one cache entry
     return _networks_cached(n, r, mode, leaf_connecting or mode == ROOTED)
 
@@ -104,7 +115,7 @@ def enumerate_networks(n: int, r: int, mode: str = ROOTED, *, leaf_connecting: b
 def _networks_cached(n: int, r: int, mode: str, leaf_connecting: bool):
     if mode == UNROOTED and leaf_connecting:  # a class invariant, so tested once per class
         return tuple(N for N in _networks_cached(n, r, mode, False) if model.is_leaf_connecting(N))
-    return classes(C for P in _level(n, r - 1, mode) for C in _add_edge(P) if _is_simple(C))
+    return _grow(n, r, mode, simple=True)
 
 
 def _is_simple(G: Graph) -> bool:
@@ -129,7 +140,22 @@ def _level(n: int, k: int, mode: str) -> tuple[Graph, ...]:
         return classes(C for P in _level(n - 1, 0, mode) for C in _add_leaf(P))
     if mode == UNROOTED and n == 1 and k == 1:  # the one-leaf tree has no edge to subdivide
         return (Graph(UNROOTED, 2, ((0, 1), (1, 1)), ((0, 1),)),)
-    return classes(C for P in _level(n, k - 1, mode) for C in _add_edge(P))
+    return _grow(n, k, mode)
+
+
+def _grow(n: int, k: int, mode: str, *, simple: bool = False, T1: Optional[Graph] = None):
+    """Level k of `_level`, or of T1's tower if given (with `simple`, only its
+    simple graphs), once |level k - 1| times the moves per parent passes the
+    budget: (|E| + 1)^2 rooted and C(|E|, 2) + 2|E| unrooted, for the |E|
+    edges of a level k - 1 graph (each move adds three)."""
+    below = _tower(T1, k - 1) if T1 is not None else (None if k == 1 else _level(n, k - 1, mode))
+    size = _tree_count(n, mode) if below is None else len(below)  # level 0 in closed form
+    e = max(2 * n - (2 if mode == ROOTED else 3) + 3 * (k - 1), 0)  # 1-leaf trees have none
+    moves = (e + 1) ** 2 if mode == ROOTED else e * (e - 1) // 2 + 2 * e
+    of = "the tower" if T1 is not None else f"the {n}-leaf networks"
+    check_budget((size, moves), f"the {size} x {moves} moves that build level {k} of {of}")
+    return classes(C for P in (_level(n, 0, mode) if below is None else below)
+                   for C in _add_edge(P, T1 is not None) if not simple or _is_simple(C))
 
 
 def _anchored_networks(T1: Graph, r: int) -> tuple[Graph, ...]:
@@ -161,21 +187,12 @@ def _tower(T1: Graph, k: int) -> tuple[Graph, ...]:
     is new, and that may be the on edge, so it is off here.  Unrooted, delete
     an off edge (a loop, with its node, if there is one) as in the module
     docstring.
-
-    Before a level is built, |level k - 1| times the moves per parent is
-    checked against the budget: (|E| + 1)^2 rooted and C(|E|, 2) + 2|E|
-    unrooted, for the |E| edges of a level k - 1 graph.
     """
     if k == 0:
         return (T1,)
     if T1.mode == UNROOTED and T1.n == 1:  # `_level`'s seed; every graph displays a lone leaf
         return _level(1, k, UNROOTED)
-    below = _tower(T1, k - 1)
-    e = len(T1.edges) + 3 * (k - 1)  # each move adds three edges
-    moves = (e + 1) ** 2 if T1.mode == ROOTED else e * (e - 1) // 2 + 2 * e
-    check_budget((len(below), moves),
-                 f"the {len(below)} x {moves} moves that build level {k} of the tower")
-    return classes(C for P in below for C in _add_edge(P, any_in_edge=True))
+    return _grow(T1.n, k, T1.mode, T1=T1)
 
 
 def _add_leaf(P: Graph) -> Iterator[Graph]:
@@ -289,13 +306,20 @@ def _off_edges(N: Graph) -> Iterator[tuple[int, ...]]:
         yield from itertools.product(*choices)
         return
     m, r = len(edges), model.reticulation_count(N)
-    # C(m, i) grows with i up to m/2, so multiply out the smaller side of C(m, r) = C(m, m - r)
-    check_budget((Fraction(m - i, i + 1) for i in range(min(r, m - r))),
-                 f"C({m}, {r}) edge sets")
+    _check_choose(m, r, "edge sets")
+    # the other m - r = |V| - 1 edges span N iff they close no cycle, by union-find
     for off in itertools.combinations(sorted(range(m), key=edges.__getitem__), r):
-        skip = set(off)
-        on = [e for i, e in enumerate(edges) if i not in skip]
-        if model._is_connected(N.num_nodes, on) and len(on) == N.num_nodes - 1:
+        root = list(range(N.num_nodes))
+        for i, (a, b) in enumerate(edges):
+            if i not in off:
+                while root[a] != a:
+                    a = root[a]
+                while root[b] != b:
+                    b = root[b]
+                if a == b:
+                    break
+                root[a] = b
+        else:
             yield off
 
 
@@ -308,11 +332,8 @@ def reticulation_labellings(N: Graph, sigma: Switching) -> tuple[ReticulationLab
         raise SwitchingMismatch("; ".join(report.violations))
     off = sorted(sigma.off_edges)
     check_budget(range(1, len(off) + 1), f"{len(off)}! labellings")
-    out = []
-    for perm in itertools.permutations(range(1, len(off) + 1)):
-        numbered = tuple(sorted(zip(off, perm), key=lambda eh: eh[1]))
-        out.append(ReticulationLabelling(N, numbered))
-    return tuple(out)
+    return tuple(ReticulationLabelling(N, tuple(sorted(zip(off, perm), key=lambda eh: eh[1])))
+                 for perm in itertools.permutations(range(1, len(off) + 1)))
 
 
 def all_reticulation_labellings(N: Graph) -> Iterator[ReticulationLabelling]:

@@ -90,8 +90,8 @@ def worst_case_r(n: int, t: int, mode: str = ROOTED, *,
                  samples: Optional[int] = None, seed: int = 0) -> tuple[int, TreeSet]:
     """Maximum of min_reticulations over t-element tree sets on [n].
 
-    Exhaustive for n <= 4 rooted / n <= 5 unrooted; beyond that a sample
-    count must be given, and the maximum is over that many seeded draws.
+    Exhaustive over the C(T(n), t) sets, checked against the budget first,
+    unless a sample count is given: then over that many seeded draws.
     The witness is the first maximal set searched: exhaustively, the
     least maximal set in canonical order; sampled, the first maximal draw.
     Each set's minimum is read, after relabelling, from the tower of the
@@ -101,10 +101,8 @@ def worst_case_r(n: int, t: int, mode: str = ROOTED, *,
         raise ValueError("samples must be at least 1")
     if t < 1:
         raise ValueError("t must be at least 1")
-    exhaustive_limit = 4 if mode == ROOTED else 5
-    if samples is None and n > exhaustive_limit:
-        raise BudgetExceeded(f"exhaustive search capped at n = {exhaustive_limit}; "
-                             "pass a sample count beyond that")
+    if samples is None:
+        generate._check_choose(generate._tree_count(n, mode), t, "sets of trees")
     trees = generate.enumerate_trees(n, mode)
     if t > len(trees):
         raise ValueError(f"only {len(trees)} trees exist on {n} leaves")

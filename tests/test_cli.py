@@ -4,7 +4,7 @@ import time
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import retnet as rn
-from retnet import bounds, cli, serialize
+from retnet import bounds, cli, generate, serialize
 
 
 def run(capsys, *argv):
@@ -161,7 +161,7 @@ def test_over_budget_refused_before_work(tmp_path, capsys):
     net = tmp_path / "r22.enwk"
     net.write_text(out)  # 22 reticulations: 2^22 switchings
     for argv in (["trees", "--n", "30"], ["trees", "--n", "300000"],
-                 ["networks", "--n", "4", "--r", "3"],
+                 ["networks", "--n", "8", "--r", "1"],
                  ["worstcase", "--n", "10", "--t", "3", "--samples", "5"],
                  ["worstcase", "--n", "8", "--t", "2"],
                  ["displayed", "--network", net], ["switchings", "--network", net],
@@ -174,6 +174,8 @@ def test_over_budget_refused_before_work(tmp_path, capsys):
         assert captured.err.startswith("error [BUDGET_EXCEEDED]")
         assert captured.err.count("\n") == 1
         assert elapsed < 1, (argv, elapsed)
+        if argv[0] == "networks":  # 13!! trees x (14 + 1)^2 moves
+            assert "the 135135 x 225 moves that build level 1 " in captured.err
 
 
 def test_minret_searches_past_the_enumeration_cap(tmp_path, capsys):
@@ -236,11 +238,17 @@ def test_malformed_json_inputs_exit_1(tmp_path, capsys):
 
 
 def test_bad_budget_env_names_variable(monkeypatch, capsys):
-    monkeypatch.setenv("RETNET_BUDGET", "abc")
-    code = cli.run(["networks", "--n", "3", "--r", "1", "--count-only"])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert err.count("\n") == 1 and "RETNET_BUDGET" in err
+    for budget in ("abc", "0", "-1"):
+        monkeypatch.setenv("RETNET_BUDGET", budget)
+        # a 2-leaf job multiplies out no factor, but still reads the budget
+        for argv in (["networks", "--n", "3", "--r", "1", "--count-only"], ["trees", "--n", "2"]):
+            # as in a fresh process: a level already built is not checked again
+            generate._networks_cached.cache_clear()
+            code = cli.run(argv)
+            err = capsys.readouterr().err
+            assert code == 1
+            assert err.count("\n") == 1 and "RETNET_BUDGET" in err
+            assert err.startswith("error [DOMAIN]"), (budget, argv, err)
 
 
 def test_worstcase_rejects_samples_below_one(capsys):

@@ -95,6 +95,25 @@ def test_tower_refusal_names_its_level(monkeypatch):
     monkeypatch.setenv("RETNET_BUDGET", "19")
     with pytest.raises(BudgetExceeded, match=r"^the 1 x 20 moves that build level 1 of the tower"):
         generate._tower(U1, 1)
+    # `_level` counts level 0 in closed form: 5!! rooted trees on 4 leaves
+    for cached in (generate._level, generate._networks_cached):
+        cached.cache_clear()
+    monkeypatch.setenv("RETNET_BUDGET", str(15 * 49 - 1))
+    with pytest.raises(BudgetExceeded, match=r"^the 15 x 49 moves that build level 1 "
+                                             r"of the 4-leaf networks"):
+        generate.enumerate_networks(4, 1, ROOTED)
+    assert generate._level.cache_info().currsize == 0  # refused before the trees are built
+    monkeypatch.setenv("RETNET_BUDGET", str(15 * 49))
+    level1 = generate._level(4, 1, ROOTED)  # 9 edges on each level-1 graph
+    monkeypatch.setenv("RETNET_BUDGET", str(len(level1) * 100 - 1))
+    level2 = rf"^the {len(level1)} x 100 moves that build level 2 of the 4-leaf networks"
+    with pytest.raises(BudgetExceeded, match=level2):
+        generate._level(4, 2, ROOTED)
+    with pytest.raises(BudgetExceeded, match=level2):  # N(4, 2): the simple children of level 1
+        generate.enumerate_networks(4, 2, ROOTED)
+    monkeypatch.setenv("RETNET_BUDGET", "4")  # unrooted (1, 2): 2 edges, C(2, 2) + 4 moves
+    with pytest.raises(BudgetExceeded, match=r"^the 1 x 5 moves that build level 2 of the 1-leaf"):
+        generate.enumerate_networks(1, 2, UNROOTED)
 
 
 def test_generate_does_not_use_the_codec():
@@ -162,12 +181,15 @@ def test_budget_counts_closed_form_items(monkeypatch, n6r4):
     unrooted = generate.enumerate_networks(3, 2, UNROOTED)[0]  # 9 edges, r = 2
     sigma = generate.enumerate_switchings(n6r4)[0]
     for items, job in [(15, lambda: generate.enumerate_trees(4, ROOTED)),  # 5!!
-                       (105, lambda: generate.enumerate_networks(1, 2, ROOTED)),  # 7!!
+                       # |level 1| x (3 + 1)^2 moves, 3 edges on the one level-1 graph
+                       (16, lambda: generate.enumerate_networks(1, 2, ROOTED)),
                        (16, lambda: generate.enumerate_switchings(n6r4)),  # 2^4
                        (36, lambda: generate.enumerate_switchings(unrooted)),  # C(9, 2)
                        (24, lambda: generate.reticulation_labellings(n6r4, sigma))]:  # 4!
         monkeypatch.setenv("RETNET_BUDGET", str(items))
         job()
+        for cached in (generate._level, generate._networks_cached):
+            cached.cache_clear()  # a level already built is not checked again
         monkeypatch.setenv("RETNET_BUDGET", str(items - 1))
         with pytest.raises(BudgetExceeded):
             job()

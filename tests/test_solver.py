@@ -78,6 +78,7 @@ EXHAUSTIVE_WORST_CASES = {
     (3, 3, ROOTED): (2, ["((1,2),3);", "((1,3),2);", "(1,(2,3));"]),
     (4, 2, UNROOTED): (1, ["(1,(2,3),4);", "(1,(2,4),3);"]),
     (4, 3, UNROOTED): (2, ["(1,(2,3),4);", "(1,(2,4),3);", "(1,2,(3,4));"]),
+    (6, 2, UNROOTED): (2, ["(1,(((2,3),4),5),6);", "(1,(((2,3),6),5),4);"]),
 }
 
 
@@ -109,8 +110,8 @@ def test_worst_case_sampled_reproducible():
 
 
 def test_worst_case_exhaustive_limit():
-    with pytest.raises(BudgetExceeded):
-        solver.worst_case_r(6, 2, ROOTED)
+    with pytest.raises(BudgetExceeded, match=r"^C\(135135, 2\) sets of trees"):  # 13!! trees
+        solver.worst_case_r(8, 2, ROOTED)
 
 
 def test_worst_case_rejects_samples_below_one():
