@@ -20,7 +20,8 @@ N = nets[0]
 print("\nfirst network:", network_to_enewick(N))
 for lab in all_reticulation_labellings(N):
     T = encode_tau(N, lab)
-    print("  labelling", lab.numbered, "->", tree_to_newick(T))
+    numbered = tuple((N.edges[i], h) for i, h in lab.numbered)  # (edge, number) pairs
+    print("  labelling", numbered, "->", tree_to_newick(T))
     N2, lab2 = decode_tau(T, 3, 1)
     assert canonical_code(N2, lab2) == canonical_code(N, lab)
 

@@ -182,9 +182,8 @@ def _canon_general(G: Graph, edge_labels: Optional[ReticulationLabelling]
     directed = G.mode == ROOTED
     out_nb: list[list[tuple[int, int]]] = [[] for _ in range(num_nodes)]
     in_nb: list[list[tuple[int, int]]] = [[] for _ in range(num_nodes)]
-    for e in edges:
-        u, v = e
-        lab = elabels.get(e, 0)
+    for i, (u, v) in enumerate(edges):
+        lab = elabels.get(i, 0)
         out_nb[u].append((v, lab))
         in_nb[v].append((u, lab))
         if not directed:
@@ -209,10 +208,10 @@ def _canon_general(G: Graph, edge_labels: Optional[ReticulationLabelling]
 
     def encode(pos: list[int]) -> bytes:
         if directed:
-            es = sorted((pos[u], pos[v], elabels.get((u, v), 0)) for u, v in edges)
+            es = sorted((pos[u], pos[v], elabels.get(i, 0)) for i, (u, v) in enumerate(edges))
         else:
-            es = sorted(tuple(sorted((pos[u], pos[v]))) + (elabels.get((u, v), 0),)
-                        for u, v in edges)
+            es = sorted(tuple(sorted((pos[u], pos[v]))) + (elabels.get(i, 0),)
+                        for i, (u, v) in enumerate(edges))
         ls = sorted((pos[v], x) for v, x in vlabels.items())
         return repr((num_nodes, es, ls)).encode()
 

@@ -18,7 +18,7 @@ import click
 from . import bounds, codec, display, generate, model, serialize, solver
 from .canonical import canonical_positions
 from .errors import RetnetError
-from .model import ROOTED, UNROOTED, ReticulationLabelling
+from .model import ROOTED, UNROOTED
 
 _MODE = click.Choice([ROOTED, UNROOTED])
 
@@ -111,7 +111,7 @@ def switchings(path: str, count_only: bool, fmt: str) -> None:
     if count_only:
         click.echo(str(len(sws)))
         return
-    _emit_stream([{"off_edges": sorted(s.off_edges)} for s in sws], fmt)
+    _emit_stream([{"off_edges": sorted(N.edges[i] for i in s.off)} for s in sws], fmt)
 
 
 @main.command()
@@ -139,17 +139,16 @@ def decode(path: str, n: int, r: int, mode: str) -> None:
     T = _read_tree(path, mode)
     N, lab = codec.decode_tau(T, n, r)
     text = _write_network(N)
+    labels = json.loads(serialize.labelling_to_json(lab))
     if mode == ROOTED:
         # name the labelled edges by the node ids that reading `text` back
         # gives: two least orderings differ by an isomorphism
         N2 = serialize.enewick_to_network(text)
         pos = canonical_positions(N)
         node2 = {p: v for v, p in enumerate(canonical_positions(N2))}
-        lab = ReticulationLabelling(N2, tuple(((node2[pos[u]], node2[pos[v]]), h)
-                                              for (u, v), h in lab.numbered))
-    click.echo(json.dumps({"network": text,
-                           "labels": json.loads(serialize.labelling_to_json(lab))},
-                          sort_keys=True))
+        labels["edge_labels"] = [[node2[pos[u]], node2[pos[v]], h]
+                                 for u, v, h in labels["edge_labels"]]
+    click.echo(json.dumps({"network": text, "labels": labels}, sort_keys=True))
 
 
 @main.command("display")
@@ -161,7 +160,7 @@ def display_cmd(net_path: str, tree_path: str) -> None:
     T = _read_tree(tree_path, N.mode)
     ok, witness = display.displays(N, T)
     doc = {"displays": ok,
-           "witness_off_edges": sorted(witness.off_edges) if witness else None}
+           "witness_off_edges": sorted(N.edges[i] for i in witness.off) if witness else None}
     click.echo(json.dumps(doc, sort_keys=True))
 
 

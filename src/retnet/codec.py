@@ -23,7 +23,8 @@ def encode_tau(N: Graph, lab: ReticulationLabelling) -> Graph:
     if not report.ok:
         raise InvalidLabelling("; ".join(report.violations))
     n = N.n
-    edges = set(N.edges)
+    numbered = {i for i, _ in lab.numbered}
+    edges = [e for i, e in enumerate(N.edges) if i not in numbered]
     labels = dict(N.leaf_labels)
     nid = N.num_nodes
     if N.mode == UNROOTED:
@@ -32,14 +33,13 @@ def encode_tau(N: Graph, lab: ReticulationLabelling) -> Graph:
         # invariant (isomorphic labelled networks encode to isomorphic trees)
         from .canonical import canonical_positions
         pos = canonical_positions(N, lab)
-    for (u, v), h in lab.numbered:
-        edges.remove((u, v) if N.mode == ROOTED else model._norm_edge(UNROOTED, u, v))
+    for i, h in lab.numbered:
+        u, v = N.edges[i]
         if N.mode == UNROOTED and pos[u] > pos[v]:
             u, v = v, u
         z, zp = nid, nid + 1
         nid += 2
-        edges.add(model._norm_edge(N.mode, u, z))
-        edges.add(model._norm_edge(N.mode, v, zp))
+        edges += [model._norm_edge(N.mode, u, z), model._norm_edge(N.mode, v, zp)]
         labels[z] = n + 2 * h - 1
         labels[zp] = n + 2 * h
     return model.make_graph(N.mode, range(nid), edges, labels)
@@ -93,12 +93,11 @@ def decode_tau(T: Graph, n: int, r: int):
         edges.add(e)
     labels = {v: x for v, x in T.leaf_labels if v not in drop_nodes}
 
-    order = sorted(kept)
-    idx = {v: i for i, v in enumerate(order)}
+    idx = {v: i for i, v in enumerate(sorted(kept))}
     net = model.make_graph(T.mode, kept, edges, labels)
-    new_numbered = tuple(((model._norm_edge(T.mode, idx[u], idx[v])), h)
-                         for (u, v), h in numbered)
-    lab = ReticulationLabelling(net, new_numbered)
+    index = {e: i for i, e in enumerate(net.edges)}  # the re-added edges are not parallel
+    lab = ReticulationLabelling(net, tuple((index[model._norm_edge(T.mode, idx[u], idx[v])], h)
+                                           for (u, v), h in numbered))
 
     # A valid net makes lab valid too: nodes of T have in-degree at most 1,
     # so each reticulation of net is entered by exactly one re-added edge,

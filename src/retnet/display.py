@@ -1,7 +1,10 @@
 """Display semantics: which trees a network displays, and the trivial network.
 
 Display is computed through switchings, a finite certificate per
-displayed tree.  A switching's tree is not suppressed to be compared:
+displayed tree.  A switching names its off edges by their indices in
+`N.edges`, so it can turn off one of two parallel edges, and
+`displayed_tree` reads the multigraphs of the generator's lower levels
+as well as networks.  A switching's tree is not suppressed to be compared:
 its canonical code is read straight off the network's on edges (the
 tree code ignores subdivisions and leafless subtrees), and
 `displayed_tree` runs only for the first switching of each class that
@@ -34,7 +37,7 @@ def displayed_tree(N: Graph, sigma: Switching) -> Graph:
     """The unique tree certified by one switching of N."""
     if sigma.host != N:
         raise SwitchingMismatch("switching is not hosted by this network")
-    on_edges = tuple(e for e in N.edges if e not in sigma.off_edges)
+    on_edges = tuple(e for i, e in enumerate(N.edges) if i not in sigma.off)
     return model.suppress(Graph(N.mode, N.num_nodes, on_edges, N.leaf_labels))
 
 
@@ -46,7 +49,7 @@ def displayed_trees(N: Graph) -> tuple[Graph, ...]:
     first: dict[bytes, tuple[int, ...]] = {}
     for off, code in _switching_codes(N):
         first.setdefault(code, off)
-    return tuple(displayed_tree(N, generate._switching(N, first[c])) for c in sorted(first))
+    return tuple(displayed_tree(N, Switching(N, frozenset(first[c]))) for c in sorted(first))
 
 
 def displays(N: Graph, T: Graph) -> tuple[bool, Optional[Switching]]:
@@ -59,7 +62,7 @@ def displays(N: Graph, T: Graph) -> tuple[bool, Optional[Switching]]:
     code = canonical_code(T).bytes
     for off, c in _switching_codes(N):
         if c == code:
-            return True, generate._switching(N, off)
+            return True, Switching(N, frozenset(off))
     return False, None
 
 
@@ -74,10 +77,10 @@ def _switching_codes(N: Graph) -> Iterator[tuple[tuple[int, ...], bytes]]:
 
     In `generate._off_edges` order; each code is that of the suppressed
     tree on the other edges, `canonical_code(displayed_tree(N, sigma)).bytes`
-    on a simple network.  N may be one of the multigraphs of
-    `generate._tower`; the public entry points validate their network
-    first.  Unrooted, each spanning tree is coded afresh by `_tree_code`
-    on its on edges.
+    for the switching sigma with off edges `off`.  N may be one of the
+    multigraphs of `generate._level`; the public entry points validate
+    their network first.  Unrooted, each spanning tree is coded afresh by
+    `_tree_code` on its on edges.
 
     Rooted, node codes are kept from one switching to the next.  A node's
     code is the one `_tree_code` builds on the on edges (its leaf label,

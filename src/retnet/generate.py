@@ -26,17 +26,18 @@ lower levels keep them.  For n = 1 the one-node tree has no edge to
 subdivide, so level 1 is seeded with its one graph, leaf - x with a
 loop at x, and the argument runs from there.
 
-Anchored generation (`_tower`) runs the same recursion from one tree T1
-in place of all the trees, with rooted rule 3 of `_add_edge` switched
-off; its level r holds the networks of N(n, r) that display T1, in the
-same order, which is all that a search for a network displaying T1
-and other trees needs to look at.
+Anchored generation, `_level(n, k, mode, T1)`, runs the same recursion
+from one tree T1 in place of all the trees, with rooted rule 3 of
+`_add_edge` switched off: T1's tower.  Its level r holds the networks of
+N(n, r) that display T1, in the same order, which is all that a search
+for a network displaying T1 and other trees needs to look at.
 
 Every job is checked against one budget, `check_budget`, before it is
-built.  Each edge-addition level, of `_level` and `_tower` alike, is
-checked by the moves that build it (`_grow`), once the level below it
-is built; level 0 is counted in closed form, so a level-1 refusal builds
-nothing.  A cached level is not checked again.
+built.  Each edge-addition level, of all trees or of a tower, is checked
+by the moves that build it (`_grow`), once the level below it is built;
+level 0 is counted in closed form, so a level-1 refusal builds nothing.
+A cached level is not checked again, but `enumerate_networks` reads the
+budget before its cache, so a bad RETNET_BUDGET is always reported.
 """
 
 from __future__ import annotations
@@ -58,12 +59,8 @@ BUDGET_ENV = "RETNET_BUDGET"
 DEFAULT_BUDGET = 1 << 21
 
 
-def check_budget(factors: Iterable, what: str) -> int:
-    """Refuse a job of more than RETNET_BUDGET items before any is built; return its item count.
-
-    The item count is the product of `factors`, each at least 1, so the
-    product is multiplied out only until it passes the budget.
-    """
+def _budget() -> int:
+    """RETNET_BUDGET, or the default if it is unset; a DomainError unless a positive integer."""
     env = os.environ.get(BUDGET_ENV)
     try:
         budget = int(env) if env else DEFAULT_BUDGET
@@ -71,6 +68,16 @@ def check_budget(factors: Iterable, what: str) -> int:
         budget = 0
     if budget < 1:
         raise DomainError(f"{BUDGET_ENV} must be a positive integer, not {env!r}")
+    return budget
+
+
+def check_budget(factors: Iterable, what: str) -> int:
+    """Refuse a job of more than RETNET_BUDGET items before any is built; return its item count.
+
+    The item count is the product of `factors`, each at least 1, so the
+    product is multiplied out only until it passes the budget.
+    """
+    budget = _budget()
     items = 1
     for f in factors:
         items *= f
@@ -105,6 +112,7 @@ def enumerate_networks(n: int, r: int, mode: str = ROOTED, *, leaf_connecting: b
     """
     if n < 1 or r < 0:
         raise ValueError("n must be at least 1 and r at least 0")
+    _budget()  # a cached level is not checked again, but a bad budget is still reported
     if r == 0:
         return enumerate_trees(n, mode)
     # the restriction is unrooted only, so rooted calls share one cache entry
@@ -125,14 +133,31 @@ def _is_simple(G: Graph) -> bool:
     return len(set(G.edges)) == len(G.edges) and all(a != b for a, b in G.edges)
 
 
-@lru_cache(maxsize=64)
-def _level(n: int, k: int, mode: str) -> tuple[Graph, ...]:
-    """Binary multigraphs with n leaves and k reticulations, one per class.
+@lru_cache(maxsize=128)
+def _level(n: int, k: int, mode: str, T1: Optional[Graph] = None) -> tuple[Graph, ...]:
+    """Binary multigraphs with n leaves and k reticulations, one per class; given a
+    tree T1 on [n], level k of T1's tower: only those that display T1.
 
-    Level 0 holds the trees.  Rooted ones above it may have parallel
-    edges; unrooted ones are connected and may have parallel edges and loops.
+    Level 0 holds the trees, or T1 alone.  Rooted levels above it may
+    have parallel edges; unrooted ones are connected and may have
+    parallel edges and loops.  Both are in canonical-code order.
+
+    T1's tower builds level k from level k - 1 by `_add_edge` with rooted
+    rule 3 switched off.  Every child displays T1: the parent's T1
+    switching with the new edge u -> v off still has T1's tree code (u
+    and v only subdivide, or hang leafless).  Conversely, take a level-k
+    multigraph G with a T1 switching, and a top reticulation v that rules
+    1 and 2 accept.  Deleting v's off in-edge and suppressing gives a
+    level k - 1 multigraph that keeps the switching, so displays T1, and
+    a move rebuilds G.  Rule 3 would fix which in-edge of v is new, and
+    that may be the on edge, so it is off here.  Unrooted, delete an off
+    edge (a loop, with its node, if there is one) as in the module
+    docstring.  With one leaf every graph displays T1, and the tower runs
+    the same moves from the same seed as the recursion without T1.
     """
     if k == 0:
+        if T1 is not None:
+            return (T1,)
         if n == 1:
             return (Graph(mode, 1, (), ((0, 1),)),)
         if n == 2 and mode == UNROOTED:  # the one-node tree has no edge to subdivide
@@ -140,16 +165,18 @@ def _level(n: int, k: int, mode: str) -> tuple[Graph, ...]:
         return classes(C for P in _level(n - 1, 0, mode) for C in _add_leaf(P))
     if mode == UNROOTED and n == 1 and k == 1:  # the one-leaf tree has no edge to subdivide
         return (Graph(UNROOTED, 2, ((0, 1), (1, 1)), ((0, 1),)),)
-    return _grow(n, k, mode)
+    return _grow(n, k, mode, T1)
 
 
-def _grow(n: int, k: int, mode: str, *, simple: bool = False, T1: Optional[Graph] = None):
-    """Level k of `_level`, or of T1's tower if given (with `simple`, only its
-    simple graphs), once |level k - 1| times the moves per parent passes the
-    budget: (|E| + 1)^2 rooted and C(|E|, 2) + 2|E| unrooted, for the |E|
-    edges of a level k - 1 graph (each move adds three)."""
-    below = _tower(T1, k - 1) if T1 is not None else (None if k == 1 else _level(n, k - 1, mode))
-    size = _tree_count(n, mode) if below is None else len(below)  # level 0 in closed form
+def _grow(n: int, k: int, mode: str, T1: Optional[Graph] = None, *, simple: bool = False):
+    """Level k of `_level` (with `simple`, only its simple graphs), once
+    |level k - 1| times the moves per parent passes the budget: (|E| + 1)^2
+    rooted and C(|E|, 2) + 2|E| unrooted, for the |E| edges of a level
+    k - 1 graph (each move adds three)."""
+    # the cache keys `_level(x)` and `_level(x, None)` apart, so T1 is passed only if given
+    below = (_level(n, k - 1, mode, T1) if T1 is not None
+             else _level(n, k - 1, mode) if k > 1 else None)  # level 0 in closed form
+    size = _tree_count(n, mode) if below is None else len(below)
     e = max(2 * n - (2 if mode == ROOTED else 3) + 3 * (k - 1), 0)  # 1-leaf trees have none
     moves = (e + 1) ** 2 if mode == ROOTED else e * (e - 1) // 2 + 2 * e
     of = "the tower" if T1 is not None else f"the {n}-leaf networks"
@@ -165,34 +192,10 @@ def _anchored_networks(T1: Graph, r: int) -> tuple[Graph, ...]:
     of T1's tower.  Both lists are ordered by canonical code, so the first
     network here with a property is the first one there.
     """
-    nets = tuple(G for G in _tower(T1, r) if _is_simple(G))
+    nets = tuple(G for G in _level(T1.n, r, T1.mode, T1) if _is_simple(G))
     if T1.mode == UNROOTED:
         return tuple(N for N in nets if model.is_leaf_connecting(N))
     return nets
-
-
-@lru_cache(maxsize=64)
-def _tower(T1: Graph, k: int) -> tuple[Graph, ...]:
-    """Level k of T1's tower: the binary multigraphs of `_level`'s level k that
-    display T1, one per class, in canonical-code order.
-
-    Level 0 is T1, and level k holds the classes of the children of level
-    k - 1 by `_add_edge` with rooted rule 3 switched off.  Every child
-    displays T1: the parent's T1 switching with the new edge u -> v off
-    still has T1's tree code (u and v only subdivide, or hang leafless).
-    Conversely, take a level-k multigraph G with a T1 switching, and a top
-    reticulation v that rules 1 and 2 accept.  Deleting v's off in-edge and
-    suppressing gives a level k - 1 multigraph that keeps the switching, so
-    displays T1, and a move rebuilds G.  Rule 3 would fix which in-edge of v
-    is new, and that may be the on edge, so it is off here.  Unrooted, delete
-    an off edge (a loop, with its node, if there is one) as in the module
-    docstring.
-    """
-    if k == 0:
-        return (T1,)
-    if T1.mode == UNROOTED and T1.n == 1:  # `_level`'s seed; every graph displays a lone leaf
-        return _level(1, k, UNROOTED)
-    return _grow(T1.n, k, T1.mode, T1=T1)
 
 
 def _add_leaf(P: Graph) -> Iterator[Graph]:
@@ -278,11 +281,7 @@ def enumerate_switchings(N: Graph) -> tuple[Switching, ...]:
 
     Unrooted switchings are found among the C(|E|, r) sets of r edges.
     """
-    return tuple(_switching(N, off) for off in _off_edges(N))
-
-
-def _switching(N: Graph, off: tuple[int, ...]) -> Switching:
-    return Switching(N, frozenset(N.edges[i] for i in off))
+    return tuple(Switching(N, frozenset(off)) for off in _off_edges(N))
 
 
 def _off_edges(N: Graph) -> Iterator[tuple[int, ...]]:
@@ -291,10 +290,10 @@ def _off_edges(N: Graph) -> Iterator[tuple[int, ...]]:
 
     Rooted, one in-edge per reticulation, reticulations in id order, each
     one's in-edges sorted, the last reticulation varying fastest.  Indices
-    tell apart parallel edges, which the lower levels of `_level` and
-    `_tower` have; there a switching may turn either of two parallel
-    in-edges off, and unrooted, a loop is never on a spanning tree.  The
-    item budget is checked before the first switching is built.
+    tell apart parallel edges, which the lower levels of `_level` have;
+    there a switching may turn either of two parallel in-edges off, and
+    unrooted, a loop is never on a spanning tree.  The item budget is
+    checked before the first switching is built.
     """
     edges = N.edges
     if N.mode == ROOTED:
@@ -330,7 +329,7 @@ def reticulation_labellings(N: Graph, sigma: Switching) -> tuple[ReticulationLab
     report = model.validate(sigma)
     if not report.ok:
         raise SwitchingMismatch("; ".join(report.violations))
-    off = sorted(sigma.off_edges)
+    off = sorted(sigma.off)
     check_budget(range(1, len(off) + 1), f"{len(off)}! labellings")
     return tuple(ReticulationLabelling(N, tuple(sorted(zip(off, perm), key=lambda eh: eh[1])))
                  for perm in itertools.permutations(range(1, len(off) + 1)))

@@ -57,10 +57,12 @@ class Switching:
     Rooted: every non-root node keeps exactly one on parent edge, so the
     off edges are one parent edge per reticulation.  Unrooted: the on
     edges form a spanning tree, so the off edges are the r excess edges.
+    `off` holds the off edges' indices in `host.edges`, which tell apart
+    two parallel edges.
     """
 
     host: Graph
-    off_edges: frozenset[Edge]
+    off: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -68,10 +70,10 @@ class ReticulationLabelling:
     """A switching extended by a bijective numbering of its off edges with 1..r."""
 
     host: Graph
-    numbered: tuple[tuple[Edge, int], ...]  # ((u, v), h) sorted by h
+    numbered: tuple[tuple[int, int], ...]  # (index in host.edges, h) sorted by h
 
     def switching(self) -> Switching:
-        return Switching(self.host, frozenset(e for e, _ in self.numbered))
+        return Switching(self.host, frozenset(i for i, _ in self.numbered))
 
 
 @dataclass(frozen=True)
@@ -308,17 +310,15 @@ def _validate_switching(s: Switching) -> list[str]:
     bad = list(validate(host).violations)
     if bad:
         return ["host invalid: " + b for b in bad]
-    edge_set = set(host.edges)
-    for e in s.off_edges:
-        if e not in edge_set:
-            return ["off edge not in host"]
+    if not all(type(i) is int and 0 <= i < len(host.edges) for i in s.off):
+        return ["off edge not in host"]
     r = reticulation_count(host)
-    if len(s.off_edges) != r:
+    if len(s.off) != r:
         bad.append("off edge count differs from reticulation number")
     if host.mode == ROOTED:
-        per_ret = defaultdict(int)
-        for u, v in s.off_edges:
-            per_ret[v] += 1
+        per_ret = defaultdict(int)  # the messages below come in edge order
+        for i in sorted(s.off):
+            per_ret[host.edges[i][1]] += 1
         rets = set(reticulations_of(host))
         for v, k in per_ret.items():
             if v not in rets:
@@ -326,7 +326,7 @@ def _validate_switching(s: Switching) -> list[str]:
             elif k != 1:
                 bad.append("reticulation with two off parent edges")
     else:
-        on = [e for e in host.edges if e not in s.off_edges]
+        on = [e for i, e in enumerate(host.edges) if i not in s.off]
         if len(on) != host.num_nodes - 1 or not _is_connected(host.num_nodes, on):
             bad.append("on edges do not form a spanning tree")
     return bad

@@ -21,7 +21,7 @@ import re
 from collections import defaultdict
 
 from . import model
-from .errors import ParseError, RetnetError
+from .errors import InvalidLabelling, ParseError, RetnetError
 from .model import Edge, Graph, ReticulationLabelling, ROOTED, UNROOTED
 
 
@@ -234,20 +234,24 @@ def json_to_network(s: str) -> Graph:
 
 
 def labelling_to_json(lab: ReticulationLabelling) -> str:
-    doc = {"edge_labels": [[u, v, h] for (u, v), h in lab.numbered]}
+    """The sidecar: each numbered edge as [u, v, h], its end nodes in the host and its number."""
+    doc = {"edge_labels": [[*lab.host.edges[i], h] for i, h in lab.numbered]}
     return json.dumps(doc, sort_keys=True)
 
 
 def json_to_labelling(host, s: str) -> ReticulationLabelling:
+    """Read a sidecar against its host; a pair that is not a host edge raises InvalidLabelling."""
     pairs = []
     try:
         doc = json.loads(s)
         for u, v, h in doc["edge_labels"]:
             if not all(type(x) is int for x in (u, v, h)):
                 raise ParseError(f"edge label entries must be integers, not {[u, v, h]}")
-            e = (u, v) if host.mode == ROOTED else model._norm_edge(UNROOTED, u, v)
-            pairs.append((e, h))
+            pairs.append((model._norm_edge(host.mode, u, v), h))
     except _MALFORMED as exc:
         raise _malformed("labels", exc) from exc
+    index = {e: i for i, e in enumerate(host.edges)}
+    if not all(e in index for e, _ in pairs):
+        raise InvalidLabelling("off edge not in host")
     pairs.sort(key=lambda eh: eh[1])
-    return ReticulationLabelling(host, tuple(pairs))
+    return ReticulationLabelling(host, tuple((index[e], h) for e, h in pairs))

@@ -2,12 +2,13 @@
 and the enumeration-vs-bounds verification harness.
 
 Every network that displays a tree set displays its first tree T1, so
-`min_reticulations` searches T1's tower (`generate._tower`), level by
-level, in place of all of N(n, r).  `worst_case_r` relabels each
-candidate set so that its first tree becomes the first tree of its
+`min_reticulations` searches T1's tower (`generate._level` with T1),
+level by level, in place of all of N(n, r).  `worst_case_r` relabels
+each candidate set so that its first tree becomes the first tree of its
 unlabelled shape, and searches that shape's tower: the minimum does not
 change under leaf relabelling, and the candidates then share one tower
-per shape.
+per shape.  One table, `_code_sets`, holds the displayed tree codes of
+each network searched, for a tower or for all of N(n, r).
 """
 
 from __future__ import annotations
@@ -24,28 +25,21 @@ from .errors import BudgetExceeded
 from .model import Graph, TreeSet, ROOTED
 
 
-def _code_set(N: Graph) -> frozenset:
-    return frozenset(code for _, code in display._switching_codes(N))
-
-
-@lru_cache(maxsize=64)
-def _displayed_code_sets(n: int, r: int, mode: str) -> tuple[tuple[Graph, frozenset], ...]:
-    """(network, frozenset of displayed tree codes) for every class in N_{n,r}."""
-    return tuple((N, _code_set(N)) for N in generate.enumerate_networks(n, r, mode))
-
-
-@lru_cache(maxsize=64)
-def _anchored_code_sets(T1: Graph, r: int) -> tuple[tuple[Graph, frozenset], ...]:
-    """(network, frozenset of displayed tree codes) for every network in
-    N_{n,r} that displays T1, in canonical order."""
-    return tuple((N, _code_set(N)) for N in generate._anchored_networks(T1, r))
+@lru_cache(maxsize=128)
+def _code_sets(n: int, r: int, mode: str, T1: Optional[Graph] = None
+               ) -> tuple[tuple[Graph, frozenset], ...]:
+    """(network, frozenset of displayed tree codes) for every class in N(n, r),
+    or with T1 for every one that displays T1, in canonical order."""
+    nets = (generate.enumerate_networks(n, r, mode) if T1 is None
+            else generate._anchored_networks(T1, r))
+    return tuple((N, frozenset(code for _, code in display._switching_codes(N))) for N in nets)
 
 
 def _least_r(T1: Graph, target: frozenset, r_cap: int) -> tuple[int, Graph]:
     """The least r, and the first network in canonical order with r
     reticulations, that displays every code in `target`; T1 must be one of them."""
     for r in range(r_cap + 1):
-        for N, codes in _anchored_code_sets(T1, r):
+        for N, codes in _code_sets(T1.n, r, T1.mode, T1):
             if target <= codes:
                 return r, N
     raise BudgetExceeded(f"no displaying network found up to r = {r_cap}")
@@ -133,7 +127,7 @@ def verify_counts(n_max: int, r_max: int, mode: str = ROOTED) -> list[bounds.Bou
     reports: list[bounds.BoundReport] = []
     for n in range(1, n_max + 1):
         for r in range(1, r_max + 1):
-            table = _displayed_code_sets(n, r, mode)
+            table = _code_sets(n, r, mode)
             params = {"n": n, "r": r, "mode": mode}
             nb = bounds.network_count_bound(n, r, mode)
             df_arg = 2 * (n + 2 * r) - (3 if mode == ROOTED else 5)

@@ -137,8 +137,15 @@ def nx_matcher(A, B):
                    edge_match=iso.categorical_edge_match("label", 0))
 
 
+def labelling(G, elabels):
+    """The labelling of G that numbers each edge (u, v) of `elabels` by its h, by edge index."""
+    index = {e: i for i, e in enumerate(G.edges)}
+    return model.ReticulationLabelling(G, tuple((index[e], h) for e, h in elabels.items()))
+
+
 def oracle_pool():
-    """(graph, edge labels) pairs: networks with and without leaf labels, and labelled networks."""
+    """(graph, edge labels) pairs: networks with and without leaf labels, and labelled
+    networks, their labels keyed by edge (u, v)."""
     nets = [N for n, r, mode in [(2, 2, ROOTED), (3, 1, ROOTED), (3, 2, ROOTED),
                                  (3, 1, UNROOTED), (3, 2, UNROOTED), (4, 1, UNROOTED)]
             for N in generate.enumerate_networks(n, r, mode)]
@@ -147,7 +154,8 @@ def oracle_pool():
         pool += [(N, {}), (erased(N), {})]
     for N in nets[::13]:
         for lab in generate.all_reticulation_labellings(N):
-            pool += [(N, dict(lab.numbered)), (erased(N), dict(lab.numbered))]
+            elabels = {N.edges[i]: h for i, h in lab.numbered}
+            pool += [(N, elabels), (erased(N), elabels)]
     return pool
 
 
@@ -156,7 +164,7 @@ def test_automorphism_count_matches_networkx():
     for G, elabels in oracle_pool():
         H = nx_graph(G, elabels)
         expected = sum(1 for _ in nx_matcher(H, H).isomorphisms_iter())
-        X = model.ReticulationLabelling(G, tuple(elabels.items())) if elabels else G
+        X = labelling(G, elabels) if elabels else G
         assert canonical.automorphism_count(X) == expected
         nontrivial += expected > 1
     assert nontrivial > 80
@@ -175,8 +183,8 @@ def test_code_equality_matches_networkx():
             rng.shuffle(perm)
             B = permuted(A, perm)
             eb = {model._norm_edge(A.mode, perm[u], perm[v]): h for (u, v), h in ea.items()}
-        code_a = canonical.canonical_code(A, model.ReticulationLabelling(A, tuple(ea.items())))
-        code_b = canonical.canonical_code(B, model.ReticulationLabelling(B, tuple(eb.items())))
+        code_a = canonical.canonical_code(A, labelling(A, ea))
+        code_b = canonical.canonical_code(B, labelling(B, eb))
         same = nx_matcher(nx_graph(A, ea), nx_graph(B, eb)).is_isomorphic()
         assert (code_a == code_b) == same
         matches += same

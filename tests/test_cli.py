@@ -80,10 +80,46 @@ def test_display_and_displayed(tmp_path, capsys):
     tree.write_text("(1,(2,3));\n")
     code, out = run(capsys, "display", "--network", str(net), "--tree", str(tree))
     assert code == 0
-    assert json.loads(out)["displays"] is True
+    assert out == '{"displays": true, "witness_off_edges": [[3, 2]]}\n'  # the edge 3 -> 2
     code, out = run(capsys, "displayed", "--network", str(net), "--count-only")
     assert code == 0
     assert out.strip() == "2"
+
+
+# the stdout of `switchings`: each switching's off edges as (u, v) pairs of the
+# network as read from its file (the unrooted one is written with some pairs
+# reversed and out of order)
+SWITCHINGS_PINS = [
+    ("((1,(3)#H1),(2,#H1));", [], '{"off_edges": [[3, 2]]}\n{"off_edges": [[5, 2]]}\n'),
+    ("((1,(3)#H1),(2,#H1));", ["--format", "csv"], 'off_edges\r\n"[(3, 2)]"\r\n"[(5, 2)]"\r\n'),
+    ('{"edges": [[6, 0], [1, 3], [3, 2], [3, 5], [5, 4], [4, 6], [4, 7], [5, 7], [7, 6]], '
+     '"leaves": {"1": 0, "2": 1, "3": 2}, "nodes": [0, 1, 2, 3, 4, 5, 6, 7]}', [],
+     '{"off_edges": [[4, 5], [4, 6]]}\n{"off_edges": [[4, 5], [4, 7]]}\n'
+     '{"off_edges": [[4, 5], [6, 7]]}\n{"off_edges": [[4, 6], [4, 7]]}\n'
+     '{"off_edges": [[4, 6], [5, 7]]}\n{"off_edges": [[4, 7], [5, 7]]}\n'
+     '{"off_edges": [[4, 7], [6, 7]]}\n{"off_edges": [[5, 7], [6, 7]]}\n'),
+]
+
+
+def test_switchings_print_edge_pairs(tmp_path, capsys):
+    net = tmp_path / "net"
+    for text, fmt, want in SWITCHINGS_PINS:
+        net.write_text(text)
+        assert run(capsys, "switchings", "--network", str(net), *fmt) == (0, want)
+
+
+def test_sidecar_pair_not_in_host(tmp_path, capsys):
+    net, lab = tmp_path / "n.enwk", tmp_path / "lab.json"
+    net.write_text("((1,(3)#H1),(2,#H1));\n")  # the reticulation 2 has in-edges 3 -> 2 and 5 -> 2
+    for doc, err in [('{"edge_labels": [[2, 3, 1]]}', "INVALID_LABELLING]: off edge not in host"),
+                     ('{"edge_labels": [[0, 9, 1]]}', "INVALID_LABELLING]: off edge not in host"),
+                     # every entry is read before any is looked up in the host
+                     ('{"edge_labels": [[2, 3, 1], [3, 2, "x"]]}',
+                      "PARSE_ERROR]: edge label entries must be integers, not [3, 2, 'x']")]:
+        lab.write_text(doc)
+        code = cli.run(["encode", "--network", str(net), "--labels", str(lab)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (1, "", f"error [{err}\n")
 
 
 def test_trivial_reticulation_tags(tmp_path, capsys):
@@ -249,6 +285,15 @@ def test_bad_budget_env_names_variable(monkeypatch, capsys):
             assert code == 1
             assert err.count("\n") == 1 and "RETNET_BUDGET" in err
             assert err.startswith("error [DOMAIN]"), (budget, argv, err)
+    # a level that a valid run has cached does not hide a bad budget
+    argv = ["networks", "--n", "3", "--r", "1", "--count-only"]
+    monkeypatch.delenv("RETNET_BUDGET")
+    assert run(capsys, *argv) == (0, "21\n")
+    monkeypatch.setenv("RETNET_BUDGET", "abc")
+    code = cli.run(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.out
+    assert captured.err == "error [DOMAIN]: RETNET_BUDGET must be a positive integer, not 'abc'\n"
 
 
 def test_worstcase_rejects_samples_below_one(capsys):

@@ -76,7 +76,7 @@ def test_towers_match_filtered_enumeration():
     for mode in (ROOTED, UNROOTED):
         for n in range(1, 6):
             for r in range((7 - n) // 2 + 1):
-                table = solver._displayed_code_sets(n, r, mode)
+                table = solver._code_sets(n, r, mode)
                 for T1 in generate.enumerate_trees(n, mode):
                     code = canonical.canonical_code(T1).bytes
                     want = [canonical.canonical_code(N) for N, codes in table if code in codes]
@@ -85,17 +85,17 @@ def test_towers_match_filtered_enumeration():
 
 
 def test_tower_refusal_names_its_level(monkeypatch):
-    generate._tower.cache_clear()  # a level already built is not checked again
+    generate._level.cache_clear()  # a level already built is not checked again
     T1 = generate.enumerate_trees(4, ROOTED)[0]  # 6 edges: 7^2 moves at level 1
     monkeypatch.setenv("RETNET_BUDGET", "48")
-    assert generate._tower(T1, 0) == (T1,)
+    assert generate._level(4, 0, ROOTED, T1) == (T1,)
     with pytest.raises(BudgetExceeded, match=r"^the 1 x 49 moves that build level 1 of the tower"):
-        generate._tower(T1, 1)
+        generate._level(4, 1, ROOTED, T1)
     U1 = generate.enumerate_trees(4, UNROOTED)[0]  # 5 edges: C(5, 2) + 10 moves
     monkeypatch.setenv("RETNET_BUDGET", "19")
     with pytest.raises(BudgetExceeded, match=r"^the 1 x 20 moves that build level 1 of the tower"):
-        generate._tower(U1, 1)
-    # `_level` counts level 0 in closed form: 5!! rooted trees on 4 leaves
+        generate._level(4, 1, UNROOTED, U1)
+    # without T1, `_level` counts level 0 in closed form: 5!! rooted trees on 4 leaves
     for cached in (generate._level, generate._networks_cached):
         cached.cache_clear()
     monkeypatch.setenv("RETNET_BUDGET", str(15 * 49 - 1))
@@ -236,7 +236,7 @@ def test_unrooted_switchings_match_matrix_tree_count():
             assert len(sws) == _spanning_tree_count_matrix_tree(N)
             # each switching's kept edges really form a spanning tree
             for s in sws:
-                kept = set(N.edges) - s.off_edges
+                kept = [e for i, e in enumerate(N.edges) if i not in s.off]
                 assert len(kept) == N.num_nodes - 1
                 assert model._is_connected(N.num_nodes, kept)
 

@@ -1,5 +1,6 @@
 """Every imported name is read somewhere in its module, or re-exported by `__all__`;
-every public function or class of the package is read somewhere in it, or exported."""
+every public function or class and every private function of the package is read
+somewhere in it, or exported."""
 
 import ast
 import os
@@ -49,7 +50,8 @@ def _is_click_command(node: ast.AST) -> bool:
 
 
 def dead_public_names(trees: dict[str, ast.Module]) -> list[str]:
-    """Public module-level functions and classes that no package code reads."""
+    """Module-level functions, public or private, and public classes that no package code
+    reads; a private function that only the tests read is dead too."""
     read: set[str] = set()
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -63,9 +65,9 @@ def dead_public_names(trees: dict[str, ast.Module]) -> list[str]:
                     isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
                 read.update(ast.literal_eval(node.value))
     return [f"{mod}.{node.name}" for mod, tree in trees.items() for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_") and not _is_click_command(node)
-            and node.name not in read]
+            if (isinstance(node, ast.FunctionDef)
+                or isinstance(node, ast.ClassDef) and not node.name.startswith("_"))
+            and not _is_click_command(node) and node.name not in read]
 
 
 def test_no_dead_public_names():

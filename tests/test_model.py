@@ -60,6 +60,12 @@ def test_switching_validation(n6r4):
     assert model.validate(sigma).ok
     bad = model.Switching(n6r4, frozenset())
     assert not model.validate(bad).ok
+    # off edges are indices in the host's edges: an index past them, a negative
+    # one, a float and an edge pair name no edge
+    keep = frozenset(sorted(sigma.off)[1:])
+    for junk in (len(n6r4.edges), -1, 1.5, n6r4.edges[0]):
+        bad = model.Switching(n6r4, keep | {junk})
+        assert model.validate(bad).violations == ("off edge not in host",)
 
 
 def test_labelling_validation(n6r4):

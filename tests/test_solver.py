@@ -37,7 +37,7 @@ def scan_min_reticulations(ts):
     """min_reticulations by a scan of all of N(n, r), r upward."""
     target = frozenset(canonical.canonical_code(T).bytes for T in ts.trees)
     for r in range((ts.t - 1) * ts.n + 1):
-        for N, codes in solver._displayed_code_sets(ts.n, r, ts.mode):
+        for N, codes in solver._code_sets(ts.n, r, ts.mode):
             if target <= codes:
                 return r, N
 
@@ -131,7 +131,7 @@ def test_verify_counts_runs_each_canonical_search_once():
     search = canonical._canon_general
     for mode, searches, repeats in [(UNROOTED, 204, 171), (ROOTED, 2861, 64)]:
         for cached in (generate._level, generate._networks_cached,
-                       solver._displayed_code_sets, search):
+                       solver._code_sets, search):
             cached.cache_clear()
         solver.verify_counts(3, 2, mode)
         info = search.cache_info()
