@@ -8,10 +8,10 @@ Output is deterministic, in canonical order.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import sys
 from pathlib import Path
+from typing import Iterable
 
 import click
 
@@ -23,19 +23,24 @@ from .model import ROOTED, UNROOTED
 _MODE = click.Choice([ROOTED, UNROOTED])
 
 
-def _emit_stream(rows: list[dict], fmt: str) -> None:
+_encode_row = json.JSONEncoder(sort_keys=True).encode  # json.dumps(row, sort_keys=True)
+
+
+def _emit_stream(rows: Iterable[dict], fmt: str) -> None:
+    """Write the rows to stdout as they come, and flush once at the end."""
+    out = click.get_text_stream("stdout")
     if fmt == "jsonl":
         for row in rows:
-            click.echo(json.dumps(row, sort_keys=True))
-        return
-    if not rows:
-        return
-    cols = list(rows[0].keys())
-    buf = io.StringIO()
-    w = csv.DictWriter(buf, fieldnames=cols)
-    w.writeheader()
-    w.writerows(rows)
-    click.echo(buf.getvalue(), nl=False)
+            out.write(_encode_row(row) + "\n")
+    else:
+        rows = iter(rows)
+        first = next(rows, None)
+        if first is not None:
+            w = csv.DictWriter(out, fieldnames=list(first))
+            w.writeheader()
+            w.writerow(first)
+            w.writerows(rows)
+    out.flush()
 
 
 def _report_rows(reports) -> list[dict]:
@@ -79,8 +84,8 @@ def trees(n: int, mode: str, count_only: bool, fmt: str) -> None:
     if count_only:
         click.echo(str(bounds.tree_count(n, mode)))
         return
-    _emit_stream([{"newick": serialize.tree_to_newick(T)}
-                  for T in generate.enumerate_trees(n, mode)], fmt)
+    _emit_stream(({"newick": serialize.tree_to_newick(T)}
+                  for T in generate.enumerate_trees(n, mode)), fmt)
 
 
 @main.command()
@@ -97,7 +102,7 @@ def networks(n: int, r: int, mode: str, count_only: bool,
     if count_only:
         click.echo(str(len(nets)))
         return
-    _emit_stream([{"network": _write_network(N)} for N in nets], fmt)
+    _emit_stream(({"network": _write_network(N)} for N in nets), fmt)
 
 
 @main.command()
@@ -111,7 +116,7 @@ def switchings(path: str, count_only: bool, fmt: str) -> None:
     if count_only:
         click.echo(str(len(sws)))
         return
-    _emit_stream([{"off_edges": sorted(N.edges[i] for i in s.off)} for s in sws], fmt)
+    _emit_stream(({"off_edges": sorted(N.edges[i] for i in s.off)} for s in sws), fmt)
 
 
 @main.command()
@@ -175,7 +180,7 @@ def displayed(path: str, count_only: bool, fmt: str) -> None:
     if count_only:
         click.echo(str(len(ts)))
         return
-    _emit_stream([{"newick": serialize.tree_to_newick(T)} for T in ts], fmt)
+    _emit_stream(({"newick": serialize.tree_to_newick(T)} for T in ts), fmt)
 
 
 @main.command()

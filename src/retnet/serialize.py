@@ -1,11 +1,18 @@
 """Newick / extended Newick / JSON serialization.
 
-Leaves are written as their decimal labels.  One writer,
-`network_to_enewick`, writes trees and rooted networks: extended Newick
-with reticulations tagged #H1..#Hr, where the first traversal visit
-carries the reticulation's subtree and later visits are bare tags.  A
-tree has no tags; an unrooted tree is drawn rooted at the internal node
-next to leaf 1.  Unrooted networks are JSON edge lists.
+Leaves are written as their decimal labels.  `network_to_enewick`
+writes rooted networks as extended Newick with reticulations tagged
+#H1..#Hr, where the first traversal visit carries the reticulation's
+subtree and later visits are bare tags.  Children and reticulations are
+ordered by the sorted labels of the leaves below them; the canonical
+position search breaks ties, and runs only when two siblings or two
+reticulations reach the same leaves.  A tree has no tags, and its
+sibling leaf sets are disjoint, so `network_to_enewick` and
+`tree_to_newick` hand trees to `_tree_newick`, which orders siblings by
+their least leaf label, found in one bottom-up pass: the same order,
+with no leaf sets built.  An unrooted tree is drawn rooted at the
+internal node next to leaf 1.
+Unrooted networks are JSON edge lists.
 One iterative reader, `_parse`, reads both written forms.  It numbers a
 leaf or bare tag when it is read and an internal node at its ")" (a
 tagged node when its tag is first seen); `newick_to_tree` renumbers
@@ -30,19 +37,56 @@ from .model import Edge, Graph, ReticulationLabelling, ROOTED, UNROOTED
 
 
 def tree_to_newick(T: Graph) -> str:
-    """Newick for a rooted or unrooted tree, written by `network_to_enewick`."""
+    """Newick for a rooted or unrooted tree, siblings by least leaf label."""
     if T.mode == ROOTED:
         return network_to_enewick(T)
     if T.num_nodes == 2:
         return "(1,2);"
+    kids: list[list[int]] = [[] for _ in range(T.num_nodes)]
+    order = [0]
     if T.num_nodes > 2:
         # root the drawing at the internal node next to leaf 1: hung from
         # leaf 1, only the edge between the two points the other way
         leaf1 = model.label_map(T)[1]
         order, parent = model.hang(T, leaf1)
-        edges = ((order[1], leaf1),) + tuple((parent[w], w) for w in order[2:])
-        T = Graph(ROOTED, T.num_nodes, edges, T.leaf_labels)
-    return network_to_enewick(T)
+        for w in order[2:]:
+            kids[parent[w]].append(w)
+        kids[order[1]].append(leaf1)
+        order[:2] = order[1], leaf1
+    return _tree_newick(kids, dict(T.leaf_labels), order)
+
+
+def _tree_newick(kids: list[list[int]], leaves: dict[int, int], order: list[int]) -> str:
+    """Newick of the tree hung from order[0] by `kids`; `order` lists each node after its parent.
+
+    Siblings are written by their least leaf label, found in one bottom-up
+    pass.  Sibling leaf sets are disjoint, so this is the order of their
+    sorted leaf sets, the key `network_to_enewick` sorts networks by.
+    """
+    least = [0] * len(kids)
+    for v in reversed(order):
+        if v in leaves:
+            least[v] = leaves[v]
+        else:
+            kids[v].sort(key=least.__getitem__)
+            least[v] = least[kids[v][0]]
+    text = {v: str(x) for v, x in leaves.items()}
+    out: list[str] = []
+    stack: list = [order[0]]
+    while stack:
+        v = stack.pop()
+        if type(v) is str:
+            out.append(v)
+        elif v in text:
+            out.append(text[v])
+        else:
+            stack.append(")")
+            below = kids[v]
+            for c in reversed(below[1:]):
+                stack += [c, ","]
+            stack.append(below[0])
+            out.append("(")
+    return "".join(out) + ";"
 
 
 _TOKEN = re.compile(r"\(|\)|,|;|#H\d+|\d+")
@@ -141,7 +185,13 @@ def network_to_enewick(N: Graph) -> str:
     """Extended Newick for a rooted network or tree, children in sorted order."""
     children = model.adjacency(N)
     leaves = dict(N.leaf_labels)
-    rets = model.reticulations_of(N)
+    indeg = model._indegrees(N)
+    rets = [v for v, d in enumerate(indeg) if d >= 2]
+    if not rets:
+        order = [indeg.index(0)]
+        for v in order:
+            order += children[v]
+        return _tree_newick(children, leaves, order)
     order = model.topological_order(N)
     reach: dict[int, tuple] = {}  # sorted labels of the leaves below each node
     for v in reversed(order):
@@ -150,10 +200,9 @@ def network_to_enewick(N: Graph) -> str:
         else:
             reach[v] = tuple(sorted({x for c in children[v] for x in reach[c]}))
     key = reach.__getitem__
-    if rets:
+    if _ties(rets, reach) or any(_ties(children[v], reach) for v in order if v not in leaves):
         # ties in reachable-leaf sets (nested reticulations) are broken by
-        # canonical position, so the output is a graph invariant; sibling
-        # leaf sets in a tree are disjoint and never tie
+        # canonical position, so the output is a graph invariant
         from .canonical import canonical_positions
         pos_of = canonical_positions(N)
         key = lambda v: (reach[v], pos_of[v])
@@ -180,6 +229,11 @@ def network_to_enewick(N: Graph) -> str:
             stack.append(kids[0])
             out.append("(")
     return "".join(out) + ";"
+
+
+def _ties(nodes: list[int], reach: dict[int, tuple]) -> bool:
+    """Whether two of the nodes reach the same leaves (a node listed twice does)."""
+    return len({reach[v] for v in nodes}) < len(nodes)
 
 
 def enewick_to_network(s: str) -> Graph:

@@ -38,6 +38,7 @@ def _code_sets(n: int, r: int, mode: str, T1: Optional[Graph] = None
 def _least_r(T1: Graph, target: frozenset, r_cap: int) -> tuple[int, Graph]:
     """The least r, and the first network in canonical order with r
     reticulations, that displays every code in `target`; T1 must be one of them."""
+    generate._budget()  # a cached tower is not checked again, but a bad budget is still reported
     for r in range(r_cap + 1):
         for N, codes in _code_sets(T1.n, r, T1.mode, T1):
             if target <= codes:

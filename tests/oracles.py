@@ -6,7 +6,11 @@ is checked against.  `retnet.generate` builds networks by edge
 addition; `sweep` lists them by decoding every tree through the codec.
 `model.is_leaf_connecting` is a cut-node test; `is_leaf_connecting`
 here searches the leaf-to-leaf paths themselves.  `subdivide` is the
-inverse of `model.suppress`.
+inverse of `model.suppress`.  `displayed_tree` suppresses a graph of the
+on edges, which `retnet.display` walks from the network; the writers
+here sort every node's children by the sorted leaf labels below them,
+where `retnet.serialize` writes trees by least leaf and breaks ties in
+networks only when there are some.
 """
 
 from __future__ import annotations
@@ -16,8 +20,9 @@ from typing import Optional
 
 from retnet import codec, generate, model
 from retnet.canonical import classes
-from retnet.errors import ModeMismatch, NotInImage
-from retnet.model import Edge, Graph, ROOTED
+from retnet.canonical import canonical_positions
+from retnet.errors import ModeMismatch, NotInImage, SwitchingMismatch
+from retnet.model import Edge, Graph, Switching, ROOTED
 
 
 def find_embedding(N: Graph, T: Graph) -> Optional[frozenset[Edge]]:
@@ -152,3 +157,65 @@ def sweep(n: int, r: int, mode: str, leaf_connecting: bool) -> tuple[Graph, ...]
 
     return classes(N for N in decoded()
                    if mode == ROOTED or not leaf_connecting or is_leaf_connecting(N))
+
+
+def displayed_tree(N: Graph, sigma: Switching) -> Graph:
+    """The tree of one switching: a graph of the on edges, suppressed."""
+    if sigma.host != N:
+        raise SwitchingMismatch("switching is not hosted by this network")
+    on_edges = tuple(e for i, e in enumerate(N.edges) if i not in sigma.off)
+    return model.suppress(Graph(N.mode, N.num_nodes, on_edges, N.leaf_labels))
+
+
+def tree_to_newick(T: Graph) -> str:
+    """Newick for a tree, an unrooted one drawn rooted at the internal node next to leaf 1."""
+    if T.mode == ROOTED:
+        return network_to_enewick(T)
+    if T.num_nodes == 2:
+        return "(1,2);"
+    if T.num_nodes > 2:
+        leaf1 = model.label_map(T)[1]
+        order, parent = model.hang(T, leaf1)
+        edges = ((order[1], leaf1),) + tuple((parent[w], w) for w in order[2:])
+        T = Graph(ROOTED, T.num_nodes, edges, T.leaf_labels)
+    return network_to_enewick(T)
+
+
+def network_to_enewick(N: Graph) -> str:
+    """Extended Newick with every node's children sorted by the sorted
+    labels of the leaves below them, and by canonical position after that."""
+    children = model.adjacency(N)
+    leaves = dict(N.leaf_labels)
+    rets = model.reticulations_of(N)
+    order = model.topological_order(N)
+    reach: dict[int, tuple] = {}
+    for v in reversed(order):
+        if v in leaves:
+            reach[v] = (leaves[v],)
+        else:
+            reach[v] = tuple(sorted({x for c in children[v] for x in reach[c]}))
+    key = reach.__getitem__
+    if rets:
+        pos_of = canonical_positions(N)
+        key = lambda v: (reach[v], pos_of[v])
+    ret_tag = {v: k for k, v in enumerate(sorted(rets, key=key), 1)}
+    out: list[str] = []
+    written: set[int] = set()
+    stack: list = [order[0]]
+    while stack:
+        v = stack.pop()
+        if type(v) is str:
+            out.append(v)
+        elif v in leaves:
+            out.append(str(leaves[v]))
+        elif v in written:
+            out.append(f"#H{ret_tag[v]}")
+        else:
+            written.add(v)
+            stack.append(f")#H{ret_tag[v]}" if v in ret_tag else ")")
+            kids = sorted(children[v], key=key)
+            for c in reversed(kids[1:]):
+                stack += [c, ","]
+            stack.append(kids[0])
+            out.append("(")
+    return "".join(out) + ";"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -5,6 +6,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import retnet as rn
 from retnet import bounds, cli, generate, serialize
+from test_display import seeded_trivial
 
 
 def run(capsys, *argv):
@@ -39,6 +41,47 @@ def test_trees_stream_csv(capsys):
     assert code == 0
     assert lines[0] == "newick"
     assert len(lines) == 4
+
+
+# SHA-256 of the stdout of listing commands, in JSONL and in CSV, recorded
+# with the sorted-leaf-set writer and the suppressed representatives: these
+# listings are output and must not change with their implementation
+# (networks at rooted (3, 2) tie in leaf sets, at (4, 1) they do not)
+LISTING_PINS = [
+    (["trees", "--n", "5"],
+     "73ba32dc64d4fd491db106f7be1912cfb4a446839cb50e80b2e974789766e7c1",
+     "3208cd377b13de9668618e5053d360feeaf4fe712c961b25e1e592053670911d"),
+    (["trees", "--n", "5", "--mode", "unrooted"],
+     "488933208ddac9c820ef971cc1f2e9fd131c31689e7a6e39fe97abd8b5d9d3e2",
+     "64816db7da77f64efd88c1d6b24cccc83f3a2b094f16cb1e0b854055c1f6bfd3"),
+    (["displayed", "--network", "trivial.enwk"],
+     "5ba7c356d0a0b84d33945c4710ff009056b97c1d03cfa39a6b942765ff3f11c1",
+     "70b3c2cbaa5d466de44db7d5ba9a770e57238a8ed76d750d655556ff0c5bea26"),
+    (["displayed", "--network", "unrooted.json"],
+     "8fc37bf9c8a73ad84379837d0faa24a2c9678d295925af866c7ca3e69f6eb3c2",
+     "2eccce907d5dc4d669f6b06acccaad5b39e56cd392443a3c504e2c65a71b22f4"),
+    (["networks", "--n", "3", "--r", "2"],
+     "07568be2723cecbcc3fbfaf118f5b361b972a5a1c09264aa16a36f4f149225cd",
+     "648e55caafd194ee02c748210dbdb95577e688f6b94357979bc6a0a9f4db57df"),
+    (["networks", "--n", "4", "--r", "1"],
+     "065b19add44a29e47238dd18d5904b853936d4c2a6e80640e6b359e2fca85184",
+     "e3d2c28b40bddd7abe805e95390e07c5c115227e55b3ba34ec089b7e602eba51"),
+]
+
+
+def test_listing_stdout_is_pinned(tmp_path, capsys):
+    N, _ = seeded_trivial(8, 2, 8)  # rooted, with 2^8 switchings
+    (tmp_path / "trivial.enwk").write_text(serialize.network_to_enewick(N) + "\n")
+    # an unrooted network of N(5, 1) that displays five trees
+    (tmp_path / "unrooted.json").write_text(
+        '{"edges": [[0, 8], [1, 9], [2, 3], [3, 7], [3, 8], [4, 5], [5, 7], [5, 9], [6, 7], '
+        '[8, 9]], "leaves": {"1": 0, "2": 1, "3": 2, "4": 4, "5": 6}, '
+        '"nodes": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]}')
+    for argv, *digests in LISTING_PINS:
+        argv = [str(tmp_path / a) if "." in a else a for a in argv]
+        for fmt, digest in zip(("jsonl", "csv"), digests):
+            code, out = run(capsys, *argv, "--format", fmt)
+            assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest), (argv, fmt)
 
 
 def test_networks_count(capsys):

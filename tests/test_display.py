@@ -1,12 +1,14 @@
 import hashlib
+import itertools
 import random
 
 import pytest
 
 import retnet as rn
+import oracles
 from oracles import displays_by_subdivision, find_embedding
 from retnet import display, generate, model, serialize
-from retnet.errors import DomainError, LeafsetMismatch, SwitchingMismatch
+from retnet.errors import DomainError, LeafsetMismatch, RetnetError, SwitchingMismatch
 from retnet.model import ROOTED, UNROOTED
 
 from test_generate import ORACLE_POINTS
@@ -192,3 +194,34 @@ def test_trivial_network_codes_and_outputs(n, t, seed, digest):
     assert model.reticulation_count(N) == (t - 1) * n
     assert list(display._switching_codes(N)) == oracle_codes(N)
     assert display_digest(N, queries) == digest
+
+
+def outcome(build, N, off):
+    """What building the tree of the off edge indices `off` gives: the tree, or the error."""
+    try:
+        return build(N, model.Switching(N, frozenset(off)))
+    except RetnetError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("mode,n,r,lc", ORACLE_POINTS)
+def test_displayed_tree_matches_suppressed_on_edges(mode, n, r, lc):
+    # every set of r edges (each switching, and sets that leave on edges
+    # that are not a tree), and for the first networks sets of r - 1 and r + 1
+    for i, N in enumerate(generate.enumerate_networks(n, r, mode, leaf_connecting=lc)):
+        sizes = (r - 1, r, r + 1) if i < 20 else (r,)
+        for off in itertools.chain(*(itertools.combinations(range(len(N.edges)), k)
+                                     for k in sizes)):
+            want = outcome(oracles.displayed_tree, N, off)
+            assert outcome(display.displayed_tree, N, off) == want, (N, off)
+
+
+@pytest.mark.parametrize("n,t,seed,digest", TRIVIAL_PINS, ids=lambda v: str(v)[:8])
+def test_displayed_trees_match_suppressed_representatives(n, t, seed, digest):
+    N, _ = seeded_trivial(n, t, seed)
+    first: dict[bytes, tuple[int, ...]] = {}
+    for off, code in display._switching_codes(N):
+        first.setdefault(code, off)
+    want = tuple(oracles.displayed_tree(N, model.Switching(N, frozenset(first[c])))
+                 for c in sorted(first))
+    assert display.displayed_trees(N) == want

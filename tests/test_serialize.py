@@ -2,10 +2,12 @@ import hashlib
 
 import pytest
 
+import oracles
 import retnet as rn
-from retnet import generate, model, serialize
+from retnet import canonical, display, generate, model, serialize
 from retnet.errors import ParseError
 from retnet.model import ROOTED, UNROOTED
+from test_display import TRIVIAL_PINS, seeded_trivial
 
 
 def test_newick_roundtrip_rooted():
@@ -58,6 +60,33 @@ READER_DIGESTS = [
     (serialize.enewick_to_network,
      "410ca6f50267f3fd1ca0a15ccebf7575419fe7e3e4b86749472d136bf10033c9"),
 ]
+
+
+def test_tree_writer_matches_sorted_leaf_sets():
+    # trees are written by least leaf, the oracle sorts by every leaf below
+    for mode in (ROOTED, UNROOTED):
+        for n in range(1, 8):
+            for T in generate.enumerate_trees(n, mode):
+                assert serialize.tree_to_newick(T) == oracles.tree_to_newick(T)
+    for n, t, seed, _ in TRIVIAL_PINS:
+        for T in display.displayed_trees(seeded_trivial(n, t, seed)[0]):
+            assert serialize.tree_to_newick(T) == oracles.tree_to_newick(T)
+
+
+def test_network_writer_matches_canonical_tie_breaks(monkeypatch):
+    # the writer searches canonical positions only for tied leaf sets:
+    # 180 of the 279 networks of rooted (3, 2) have ties, none of the 228 of (4, 1)
+    searched = []
+    search = canonical.canonical_positions
+    monkeypatch.setattr(canonical, "canonical_positions",
+                        lambda N: searched.append(N) or search(N))
+    for n, r, ties in [(1, 3, None), (2, 2, None), (2, 3, None), (3, 1, None),
+                       (3, 2, (180, 279)), (4, 1, (0, 228))]:
+        searched.clear()
+        nets = generate.enumerate_networks(n, r, ROOTED)
+        written = [serialize.network_to_enewick(N) for N in nets]
+        assert ties is None or (len(searched), len(nets)) == ties
+        assert written == [oracles.network_to_enewick(N) for N in nets]
 
 
 def test_reader_numbering_is_pinned():

@@ -4,7 +4,7 @@ import pytest
 
 import retnet as rn
 from retnet import bounds, canonical, display, generate, model, serialize, solver
-from retnet.errors import BudgetExceeded
+from retnet.errors import BudgetExceeded, DomainError
 from retnet.model import ROOTED, UNROOTED
 
 
@@ -22,6 +22,17 @@ def test_min_reticulations_two_trees_n3():
     for T in trees[:2]:
         ok, _ = display.displays(N, T)
         assert ok
+
+
+def test_cached_tower_still_reads_the_budget(monkeypatch):
+    trees = generate.enumerate_trees(4, ROOTED)
+    ts = model.tree_set([trees[0], trees[5]])
+    monkeypatch.delenv("RETNET_BUDGET", raising=False)
+    r, _ = solver.min_reticulations(ts)  # builds and caches the first tree's tower
+    assert r >= 1
+    monkeypatch.setenv("RETNET_BUDGET", "abc")
+    with pytest.raises(DomainError, match="^RETNET_BUDGET must be a positive integer, not 'abc'$"):
+        solver.min_reticulations(ts)
 
 
 def test_min_reticulations_witness_displays_all():
