@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Collection, Iterable, Optional
 
 from . import model
 from .errors import ModeMismatch, NotATree
@@ -90,8 +90,8 @@ def _general_code(G: Graph, edge_labels: Optional[ReticulationLabelling]
 # fast tree codes
 
 
-def _tree_code(G: Graph, start: Optional[int] = None,
-               leaves: Optional[dict[int, int]] = None) -> bytes:
+def _tree_code(G: Graph, start: Optional[int] = None, leaves: Optional[dict[int, int]] = None,
+               off: Collection[int] = frozenset()) -> bytes:
     """Nested sorted leaf labels, built bottom-up from the root (rooted) or
     below leaf 1 (unrooted; leaf labels make this invariant).
 
@@ -99,9 +99,9 @@ def _tree_code(G: Graph, start: Optional[int] = None,
     code up, and a subtree without leaves has no code, so a subdivided
     tree with unlabelled pendant chains gets the code of its
     suppression.  `start` (the root, or leaf 1's node) and `leaves`
-    (node -> label) may be passed in when many trees share them.  A
-    graph that is not a tree (no single root, or a node out of reach)
-    raises `NotATree`.
+    (node -> label) may be passed in when many trees share them; the
+    edges whose index is in `off` are left out.  A graph that is not a
+    tree (no single root, or a node out of reach) raises `NotATree`.
     """
     if leaves is None:
         leaves = dict(G.leaf_labels)
@@ -114,7 +114,7 @@ def _tree_code(G: Graph, start: Optional[int] = None,
         start = model.label_map(G).get(1)
         if start is None:
             raise NotATree("unrooted tree has no leaf labelled 1")
-    order, parent = model.hang(G, start)
+    order, parent = model.hang(G, start, off)
     if len(order) < G.num_nodes:
         raise NotATree("graph is not connected")
     below: list[list[bytes]] = [[] for _ in range(G.num_nodes)]

@@ -283,6 +283,8 @@ def verify(lemmas: bool, counts: bool, kmax: int, n_max: int, r_max: int,
 
 def run(argv: list[str]) -> int:
     """Programmatic entry point mirroring the console script."""
+    if hasattr(sys, "set_int_max_str_digits"):  # exact counts pass CPython's 4,300-digit cap
+        sys.set_int_max_str_digits(0)
     try:
         main.main(args=argv, standalone_mode=False)
         return 0

@@ -8,11 +8,10 @@ as well as networks.  A switching's tree is not suppressed to be compared:
 its canonical code is read straight off the network's on edges (the
 tree code ignores subdivisions and leafless subtrees), and a tree is
 built only for the first switching of each class that is returned.
-Those representatives, and `displayed_tree`, are walked from the
-network's (edge index, child) lists, built once per network: the walk
-follows the on edges and keeps what `model.suppress` keeps, a node that
-is labelled or has at least two subtrees that hold labels.  No graph of
-the on edges is built.
+Every tree is built by `model.suppress(N, off)`, the package's one
+suppression walk, which follows the on edges and needs no graph of
+them; `displayed_trees` builds its representatives in one batch that
+shares N's edge lists.
 
 Rooted, the codes are updated incrementally.  `generate._off_edges`
 walks the product of the reticulations' in-edges, last reticulation
@@ -23,8 +22,8 @@ spanning trees with no such structure, and each is coded afresh.
 
 The tests cross-check display at desk scale against the direct
 subdivision-subgraph definition, the codes against those of
-`displayed_tree`, and `displayed_tree` against `model.suppress` of a
-graph of the on edges.
+`displayed_tree`, and `displayed_tree` against the hang-based
+suppression of a graph of the on edges in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -44,13 +43,7 @@ def displayed_tree(N: Graph, sigma: Switching) -> Graph:
     On edges that do not form a tree raise NotATree."""
     if sigma.host != N:
         raise SwitchingMismatch("switching is not hosted by this network")
-    off = sigma.off
-    if N.mode == ROOTED:  # the first node without an on in-edge, as `model.suppress` starts
-        entered = {v for i, (_, v) in enumerate(N.edges) if i not in off}
-        start = next((v for v in range(N.num_nodes) if v not in entered), None)
-    else:
-        start = min(dict(N.leaf_labels), default=0)
-    return _walk(N, _edge_lists(N), start, off)
+    return model.suppress(N, sigma.off)
 
 
 def displayed_trees(N: Graph) -> tuple[Graph, ...]:
@@ -61,67 +54,7 @@ def displayed_trees(N: Graph) -> tuple[Graph, ...]:
     first: dict[bytes, tuple[int, ...]] = {}
     for off, code in _switching_codes(N):
         first.setdefault(code, off)
-    lists = _edge_lists(N)
-    if N.mode == ROOTED:
-        start = model._indegrees(N).index(0)
-    else:
-        start = min(dict(N.leaf_labels), default=0)
-    return tuple(_walk(N, lists, start, frozenset(first[c])) for c in sorted(first))
-
-
-def _edge_lists(N: Graph) -> list[list[tuple[int, int]]]:
-    """Each node's (edge index, child) pairs (rooted) or (edge index, neighbour) pairs."""
-    lists: list[list[tuple[int, int]]] = [[] for _ in range(N.num_nodes)]
-    undirected = N.mode != ROOTED
-    for i, (u, v) in enumerate(N.edges):
-        lists[u].append((i, v))
-        if undirected:
-            lists[v].append((i, u))
-    return lists
-
-
-def _walk(N: Graph, lists: list[list[tuple[int, int]]], start: Optional[int],
-          off: frozenset[int]) -> Graph:
-    """The suppressed tree on N's on edges (those whose index is not in `off`), hung from start.
-
-    `model.suppress` of the graph of the on edges, read from N's edge
-    lists: the walk enters every node once (else NotATree), and a node
-    survives iff it is labelled or at least two of its subtrees hold
-    labels; each survivor hangs from its nearest surviving ancestor.
-    """
-    num_nodes = N.num_nodes
-    if start is None:
-        raise NotATree("input is not a tree")
-    parent = [-1] * num_nodes
-    up = [-1] * num_nodes  # the edge each node is entered by
-    parent[start] = start
-    order = [start]
-    for v in order:
-        u = up[v]
-        for i, w in lists[v]:
-            if i == u or i in off:
-                continue
-            if parent[w] >= 0:  # a second way into w: a cycle or two on parents
-                raise NotATree("input is not a tree")
-            parent[w] = v
-            up[w] = i
-            order.append(w)
-    if len(order) != num_nodes:
-        raise NotATree("input is not a tree")
-    labels = dict(N.leaf_labels)
-    below: list[list[int]] = [[] for _ in range(num_nodes)]  # topmost survivors under v
-    kept: list[int] = []
-    edges: list[tuple[int, int]] = []
-    for v in reversed(order):
-        b = below[v]
-        if v in labels or len(b) >= 2:
-            kept.append(v)
-            for w in b:
-                edges.append((v, w))
-            below[parent[v]].append(v)
-        elif b:
-            below[parent[v]].append(b[0])
-    return model.make_graph(N.mode, kept, edges, labels)
+    return tuple(model._suppressions(N, (frozenset(first[c]) for c in sorted(first))))
 
 
 def displays(N: Graph, T: Graph) -> tuple[bool, Optional[Switching]]:
@@ -152,7 +85,7 @@ def _switching_codes(N: Graph) -> Iterator[tuple[tuple[int, ...], bytes]]:
     for the switching sigma with off edges `off`.  N may be one of the
     multigraphs of `generate._level`; the public entry points validate
     their network first.  Unrooted, each spanning tree is coded afresh by
-    `_tree_code` on its on edges.
+    `_tree_code` on N without its off edges.
 
     Rooted, node codes are kept from one switching to the next.  A node's
     code is the one `_tree_code` builds on the on edges (its leaf label,
@@ -172,10 +105,7 @@ def _switching_codes(N: Graph) -> Iterator[tuple[tuple[int, ...], bytes]]:
         leaves = dict(N.leaf_labels)
         start = model.label_map(N)[1]
         for off in generate._off_edges(N):
-            skip = set(off)
-            on = tuple(e for i, e in enumerate(N.edges) if i not in skip)
-            yield off, header + _tree_code(Graph(N.mode, N.num_nodes, on, N.leaf_labels),
-                                           start, leaves)
+            yield off, header + _tree_code(N, start, leaves, off)
         return
 
     num_nodes, edges, kids = N.num_nodes, N.edges, model.adjacency(N)

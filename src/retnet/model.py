@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Iterator, Mapping
 
 from .errors import LeafsetMismatch, ModeMismatch, NotATree
 
@@ -127,11 +127,12 @@ def label_map(G: Graph) -> dict[int, int]:
     return {x: v for v, x in G.leaf_labels}
 
 
-def adjacency(G: Graph) -> list[list[int]]:
-    """Each node's children (rooted) or neighbours (unrooted), in edge order."""
+def adjacency(G: Graph, off: Collection[int] = frozenset()) -> list[list[int]]:
+    """Each node's children (rooted) or neighbours (unrooted), in edge order,
+    over the edges whose index in `G.edges` is not in `off`."""
     adj: list[list[int]] = [[] for _ in range(G.num_nodes)]
     undirected = G.mode != ROOTED
-    for u, v in G.edges:
+    for u, v in [e for i, e in enumerate(G.edges) if i not in off] if off else G.edges:
         adj[u].append(v)
         if undirected:
             adj[v].append(u)
@@ -169,13 +170,14 @@ def reticulation_count(N: Graph) -> int:
 # walks
 
 
-def hang(G: Graph, start: int) -> tuple[list[int], list[int]]:
+def hang(G: Graph, start: int, off: Collection[int] = frozenset()) -> tuple[list[int], list[int]]:
     """BFS order of the nodes reachable from `start`, and each one's parent.
 
-    Rooted graphs are walked along their edge directions.  `start` is its
-    own parent; unreached nodes have parent -1.
+    Rooted graphs are walked along their edge directions, and the edges
+    whose index is in `off` are left out.  `start` is its own parent;
+    unreached nodes have parent -1.
     """
-    adj = adjacency(G)
+    adj = adjacency(G, off)
     parent = [-1] * G.num_nodes
     parent[start] = start
     order = [start]
@@ -325,10 +327,9 @@ def _validate_switching(s: Switching) -> list[str]:
                 bad.append("off edge does not enter a reticulation")
             elif k != 1:
                 bad.append("reticulation with two off parent edges")
-    else:
-        on = [e for i, e in enumerate(host.edges) if i not in s.off]
-        if len(on) != host.num_nodes - 1 or not _is_connected(host.num_nodes, on):
-            bad.append("on edges do not form a spanning tree")
+    elif (len(host.edges) - len(s.off) != host.num_nodes - 1
+          or len(hang(host, 0, s.off)[0]) != host.num_nodes):
+        bad.append("on edges do not form a spanning tree")
     return bad
 
 
@@ -381,41 +382,69 @@ def validate(obj) -> ValidationReport:
 # suppression
 
 
-def suppress(G: Graph) -> Graph:
-    """Contract a graph-theoretic tree down to a phylogenetic tree.
+def suppress(G: Graph, off: Collection[int] = frozenset()) -> Graph:
+    """The phylogenetic tree that G's edges, less those whose index is in `off`, subdivide.
 
     Removes unlabelled pendant chains, then contracts degree-2 vertices
     (rooted: in-degree-1/out-degree-1 nodes and out-degree-1 roots).
-    Inverse of edge subdivision.
+    Inverse of edge subdivision.  The tree a switching sigma of N
+    certifies is `suppress(N, sigma.off)`.
 
-    One bottom-up pass, from the root (rooted) or a labelled node
-    (unrooted): a node survives iff it is labelled or at least two of its
-    subtrees hold labels; each survivor hangs from its nearest surviving
-    ancestor.
+    One walk along the kept edges from G's first in-degree-0 node
+    (rooted) or its least labelled node (unrooted) must enter every node
+    exactly once, else the kept edges are not a tree and NotATree is
+    raised.  Then one bottom-up pass: a node survives iff it is labelled
+    or at least two of its subtrees hold labels; each survivor hangs from
+    its nearest surviving ancestor.
     """
+    return next(_suppressions(G, (off,)))
+
+
+def _suppressions(G: Graph, offs: Iterable[Collection[int]]) -> Iterator[Graph]:
+    """`suppress(G, off)` for each off in offs, with G's edge lists and start built once."""
     mode, num_nodes, labels = G.mode, G.num_nodes, dict(G.leaf_labels)
+    lists: list[list[tuple[int, int]]] = [[] for _ in range(num_nodes)]  # (edge index, child)
+    undirected = mode != ROOTED
+    for i, (u, v) in enumerate(G.edges):
+        lists[u].append((i, v))
+        if undirected:
+            lists[v].append((i, u))
     if mode == ROOTED:
         start = next((v for v, d in enumerate(_indegrees(G)) if d == 0), None)
     else:
-        start = min(labels, default=0)
-    # |E| = |V| - 1 and every node reached from the start: a tree (rooted:
-    # an arborescence, so no node with two parents and no directed cycle)
-    if len(G.edges) != num_nodes - 1 or start is None:
+        start = min(labels, default=0) if num_nodes else None
+    if start is None:
         raise NotATree("input is not a tree")
-    order, parent = hang(G, start)
-    if len(order) != num_nodes:
-        raise NotATree("input is not a tree")
-    below: list[list[int]] = [[] for _ in range(num_nodes)]  # topmost survivors under v
-    kept: list[int] = []
-    new_edges: list[Edge] = []
-    for v in reversed(order):
-        if v in labels or len(below[v]) >= 2:
-            kept.append(v)
-            new_edges.extend((v, w) for w in below[v])
-            below[parent[v]].append(v)
-        elif below[v]:
-            below[parent[v]].append(below[v][0])
-    return make_graph(mode, kept, new_edges, labels)
+    for off in offs:
+        parent = [-1] * num_nodes
+        up = [-1] * num_nodes  # the edge each node is entered by
+        parent[start] = start
+        order = [start]
+        for v in order:
+            u = up[v]
+            for i, w in lists[v]:
+                if i == u or i in off:
+                    continue
+                if parent[w] >= 0:  # a second way into w: a cycle or two parents
+                    raise NotATree("input is not a tree")
+                parent[w] = v
+                up[w] = i
+                order.append(w)
+        if len(order) != num_nodes:
+            raise NotATree("input is not a tree")
+        below: list[list[int]] = [[] for _ in range(num_nodes)]  # topmost survivors under v
+        kept: list[int] = []
+        edges: list[Edge] = []
+        for v in reversed(order):
+            b = below[v]
+            if v in labels or len(b) >= 2:
+                kept.append(v)
+                for w in b:  # faster here than edges.extend of a generator
+                    edges.append((v, w))
+                below[parent[v]].append(v)
+            elif b:
+                below[parent[v]].append(b[0])
+        yield make_graph(mode, kept, edges, labels)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,11 @@ is checked against.  `retnet.generate` builds networks by edge
 addition; `sweep` lists them by decoding every tree through the codec.
 `model.is_leaf_connecting` is a cut-node test; `is_leaf_connecting`
 here searches the leaf-to-leaf paths themselves.  `subdivide` is the
-inverse of `model.suppress`.  `displayed_tree` suppresses a graph of the
-on edges, which `retnet.display` walks from the network; the writers
+inverse of suppression.  `model.suppress(G, off)` walks G's edge lists
+once, skipping the off edges; `suppress` here builds no such lists: it
+checks the edge count, hangs the graph with `model.hang` and keeps the
+survivors, and `displayed_tree` runs it on a graph of the on edges.  The
+writers
 here sort every node's children by the sorted leaf labels below them,
 where `retnet.serialize` writes trees by least leaf and breaks ties in
 networks only when there are some.
@@ -21,7 +24,7 @@ from typing import Optional
 from retnet import codec, generate, model
 from retnet.canonical import classes
 from retnet.canonical import canonical_positions
-from retnet.errors import ModeMismatch, NotInImage, SwitchingMismatch
+from retnet.errors import ModeMismatch, NotATree, NotInImage, SwitchingMismatch
 from retnet.model import Edge, Graph, Switching, ROOTED
 
 
@@ -159,12 +162,45 @@ def sweep(n: int, r: int, mode: str, leaf_connecting: bool) -> tuple[Graph, ...]
                    if mode == ROOTED or not leaf_connecting or is_leaf_connecting(N))
 
 
+def suppress(G: Graph) -> Graph:
+    """Contract a graph-theoretic tree down to a phylogenetic tree.
+
+    One bottom-up pass over the BFS order from the root (rooted) or the
+    least labelled node (unrooted): a node survives iff it is labelled or
+    at least two of its subtrees hold labels; each survivor hangs from its
+    nearest surviving ancestor.
+    """
+    mode, num_nodes, labels = G.mode, G.num_nodes, dict(G.leaf_labels)
+    if mode == ROOTED:
+        start = next((v for v, d in enumerate(model._indegrees(G)) if d == 0), None)
+    else:
+        start = min(labels, default=0)
+    # |E| = |V| - 1 and every node reached from the start: a tree (rooted:
+    # an arborescence, so no node with two parents and no directed cycle)
+    if len(G.edges) != num_nodes - 1 or start is None:
+        raise NotATree("input is not a tree")
+    order, parent = model.hang(G, start)
+    if len(order) != num_nodes:
+        raise NotATree("input is not a tree")
+    below: list[list[int]] = [[] for _ in range(num_nodes)]  # topmost survivors under v
+    kept: list[int] = []
+    new_edges: list[Edge] = []
+    for v in reversed(order):
+        if v in labels or len(below[v]) >= 2:
+            kept.append(v)
+            new_edges.extend((v, w) for w in below[v])
+            below[parent[v]].append(v)
+        elif below[v]:
+            below[parent[v]].append(below[v][0])
+    return model.make_graph(mode, kept, new_edges, labels)
+
+
 def displayed_tree(N: Graph, sigma: Switching) -> Graph:
     """The tree of one switching: a graph of the on edges, suppressed."""
     if sigma.host != N:
         raise SwitchingMismatch("switching is not hosted by this network")
     on_edges = tuple(e for i, e in enumerate(N.edges) if i not in sigma.off)
-    return model.suppress(Graph(N.mode, N.num_nodes, on_edges, N.leaf_labels))
+    return suppress(Graph(N.mode, N.num_nodes, on_edges, N.leaf_labels))
 
 
 def tree_to_newick(T: Graph) -> str:

@@ -26,6 +26,17 @@ def test_trees_count_only(capsys):
         assert out.strip() == str(bounds.tree_count(30, mode))
 
 
+def test_exact_counts_past_the_int_digit_limit(capsys):
+    # CPython refuses to write an int of more than 4,300 digits unless the
+    # limit is lifted: 3997!! has 6,333 digits and C(1597!!, 2) has 4,426
+    code, out = run(capsys, "trees", "--n", "2000", "--count-only")
+    assert code == 0
+    assert out.strip() == str(bounds.tree_count(2000))
+    code, out = run(capsys, "bounds", "--stmt", "tree-set-count", "--n", "800", "--t", "2")
+    assert code == 0
+    assert json.loads(out)["lhs"] == str(bounds.tree_set_count(800, 2))
+
+
 def test_trees_stream_jsonl(capsys):
     code, out = run(capsys, "trees", "--n", "3", "--mode", "rooted")
     rows = [json.loads(line) for line in out.splitlines()]

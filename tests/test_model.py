@@ -68,6 +68,16 @@ def test_switching_validation(n6r4):
         assert model.validate(bad).violations == ("off edge not in host",)
 
 
+def test_unrooted_switching_messages():
+    N = generate.enumerate_networks(3, 2, UNROOTED)[0]
+    assert model.reticulation_count(N) == 2
+    both = ("off edge count differs from reticulation number",
+            "on edges do not form a spanning tree")
+    # {0, 1} leaves |V| - 1 on edges that do not connect leaves 1 and 2
+    for off, want in (({0}, both), ({0, 1}, both[1:]), ({0, 1, 2}, both)):
+        assert model.validate(model.Switching(N, frozenset(off))).violations == want
+
+
 def test_labelling_validation(n6r4):
     sigma = generate.enumerate_switchings(n6r4)[0]
     lab = generate.reticulation_labellings(n6r4, sigma)[0]
@@ -130,6 +140,7 @@ def test_suppress_contracts_degree_two():
         S = model.suppress(T)
         assert model.validate(S).ok
         assert serialize.tree_to_newick(S) == newick
+        assert S == oracles.suppress(T)
 
 
 @pytest.mark.parametrize("mode, num_nodes, edges", [
@@ -140,8 +151,10 @@ def test_suppress_contracts_degree_two():
 ])
 def test_suppress_rejects_non_trees(mode, num_nodes, edges):
     labels = tuple((v, v + 1) for v in range(num_nodes))
-    with pytest.raises(NotATree):
-        model.suppress(PhyloTree(mode, num_nodes, tuple(edges), labels))
+    G = PhyloTree(mode, num_nodes, tuple(edges), labels)
+    for suppress in (model.suppress, oracles.suppress):
+        with pytest.raises(NotATree):
+            suppress(G)
 
 
 def test_subdivide_then_suppress_roundtrip():
@@ -149,6 +162,7 @@ def test_subdivide_then_suppress_roundtrip():
         S = oracles.subdivide(T, T.edges[0], 2)
         back = model.suppress(S)
         assert rn.are_isomorphic(T, back)
+        assert back == oracles.suppress(S)
 
 
 def test_is_leaf_connecting():

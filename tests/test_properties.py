@@ -55,7 +55,9 @@ def test_subdivide_suppress_is_identity(pick, epick, times):
     trees = generate.enumerate_trees(4, ROOTED)
     T = trees[pick % len(trees)]
     e = T.edges[epick % len(T.edges)]
-    assert rn.are_isomorphic(T, model.suppress(oracles.subdivide(T, e, times)))
+    S = oracles.subdivide(T, e, times)
+    assert rn.are_isomorphic(T, model.suppress(S))
+    assert model.suppress(S) == oracles.suppress(S)
 
 
 @given(st.integers(0, 2 ** 16), st.integers(0, 2 ** 16))
