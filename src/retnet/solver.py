@@ -125,6 +125,8 @@ def verify_counts(n_max: int, r_max: int, mode: str = ROOTED) -> list[bounds.Bou
     displayed-tree bounds, codec injectivity, and the unit-automorphism
     property of labelled networks.
     """
+    if n_max < 1 or r_max < 1:  # an empty grid would check nothing and report success
+        raise ValueError(f"n_max and r_max must be at least 1, not {n_max} and {r_max}")
     reports: list[bounds.BoundReport] = []
     for n in range(1, n_max + 1):
         for r in range(1, r_max + 1):

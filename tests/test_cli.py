@@ -202,13 +202,36 @@ def test_bounds_counting_lower(capsys):
     assert json.loads(out)["r"] >= 1
 
 
+# each is a usage error: exit 2, nothing on stdout, one stderr line
+USAGE_ERRORS = [
+    [],                                                    # no command
+    ["nosuchcommand"],
+    ["trees"],                                             # --n missing
+    ["trees", "--n", "x"],
+    ["displayed", "--network", "no/such/file.enwk"],
+    ["worstcase", "--n", "3", "--t", "2", "--samples", "0"],
+    ["trees", "--n", "3", "--mo", "rooted"],               # no option prefixes
+    ["trees", "--n", "3", "extra"],
+    ["bounds", "--stmt", "counting-lower", "--n", "64"],   # --t missing
+    ["verify", "--lemmas", "--format", "jsonl"],
+    ["verify"],
+]
+
+
 def test_usage_error_exit_2(capsys):
-    code, _ = run(capsys, "nosuchcommand")
-    assert code == 2
-    code, _ = run(capsys, "bounds", "--stmt", "counting-lower", "--n", "64")
-    assert code == 2
-    code, _ = run(capsys, "verify", "--lemmas", "--format", "jsonl")
-    assert code == 2
+    for argv in USAGE_ERRORS:
+        code = cli.run(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), argv
+        assert captured.err.startswith("usage error: ") and captured.err.count("\n") == 1, argv
+
+
+def test_help_exits_0_on_stdout(capsys):
+    for argv in [["--help"]] + [[name, "--help"] for name in cli._COMMANDS]:
+        code = cli.run(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, ""), argv
+        assert captured.out.startswith("usage: retnet"), argv
 
 
 def test_domain_error_exit_1(tmp_path, capsys):
@@ -231,7 +254,10 @@ def test_domain_error_exit_1(tmp_path, capsys):
                            (["networks", "--n", "-3", "--r", "3"], None),
                            (["networks", "--n", "0", "--r", "1"], None),
                            (["networks", "--n", "2", "--r", "-1"], None),
-                           (["decode", "--tree", c3, "--n", "5", "--r", "-1"], None)]:
+                           (["decode", "--tree", c3, "--n", "5", "--r", "-1"], None),
+                           # a grid with no point checks nothing, so it must not pass
+                           (["verify", "--counts", "--n-max", "0"], None),
+                           (["verify", "--counts", "--lemmas", "--r-max", "-1"], None)]:
         code = cli.run([str(x) for x in argv])
         captured = capsys.readouterr()
         assert code == 1 and not captured.out

@@ -149,6 +149,12 @@ def test_verify_counts_runs_each_canonical_search_once():
         assert (info.misses, info.hits) == (searches, repeats), mode
 
 
+def test_verify_counts_refuses_an_empty_grid():
+    for n_max, r_max in [(0, 1), (3, 0), (-1, 2)]:
+        with pytest.raises(ValueError, match="n_max and r_max must be at least 1"):
+            solver.verify_counts(n_max, r_max, ROOTED)
+
+
 def test_verify_counts_all_hold():
     for mode in (ROOTED, UNROOTED):
         reps = solver.verify_counts(3, 1, mode)
