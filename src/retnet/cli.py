@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Iterable
@@ -293,13 +294,21 @@ def run(argv: list[str]) -> int:
     except RetnetError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:  # the reader closed stdout early
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
 def _script_main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:  # so that the interpreter's flush at exit reports nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -192,57 +192,32 @@ def trivial_network(ts: TreeSet) -> Graph:
     if t == 1:
         return ts.trees[0]
 
+    # each tree's internal edges, its node ids shifted past the trees before it;
+    # t >= 2 forces n >= 3 (fewer leaves admit only one tree), so every leaf has a parent
     nid = 0
     edges: list[tuple[int, int]] = []
     roots: list[int] = []
-    copy_leaf: list[dict[int, int]] = []  # per tree: label -> shifted leaf node
-    parent_of: list[dict[int, int]] = []  # per tree: shifted leaf node -> parent
+    attach: dict[int, list[int]] = {x: [] for x in range(1, n + 1)}  # label -> its copies' parents
     for T in ts.trees:
-        shift = nid
+        leaf = dict(T.leaf_labels)
+        for u, v in T.edges:
+            if v in leaf:
+                attach[leaf[v]].append(u + nid)
+            else:
+                edges.append((u + nid, v + nid))
+        roots.append(model.root_of(T) + nid)
         nid += T.num_nodes
-        edges.extend((u + shift, v + shift) for u, v in T.edges)
-        roots.append(model.root_of(T) + shift)
-        copy_leaf.append({x: v + shift for v, x in T.leaf_labels})
-        parent_of.append({v + shift: u + shift for u, v in T.edges})
 
     # caterpillar cap: tree i hangs at depth i
-    cap_root = None
-    prev = None
-    for i in range(t - 1):
-        c = nid
-        nid += 1
-        if prev is None:
-            cap_root = c
-        else:
-            edges.append((prev, c))
-        edges.append((c, roots[i]))
-        prev = c
-    edges.append((prev, roots[t - 1]))
-
-    # merge chains: copies of each leaf merge in tree-index order
+    cap = range(nid, nid + t - 1)
+    edges += [*zip(cap, roots), *zip(cap, cap[1:]), (cap[-1], roots[-1])]
+    # merge chains: each label's copies merge in tree-index order, and the last merge
+    # node's child is the leaf; per label, t - 1 merge node ids and then the leaf's
     labels: dict[int, int] = {}
-    for x in range(1, n + 1):
-        attach = []
-        for i in range(t):
-            leaf = copy_leaf[i][x]
-            # t >= 2 forces n >= 3 (fewer leaves admit only one tree), so
-            # every member has a proper parent edge for each leaf.
-            p = parent_of[i][leaf]
-            edges.remove((p, leaf))
-            attach.append(p)
-        prev_m = attach[0]
-        for i in range(1, t):
-            m = nid
-            nid += 1
-            edges.append((prev_m, m))
-            edges.append((attach[i], m))
-            prev_m = m
-        z = nid
-        nid += 1
-        edges.append((prev_m, z))
-        labels[z] = x
-
-    # every member's old leaf nodes lost their edges to the merge chains and
-    # are isolated now; drop the unused nodes
+    for x, ps in attach.items():
+        chain = range(cap.stop + (x - 1) * t, cap.stop + x * t)
+        edges += [*zip([ps[0], *chain], chain), *zip(ps[1:], chain)]
+        labels[chain[-1]] = x
+    # the members' own leaf nodes have no edges; drop them
     used = {u for e in edges for u in e}
     return model.make_graph(ROOTED, used, edges, labels)

@@ -28,9 +28,10 @@ loop at x, and the argument runs from there.
 
 Anchored generation, `_level(n, k, mode, T1)`, runs the same recursion
 from one tree T1 in place of all the trees, with rooted rule 3 of
-`_add_edge` switched off: T1's tower.  Its level r holds the networks of
-N(n, r) that display T1, in the same order, which is all that a search
-for a network displaying T1 and other trees needs to look at.
+`_add_edge` switched off: T1's tower.  `_networks` builds level r of
+both from the simple children of level r - 1, so with T1 it gives the
+networks of N(n, r) that display T1, in the same order: all that a
+search for a network displaying T1 and other trees needs to look at.
 
 Every job is checked against one budget, `check_budget`, before it is
 built.  Each edge-addition level, of all trees or of a tower, is checked
@@ -101,7 +102,7 @@ def enumerate_trees(n: int, mode: str = ROOTED) -> tuple[Graph, ...]:
     if n < 1:
         raise ValueError("n must be at least 1")
     _tree_count(n, mode)
-    return _level(n, 0, mode)
+    return _level(n, 0, mode, None)
 
 
 def enumerate_networks(n: int, r: int, mode: str = ROOTED, *, leaf_connecting: bool = True):
@@ -116,14 +117,18 @@ def enumerate_networks(n: int, r: int, mode: str = ROOTED, *, leaf_connecting: b
     if r == 0:
         return enumerate_trees(n, mode)
     # the restriction is unrooted only, so rooted calls share one cache entry
-    return _networks_cached(n, r, mode, leaf_connecting or mode == ROOTED)
+    return _networks(n, r, mode, None, leaf_connecting or mode == ROOTED)
 
 
-@lru_cache(maxsize=64)
-def _networks_cached(n: int, r: int, mode: str, leaf_connecting: bool):
+@lru_cache(maxsize=128)
+def _networks(n: int, r: int, mode: str, T1: Optional[Graph], leaf_connecting: bool):
+    """N(n, r) in canonical-code order, or with a tree T1 on [n] its networks that
+    display T1; unrooted and `leaf_connecting`, only the leaf-connecting ones."""
+    if r == 0:
+        return _level(n, 0, mode, T1)
     if mode == UNROOTED and leaf_connecting:  # a class invariant, so tested once per class
-        return tuple(N for N in _networks_cached(n, r, mode, False) if model.is_leaf_connecting(N))
-    return _grow(n, r, mode, simple=True)
+        return tuple(N for N in _networks(n, r, mode, T1, False) if model.is_leaf_connecting(N))
+    return _grow(n, r, mode, T1, simple=True)
 
 
 def _is_simple(G: Graph) -> bool:
@@ -134,7 +139,7 @@ def _is_simple(G: Graph) -> bool:
 
 
 @lru_cache(maxsize=128)
-def _level(n: int, k: int, mode: str, T1: Optional[Graph] = None) -> tuple[Graph, ...]:
+def _level(n: int, k: int, mode: str, T1: Optional[Graph]) -> tuple[Graph, ...]:
     """Binary multigraphs with n leaves and k reticulations, one per class; given a
     tree T1 on [n], level k of T1's tower: only those that display T1.
 
@@ -162,40 +167,25 @@ def _level(n: int, k: int, mode: str, T1: Optional[Graph] = None) -> tuple[Graph
             return (Graph(mode, 1, (), ((0, 1),)),)
         if n == 2 and mode == UNROOTED:  # the one-node tree has no edge to subdivide
             return (Graph(UNROOTED, 2, ((0, 1),), ((0, 1), (1, 2))),)
-        return classes(C for P in _level(n - 1, 0, mode) for C in _add_leaf(P))
+        return classes(C for P in _level(n - 1, 0, mode, None) for C in _add_leaf(P))
     if mode == UNROOTED and n == 1 and k == 1:  # the one-leaf tree has no edge to subdivide
         return (Graph(UNROOTED, 2, ((0, 1), (1, 1)), ((0, 1),)),)
     return _grow(n, k, mode, T1)
 
 
-def _grow(n: int, k: int, mode: str, T1: Optional[Graph] = None, *, simple: bool = False):
+def _grow(n: int, k: int, mode: str, T1: Optional[Graph], *, simple: bool = False):
     """Level k of `_level` (with `simple`, only its simple graphs), once
     |level k - 1| times the moves per parent passes the budget: (|E| + 1)^2
     rooted and C(|E|, 2) + 2|E| unrooted, for the |E| edges of a level
     k - 1 graph (each move adds three)."""
-    # the cache keys `_level(x)` and `_level(x, None)` apart, so T1 is passed only if given
-    below = (_level(n, k - 1, mode, T1) if T1 is not None
-             else _level(n, k - 1, mode) if k > 1 else None)  # level 0 in closed form
+    below = _level(n, k - 1, mode, T1) if T1 is not None or k > 1 else None  # trees: closed form
     size = _tree_count(n, mode) if below is None else len(below)
     e = max(2 * n - (2 if mode == ROOTED else 3) + 3 * (k - 1), 0)  # 1-leaf trees have none
     moves = (e + 1) ** 2 if mode == ROOTED else e * (e - 1) // 2 + 2 * e
     of = "the tower" if T1 is not None else f"the {n}-leaf networks"
     check_budget((size, moves), f"the {size} x {moves} moves that build level {k} of {of}")
-    return classes(C for P in (_level(n, 0, mode) if below is None else below)
+    return classes(C for P in (_level(n, 0, mode, None) if below is None else below)
                    for C in _add_edge(P, T1 is not None) if not simple or _is_simple(C))
-
-
-def _anchored_networks(T1: Graph, r: int) -> tuple[Graph, ...]:
-    """The networks of `enumerate_networks(T1.n, r, T1.mode)` that display T1, in its order.
-
-    They are the simple (unrooted: also leaf-connecting) graphs of level r
-    of T1's tower.  Both lists are ordered by canonical code, so the first
-    network here with a property is the first one there.
-    """
-    nets = tuple(G for G in _level(T1.n, r, T1.mode, T1) if _is_simple(G))
-    if T1.mode == UNROOTED:
-        return tuple(N for N in nets if model.is_leaf_connecting(N))
-    return nets
 
 
 def _add_leaf(P: Graph) -> Iterator[Graph]:

@@ -11,7 +11,8 @@ sibling leaf sets are disjoint, so `network_to_enewick` and
 `tree_to_newick` hand trees to `_tree_newick`, which orders siblings by
 their least leaf label, found in one bottom-up pass: the same order,
 with no leaf sets built.  An unrooted tree is drawn rooted at the
-internal node next to leaf 1.
+internal node next to leaf 1.  Both then hand the sorted children to one
+emitter, `_newick`, which trees call with no tags.
 Unrooted networks are JSON edge lists.
 One iterative reader, `_parse`, reads both written forms.  It numbers a
 leaf or bare tag when it is read and an internal node at its ")" (a
@@ -70,9 +71,15 @@ def _tree_newick(kids: list[list[int]], leaves: dict[int, int], order: list[int]
         else:
             kids[v].sort(key=least.__getitem__)
             least[v] = least[kids[v][0]]
+    return _newick(order[0], kids, leaves, {})
+
+
+def _newick(root: int, kids: list[list[int]], leaves: dict[int, int], tag: dict[int, int]) -> str:
+    """Newick of the graph hung from `root` by `kids`, children in list order; a node
+    in `tag` is written #H<tag> after its subtree on its first visit, bare later."""
     text = {v: str(x) for v, x in leaves.items()}
     out: list[str] = []
-    stack: list = [order[0]]
+    stack: list = [root]
     while stack:
         v = stack.pop()
         if type(v) is str:
@@ -80,7 +87,11 @@ def _tree_newick(kids: list[list[int]], leaves: dict[int, int], order: list[int]
         elif v in text:
             out.append(text[v])
         else:
-            stack.append(")")
+            if v in tag:  # written as the bare tag from now on
+                text[v] = f"#H{tag[v]}"
+                stack.append(")" + text[v])
+            else:
+                stack.append(")")
             below = kids[v]
             for c in reversed(below[1:]):
                 stack += [c, ","]
@@ -207,28 +218,9 @@ def network_to_enewick(N: Graph) -> str:
         pos_of = canonical_positions(N)
         key = lambda v: (reach[v], pos_of[v])
     ret_tag = {v: k for k, v in enumerate(sorted(rets, key=key), 1)}
-    # children are emitted in sorted order, so a reticulation's first
-    # textual occurrence carries its subtree and later ones are bare tags
-    out: list[str] = []
-    written: set[int] = set()
-    stack: list = [order[0]]
-    while stack:
-        v = stack.pop()
-        if type(v) is str:
-            out.append(v)
-        elif v in leaves:
-            out.append(str(leaves[v]))
-        elif v in written:
-            out.append(f"#H{ret_tag[v]}")
-        else:
-            written.add(v)
-            stack.append(f")#H{ret_tag[v]}" if v in ret_tag else ")")
-            kids = sorted(children[v], key=key)
-            for c in reversed(kids[1:]):
-                stack += [c, ","]
-            stack.append(kids[0])
-            out.append("(")
-    return "".join(out) + ";"
+    # children in sorted order, so a reticulation's first textual occurrence
+    # carries its subtree and later ones are bare tags
+    return _newick(order[0], [sorted(c, key=key) for c in children], leaves, ret_tag)
 
 
 def _ties(nodes: list[int], reach: dict[int, tuple]) -> bool:

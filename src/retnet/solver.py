@@ -2,7 +2,7 @@
 and the enumeration-vs-bounds verification harness.
 
 Every network that displays a tree set displays its first tree T1, so
-`min_reticulations` searches T1's tower (`generate._level` with T1),
+`min_reticulations` searches T1's tower (`generate._networks` with T1),
 level by level, in place of all of N(n, r).  `worst_case_r` relabels
 each candidate set so that its first tree becomes the first tree of its
 unlabelled shape, and searches that shape's tower: the minimum does not
@@ -30,9 +30,8 @@ def _code_sets(n: int, r: int, mode: str, T1: Optional[Graph] = None
                ) -> tuple[tuple[Graph, frozenset], ...]:
     """(network, frozenset of displayed tree codes) for every class in N(n, r),
     or with T1 for every one that displays T1, in canonical order."""
-    nets = (generate.enumerate_networks(n, r, mode) if T1 is None
-            else generate._anchored_networks(T1, r))
-    return tuple((N, frozenset(code for _, code in display._switching_codes(N))) for N in nets)
+    return tuple((N, frozenset(code for _, code in display._switching_codes(N)))
+                 for N in generate._networks(n, r, mode, T1, True))
 
 
 def _least_r(T1: Graph, target: frozenset, r_cap: int) -> tuple[int, Graph]:

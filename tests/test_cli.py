@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -353,13 +357,27 @@ def test_malformed_json_inputs_exit_1(tmp_path, capsys):
         assert captured.err.startswith("error [PARSE_ERROR]") and captured.err.count("\n") == 1
 
 
+def test_closed_stdout_exits_quietly():
+    # the 10,395 rooted 7-leaf trees fill more than a pipe buffer, so the writer
+    # meets the closed pipe mid-stream and again at its last flush
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.Popen([sys.executable, "-c", "import retnet.cli; retnet.cli._script_main()",
+                             "trees", "--n", "7"], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b'{"newick": "((((((1,2),3),4),5),6),7);"}\n'
+    proc.stdout.close()
+    with proc.stderr:
+        err = proc.stderr.read()
+    assert (proc.wait(), err) == (1, b"")
+
+
 def test_bad_budget_env_names_variable(monkeypatch, capsys):
     for budget in ("abc", "0", "-1"):
         monkeypatch.setenv("RETNET_BUDGET", budget)
         # a 2-leaf job multiplies out no factor, but still reads the budget
         for argv in (["networks", "--n", "3", "--r", "1", "--count-only"], ["trees", "--n", "2"]):
             # as in a fresh process: a level already built is not checked again
-            generate._networks_cached.cache_clear()
+            generate._networks.cache_clear()
             code = cli.run(argv)
             err = capsys.readouterr().err
             assert code == 1

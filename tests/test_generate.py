@@ -80,8 +80,18 @@ def test_towers_match_filtered_enumeration():
                 for T1 in generate.enumerate_trees(n, mode):
                     code = canonical.canonical_code(T1).bytes
                     want = [canonical.canonical_code(N) for N, codes in table if code in codes]
-                    got = [canonical.canonical_code(N) for N in generate._anchored_networks(T1, r)]
+                    tower = generate._networks(n, r, mode, T1, True)
+                    got = [canonical.canonical_code(N) for N in tower]
                     assert got == want, (mode, n, r, T1)
+
+
+def test_enumeration_and_code_sets_share_one_network_list():
+    for cached in (generate._level, generate._networks, solver._code_sets):
+        cached.cache_clear()
+    generate.enumerate_networks(3, 2)
+    solver._code_sets(3, 2, ROOTED)
+    info = generate._networks.cache_info()
+    assert (info.currsize, info.hits) == (1, 1)
 
 
 def test_tower_refusal_names_its_level(monkeypatch):
@@ -96,7 +106,7 @@ def test_tower_refusal_names_its_level(monkeypatch):
     with pytest.raises(BudgetExceeded, match=r"^the 1 x 20 moves that build level 1 of the tower"):
         generate._level(4, 1, UNROOTED, U1)
     # without T1, `_level` counts level 0 in closed form: 5!! rooted trees on 4 leaves
-    for cached in (generate._level, generate._networks_cached):
+    for cached in (generate._level, generate._networks):
         cached.cache_clear()
     monkeypatch.setenv("RETNET_BUDGET", str(15 * 49 - 1))
     with pytest.raises(BudgetExceeded, match=r"^the 15 x 49 moves that build level 1 "
@@ -104,11 +114,11 @@ def test_tower_refusal_names_its_level(monkeypatch):
         generate.enumerate_networks(4, 1, ROOTED)
     assert generate._level.cache_info().currsize == 0  # refused before the trees are built
     monkeypatch.setenv("RETNET_BUDGET", str(15 * 49))
-    level1 = generate._level(4, 1, ROOTED)  # 9 edges on each level-1 graph
+    level1 = generate._level(4, 1, ROOTED, None)  # 9 edges on each level-1 graph
     monkeypatch.setenv("RETNET_BUDGET", str(len(level1) * 100 - 1))
     level2 = rf"^the {len(level1)} x 100 moves that build level 2 of the 4-leaf networks"
     with pytest.raises(BudgetExceeded, match=level2):
-        generate._level(4, 2, ROOTED)
+        generate._level(4, 2, ROOTED, None)
     with pytest.raises(BudgetExceeded, match=level2):  # N(4, 2): the simple children of level 1
         generate.enumerate_networks(4, 2, ROOTED)
     monkeypatch.setenv("RETNET_BUDGET", "4")  # unrooted (1, 2): 2 edges, C(2, 2) + 4 moves
@@ -188,7 +198,7 @@ def test_budget_counts_closed_form_items(monkeypatch, n6r4):
                        (24, lambda: generate.reticulation_labellings(n6r4, sigma))]:  # 4!
         monkeypatch.setenv("RETNET_BUDGET", str(items))
         job()
-        for cached in (generate._level, generate._networks_cached):
+        for cached in (generate._level, generate._networks):
             cached.cache_clear()  # a level already built is not checked again
         monkeypatch.setenv("RETNET_BUDGET", str(items - 1))
         with pytest.raises(BudgetExceeded):

@@ -35,6 +35,20 @@ def test_cached_tower_still_reads_the_budget(monkeypatch):
         solver.min_reticulations(ts)
 
 
+def test_tower_top_level_is_built_from_simple_children():
+    for cached in (generate._level, generate._networks, solver._code_sets):
+        cached.cache_clear()
+    ts = model.tree_set(serialize.newick_to_tree(s) for s in ("((((1,2),3),4),5);",
+                                                              "((((1,3),2),4),5);"))
+    assert solver.min_reticulations(ts)[0] == 1
+    # level 1 of the first tree's tower is read from level 0's simple children,
+    # and never built in full
+    info = generate._level.cache_info()
+    assert info.currsize == 1
+    assert generate._level(5, 0, ROOTED, ts.trees[0]) == (ts.trees[0],)
+    assert generate._level.cache_info().misses == info.misses  # the one entry
+
+
 def test_min_reticulations_witness_displays_all():
     trees = generate.enumerate_trees(3, ROOTED)
     r, N = solver.min_reticulations(model.tree_set(trees))  # all three
@@ -141,7 +155,7 @@ def test_verify_counts_runs_each_canonical_search_once():
     # encode_tau's unrooted search repeats the one verify_counts has just run
     search = canonical._canon_general
     for mode, searches, repeats in [(UNROOTED, 204, 171), (ROOTED, 2861, 64)]:
-        for cached in (generate._level, generate._networks_cached,
+        for cached in (generate._level, generate._networks,
                        solver._code_sets, search):
             cached.cache_clear()
         solver.verify_counts(3, 2, mode)
