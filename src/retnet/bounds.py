@@ -8,6 +8,7 @@ decides a report.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -133,6 +134,8 @@ def network_count_bound(n: int, r: int, mode: str = ROOTED) -> NetworkCountBound
 
 def pair_count_bound(n: int, t: int, r: int, mode: str = ROOTED) -> int:
     """Upper bound on pairs (network, displayed t-set) from the corollary forms."""
+    if n < 1 or t < 1:
+        raise DomainError("need n >= 1 and t >= 1")
     if mode == ROOTED:
         if r < 1:
             raise DomainError("rooted pair bound needs r >= 1")
@@ -229,17 +232,9 @@ def counting_lower_bound(n: int, t: int, mode: str = ROOTED) -> int:
     """
     if n < 2 or t < 1:
         raise ValueError("need n >= 2 and t >= 1")
-    hi = (t - 1) * n
-    if _pair_bound_tight_holds(n, t, 0, mode):
-        return 0
-    lo = 0  # predicate false at lo, true at hi (trivial network exists)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _pair_bound_tight_holds(n, t, mid, mode):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    # the predicate is monotone in r and holds at (t - 1)n, so that point is never tested
+    return bisect.bisect_left(range((t - 1) * n), True,
+                              key=lambda r: _pair_bound_tight_holds(n, t, r, mode))
 
 
 def formula_lower_bound(n: int, t: int, mode: str = ROOTED) -> RealInterval:

@@ -90,27 +90,24 @@ def _general_code(G: Graph, edge_labels: Optional[ReticulationLabelling]
 # fast tree codes
 
 
-def _tree_code(G: Graph, start: Optional[int] = None, leaves: Optional[dict[int, int]] = None,
-               off: Collection[int] = frozenset()) -> bytes:
+def _tree_code(G: Graph, off: Collection[int] = frozenset()) -> bytes:
     """Nested sorted leaf labels, built bottom-up from the root (rooted) or
     below leaf 1 (unrooted; leaf labels make this invariant).
 
     G need not be suppressed: a node with one coded child passes that
     code up, and a subtree without leaves has no code, so a subdivided
     tree with unlabelled pendant chains gets the code of its
-    suppression.  `start` (the root, or leaf 1's node) and `leaves`
-    (node -> label) may be passed in when many trees share them; the
-    edges whose index is in `off` are left out.  A graph that is not a
-    tree (no single root, or a node out of reach) raises `NotATree`.
+    suppression.  The edges whose index is in `off` are left out (display
+    codes a network's switchings so).  A graph that is not a tree (no
+    single root, or a node out of reach) raises `NotATree`.
     """
-    if leaves is None:
-        leaves = dict(G.leaf_labels)
-    if start is None and G.mode == ROOTED:
+    leaves = dict(G.leaf_labels)
+    if G.mode == ROOTED:
         try:
             start = model.root_of(G)
         except ValueError:
             raise NotATree("rooted graph does not have a single root") from None
-    elif start is None:
+    else:
         start = model.label_map(G).get(1)
         if start is None:
             raise NotATree("unrooted tree has no leaf labelled 1")

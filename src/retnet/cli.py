@@ -13,7 +13,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import bounds, codec, display, generate, model, serialize, solver
 from .canonical import canonical_positions
@@ -41,9 +41,9 @@ def _emit_stream(rows: Iterable[dict], fmt: str) -> None:
     out.flush()
 
 
-def _report_rows(reports) -> list[dict]:
-    return [{"name": rep.name, "parameters": json.dumps(rep.parameters, sort_keys=True),
-             "lhs": str(rep.lhs), "rhs": str(rep.rhs), "holds": rep.holds} for rep in reports]
+def _report_rows(reports) -> Iterator[dict]:
+    return ({"name": rep.name, "parameters": json.dumps(rep.parameters, sort_keys=True),
+             "lhs": str(rep.lhs), "rhs": str(rep.rhs), "holds": rep.holds} for rep in reports)
 
 
 def _write_network(N) -> str:
@@ -85,11 +85,11 @@ def networks(n: int, r: int, mode: str, count_only: bool,
 def switchings(path: str, count_only: bool, fmt: str) -> None:
     """Enumerate the switchings of a network."""
     N = _read_network(path)
-    sws = generate.enumerate_switchings(N)
+    offs = generate._off_edges(N)  # one at a time: a count lists nothing
     if count_only:
-        print(len(sws))
+        print(sum(1 for _ in offs))
         return
-    _emit_stream(({"off_edges": sorted(N.edges[i] for i in s.off)} for s in sws), fmt)
+    _emit_stream(({"off_edges": sorted(N.edges[i] for i in off)} for off in offs), fmt)
 
 
 def encode(path: str, labels_path: str) -> None:

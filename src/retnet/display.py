@@ -87,44 +87,33 @@ def _switching_codes(N: Graph) -> Iterator[tuple[tuple[int, ...], bytes]]:
     their network first.  Unrooted, each spanning tree is coded afresh by
     `_tree_code` on N without its off edges.
 
-    Rooted, node codes are kept from one switching to the next.  A node's
-    code is the one `_tree_code` builds on the on edges (its leaf label,
-    the sorted codes of its coded on children, or its one coded child's
-    code), so it depends only on the on parents of the reticulations
-    strictly below it.  Number the reticulations in id order, the order of
-    `generate._off_edges`' product, and let last[v] be the largest index
-    of a reticulation strictly below v (-1 for none).  When the least
-    index whose off edge changed is k, only the nodes with last[v] >= k
-    can change code, and they are recomputed, children first.  That holds
-    in any switching order; the product varies the last reticulation
-    fastest, so most switchings change a short suffix and recompute only
-    the nodes above it.
+    Rooted, node codes are kept from one switching to the next, and N's
+    order, children and in-degrees come from `model.topological_order`.
+    A node's code is the one `_tree_code` builds on the on edges (its leaf
+    label, the sorted codes of its coded on children, or its one coded
+    child's code), so it depends only on the on parents of the
+    reticulations strictly below it.  Number the reticulations in id
+    order, the order of `generate._off_edges`' product, and let last[v]
+    be the largest index of a reticulation strictly below v (-1 for none).
+    When the least index whose off edge changed is k, only the nodes with
+    last[v] >= k can change code, and they are recomputed, children first.
+    That holds in any switching order; the product varies the last
+    reticulation fastest, so most switchings change a short suffix and
+    recompute only the nodes above it.
     """
     header = _header(N.mode) + b"T"
     if N.mode != ROOTED:
-        leaves = dict(N.leaf_labels)
-        start = model.label_map(N)[1]
         for off in generate._off_edges(N):
-            yield off, header + _tree_code(N, start, leaves, off)
+            yield off, header + _tree_code(N, off)
         return
 
-    num_nodes, edges, kids = N.num_nodes, N.edges, model.adjacency(N)
-    indeg = model._indegrees(N)
-    rank: dict[int, int] = {}  # reticulation -> its index in the product
-    order = []
-    for v, d in enumerate(indeg):
-        if d == 0:
-            order.append(v)
-        elif d >= 2:
-            rank[v] = len(rank)
-    if len(order) != 1:
-        raise ValueError("graph does not have a single root")
+    num_nodes, edges = N.num_nodes, N.edges
+    order, kids, indeg = model.topological_order(N)  # each node after its parents
     root = order[0]
-    for v in order:  # Kahn on kids and indeg, each node after its parents
-        for c in kids[v]:
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                order.append(c)
+    rank: dict[int, int] = {}  # reticulation -> its index in the product
+    for v, d in enumerate(indeg):
+        if d >= 2:
+            rank[v] = len(rank)
     if len(set(edges)) < len(edges):  # a child under two parallel in-edges is one child
         kids = [list(set(c)) for c in kids]
     code: list[Optional[bytes]] = [None] * num_nodes

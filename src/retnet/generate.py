@@ -235,9 +235,9 @@ def _add_edge(P: Graph, any_in_edge: bool = False) -> Iterator[Graph]:
             yield child([(a, u), (u, v), (u, v), (b, v)], i)
             yield child([(a, u), (b, u), (u, v), (v, v)], i)
         return
-    kids = model.adjacency(P)
+    order, kids, _ = model.topological_order(P)
+    root = order[0]
     parents = [[a for a, b in edges if b == x] for x in range(u)]
-    order = model.topological_order(P)
     leaf, cluster = dict(P.leaf_labels), [0] * u
     for x in reversed(order):  # a binary node has one or two children
         cluster[x] = 1 << leaf[x] if x in leaf else cluster[kids[x][0]] | cluster[kids[x][-1]]
@@ -254,7 +254,7 @@ def _add_edge(P: Graph, any_in_edge: bool = False) -> Iterator[Graph]:
 
     # None stands for the virtual edge above the root
     for i in [None] + [i for i, (a, _) in enumerate(edges) if a in above]:
-        a, b = (None, model.root_of(P)) if i is None else edges[i]
+        a, b = (None, root) if i is None else edges[i]
         split = [(u, b)] + ([] if a is None else [(a, u)])
         for j, (c, d) in enumerate(edges):
             # d at or above a closes a cycle; if c == a, u is v's other parent's other child

@@ -203,7 +203,7 @@ def network_to_enewick(N: Graph) -> str:
         for v in order:
             order += children[v]
         return _tree_newick(children, leaves, order)
-    order = model.topological_order(N)
+    order = model.topological_order(N)[0]
     reach: dict[int, tuple] = {}  # sorted labels of the leaves below each node
     for v in reversed(order):
         if v in leaves:

@@ -13,7 +13,10 @@ survivors, and `displayed_tree` runs it on a graph of the on edges.  The
 writers
 here sort every node's children by the sorted leaf labels below them,
 where `retnet.serialize` writes trees by least leaf and breaks ties in
-networks only when there are some.
+networks only when there are some.  `validate_rooted_graph` builds the
+adjacency and in-degrees apart from its Kahn pass, always tests
+connectivity and checks the edge count, where `model.validate` reads
+all three from one `model.topological_order` call.
 """
 
 from __future__ import annotations
@@ -162,6 +165,54 @@ def sweep(n: int, r: int, mode: str, leaf_connecting: bool) -> tuple[Graph, ...]
                    if mode == ROOTED or not leaf_connecting or is_leaf_connecting(N))
 
 
+def validate_rooted_graph(G: Graph) -> list[str]:
+    """The violations `model.validate` lists for a rooted graph, each found on its own."""
+    bad = model._common_violations(G)
+    if bad:
+        return bad
+    if G.num_nodes == 1:
+        if len(G.edges) != 0:
+            bad.append("single node with edges")
+        if dict(G.leaf_labels) != {0: 1}:
+            bad.append("degenerate tree must be one leaf labelled 1")
+        return bad
+    indeg, outdeg = model._indegrees(G), [len(c) for c in model.adjacency(G)]
+    if len(model.topological_order(G)[0]) != G.num_nodes:
+        bad.append("directed cycle")
+    roots = [v for v in range(G.num_nodes) if indeg[v] == 0]
+    if len(roots) != 1:
+        bad.append("single source violated")
+        return bad
+    if not model._is_connected(G.num_nodes, G.edges):
+        bad.append("not connected")
+    labelled = set(v for v, _ in G.leaf_labels)
+    r = 0
+    for v in range(G.num_nodes):
+        din, dout = indeg[v], outdeg[v]
+        if din == 0:
+            if dout != 2:
+                bad.append("root out-degree must be 2")
+            if v in labelled:
+                bad.append("root is labelled")
+        elif dout == 0:
+            if din != 1:
+                bad.append("leaf in-degree must be 1")
+            if v not in labelled:
+                bad.append("unlabelled leaf")
+        elif din == 1 and dout == 2:
+            if v in labelled:
+                bad.append("internal node is labelled")
+        elif din == 2 and dout == 1:
+            if v in labelled:
+                bad.append("internal node is labelled")
+            r += 1
+        else:
+            bad.append("not binary")
+    if not bad and len(G.edges) != G.num_nodes - 1 + r:
+        bad.append("edge count does not match |V| - 1 + r")
+    return bad
+
+
 def suppress(G: Graph) -> Graph:
     """Contract a graph-theoretic tree down to a phylogenetic tree.
 
@@ -223,7 +274,7 @@ def network_to_enewick(N: Graph) -> str:
     children = model.adjacency(N)
     leaves = dict(N.leaf_labels)
     rets = model.reticulations_of(N)
-    order = model.topological_order(N)
+    order = model.topological_order(N)[0]
     reach: dict[int, tuple] = {}
     for v in reversed(order):
         if v in leaves:

@@ -46,11 +46,26 @@ def test_pair_count_bound_domain():
         bounds.pair_count_bound(3, 2, 0, ROOTED)
     with pytest.raises(DomainError):
         bounds.pair_count_bound(3, 2, 1, UNROOTED)
+    # n or t below 1: no float from a negative power of 2, no factorial() error
+    for n, t, r, mode in [(3, -5, 2, UNROOTED), (3, -2, 1, ROOTED), (-3, 2, 1, ROOTED),
+                          (3, 0, 2, ROOTED), (0, 2, 2, UNROOTED)]:
+        with pytest.raises(DomainError, match=r"need n >= 1 and t >= 1"):
+            bounds.pair_count_bound(n, t, r, mode)
 
 
 def test_counting_lower_bound_tiny():
     assert bounds.counting_lower_bound(3, 2, ROOTED) == 0
     assert bounds.counting_lower_bound(4, 2, ROOTED) == 1
+
+
+def test_counting_lower_bound_matches_a_linear_scan():
+    for mode in (ROOTED, UNROOTED):
+        for n in range(2, 13):
+            for t in range(1, 5):
+                top = (t - 1) * n
+                holds = [r for r in range(top) if bounds._pair_bound_tight_holds(n, t, r, mode)]
+                scan = holds[0] if holds else top
+                assert bounds.counting_lower_bound(n, t, mode) == scan, (n, t, mode)
 
 
 def test_counting_lower_bound_monotone_in_n():

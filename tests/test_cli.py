@@ -4,12 +4,13 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import retnet as rn
-from retnet import bounds, cli, generate, serialize
+from retnet import bounds, cli, generate, model, serialize
 from test_display import seeded_trivial
 
 
@@ -97,6 +98,21 @@ def test_listing_stdout_is_pinned(tmp_path, capsys):
         for fmt, digest in zip(("jsonl", "csv"), digests):
             code, out = run(capsys, *argv, "--format", fmt)
             assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest), (argv, fmt)
+
+
+def test_switchings_count_lists_nothing(tmp_path, capsys):
+    # 2^16 switchings: a listing of Switching values peaked at tens of MB
+    N, _ = seeded_trivial(8, 3, 5)
+    assert model.reticulation_count(N) == 16
+    (tmp_path / "n.enwk").write_text(serialize.network_to_enewick(N) + "\n")
+    tracemalloc.start()
+    try:
+        code, out = run(capsys, "switchings", "--network", str(tmp_path / "n.enwk"), "--count-only")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (0, "65536\n")
+    assert peak < 2_000_000
 
 
 def test_networks_count(capsys):
@@ -261,7 +277,14 @@ def test_domain_error_exit_1(tmp_path, capsys):
                            (["decode", "--tree", c3, "--n", "5", "--r", "-1"], None),
                            # a grid with no point checks nothing, so it must not pass
                            (["verify", "--counts", "--n-max", "0"], None),
-                           (["verify", "--counts", "--lemmas", "--r-max", "-1"], None)]:
+                           (["verify", "--counts", "--lemmas", "--r-max", "-1"], None),
+                           # a negative t or n once gave a float or a factorial() error
+                           (["bounds", "--stmt", "pair-count", "--n", "3", "--t", "-5", "--r", "2",
+                             "--mode", "unrooted"], "DOMAIN"),
+                           (["bounds", "--stmt", "pair-count", "--n", "3", "--t", "-2", "--r", "1"],
+                            "DOMAIN"),
+                           (["bounds", "--stmt", "pair-count", "--n", "-3", "--t", "2", "--r", "1"],
+                            "DOMAIN")]:
         code = cli.run([str(x) for x in argv])
         captured = capsys.readouterr()
         assert code == 1 and not captured.out

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 import retnet as rn
@@ -180,3 +181,70 @@ def test_leaf_connecting_cut_node_test_matches_path_search():
     verdicts = [model.is_leaf_connecting(N) for N in nets]
     assert verdicts == [oracles.is_leaf_connecting(N) for N in nets]
     assert verdicts.count(False) > 0
+
+
+def _level_graphs(m: int) -> list:
+    """Every rooted graph of `generate._level` with n + 2k <= m: trees, networks
+    and the multigraphs of the lower levels."""
+    return [G for n in range(1, m + 1) for k in range((m - n) // 2 + 1)
+            for G in generate._level(n, k, ROOTED, None)]
+
+
+def test_topological_order_returns_what_kahn_read():
+    graphs = _level_graphs(7)
+    assert any(len(set(G.edges)) < len(G.edges) for G in graphs)
+    for G in graphs:
+        order, children, indeg = model.topological_order(G)
+        assert children == model.adjacency(G)
+        assert indeg == model._indegrees(G)
+        position = {v: i for i, v in enumerate(order)}
+        assert len(position) == len(order) == G.num_nodes
+        assert all(position[u] < position[v] for u, v in G.edges)
+    # a directed cycle shows as a short order
+    cycle = RootedNetwork(ROOTED, 3, ((0, 1), (1, 2), (2, 1)), ())
+    order, _, indeg = model.topological_order(cycle)
+    assert order == [0] and indeg == [0, 2, 1]
+
+
+_VALID = [G for G in _level_graphs(6) if model.validate(G).ok]
+
+
+@st.composite
+def _rooted_digraphs(draw):
+    """Small rooted digraphs, mostly invalid: a valid graph with up to three edits,
+    or arbitrary edges on up to 7 nodes.  Cycles, several sources, lone
+    cycles beside a network, self-loops, parallel edges and bad labels all occur."""
+    if draw(st.booleans()):
+        G = draw(st.sampled_from(_VALID))
+        num_nodes, edges, labels = G.num_nodes, list(G.edges), list(G.leaf_labels)
+        for _ in range(draw(st.integers(0, 3))):
+            op = draw(st.sampled_from(["drop", "flip", "add", "label", "cycle"]))
+            i = draw(st.integers(0, 99))
+            if op == "cycle":  # a directed triangle that no source reaches
+                a, b, c = range(num_nodes, num_nodes + 3)
+                num_nodes, edges = num_nodes + 3, edges + [(a, b), (b, c), (c, a)]
+            elif op == "add" or not edges:
+                node = st.integers(0, num_nodes - 1)
+                edges.append((draw(node), draw(node)))
+            elif op == "drop":
+                del edges[i % len(edges)]
+            elif op == "flip":
+                u, v = edges[i % len(edges)]
+                edges[i % len(edges)] = (v, u)
+            else:
+                labels[i % len(labels)] = (i % num_nodes, labels[i % len(labels)][1])
+        return RootedNetwork(ROOTED, num_nodes, tuple(edges), tuple(labels))
+    num_nodes = draw(st.integers(1, 7))
+    node = st.integers(0, num_nodes - 1)
+    edges = draw(st.lists(st.tuples(node, node).filter(lambda e: e[0] != e[1]),
+                          max_size=10, unique_by=frozenset))
+    edges += draw(st.lists(st.tuples(node, node), max_size=1))  # a self-loop or parallel edge
+    leaves = draw(st.lists(node, unique=True, max_size=num_nodes))
+    labels = tuple((v, x) for x, v in enumerate(leaves, 1))
+    return RootedNetwork(ROOTED, num_nodes, tuple(edges), labels)
+
+
+@given(_rooted_digraphs())
+@settings(max_examples=400, deadline=None)
+def test_rooted_validation_matches_the_reference(G):
+    assert model.validate(G).violations == tuple(oracles.validate_rooted_graph(G))
