@@ -22,17 +22,15 @@ from .errors import (BudgetExceeded, DomainError, InvalidLabelling,
 from .generate import (all_reticulation_labellings, enumerate_networks,
                        enumerate_switchings, enumerate_trees,
                        reticulation_labellings)
-from .model import (Graph, PhyloTree, ReticulationLabelling, RootedNetwork,
-                    Switching, TreeSet, UnrootedNetwork, ValidationReport,
-                    ROOTED, UNROOTED, tree_set, validate)
+from .model import (Graph, ReticulationLabelling, Switching, TreeSet,
+                    ValidationReport, ROOTED, UNROOTED, tree_set, validate)
 from .solver import min_reticulations, verify_counts, worst_case_r
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ROOTED", "UNROOTED",
-    "Graph", "PhyloTree", "RootedNetwork", "UnrootedNetwork", "Switching",
-    "ReticulationLabelling", "TreeSet", "ValidationReport",
+    "Graph", "Switching", "ReticulationLabelling", "TreeSet", "ValidationReport",
     "tree_set", "validate",
     "CanonicalCode", "canonical_code", "are_isomorphic", "automorphism_count",
     "enumerate_trees", "enumerate_networks", "enumerate_switchings",

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import DomainError, TTooLarge
 from .model import ROOTED
@@ -20,8 +19,7 @@ from .model import ROOTED
 _IV_PREC = 192  # bits; comfortably above the 128-bit requirement
 
 
-@dataclass(frozen=True)
-class RealInterval:
+class RealInterval(NamedTuple):
     """A certified enclosure [lo, hi] of a real number, endpoints rational."""
 
     lo: Fraction
@@ -43,10 +41,9 @@ class RealInterval:
         return float(self.midpoint)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     name: str
-    parameters: dict = field(compare=False)
+    parameters: dict
     lhs: object = None
     rhs: object = None
     holds: bool = False
@@ -111,8 +108,7 @@ def tree_set_count_bounds(n: int, t: int, mode: str = ROOTED) -> BoundReport:
                        lhs=count, rhs=(lb1, lb2), holds=holds)
 
 
-@dataclass(frozen=True)
-class NetworkCountBound:
+class NetworkCountBound(NamedTuple):
     tight: Fraction          # (2n+4r-3)!!/r! rooted, (2n+4r-5)!!/r! unrooted
     relaxed: Optional[int]   # None where the factorial form is undefined
 

@@ -9,9 +9,8 @@ taking the lexicographically least encoding over all refinement leaves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Collection, Iterable, Optional
+from typing import Collection, Iterable, NamedTuple, Optional
 
 from . import model
 from .errors import ModeMismatch, NotATree
@@ -20,15 +19,11 @@ from .model import Graph, ReticulationLabelling, ROOTED
 CODE_VERSION = 1
 
 
-@dataclass(frozen=True)
-class CanonicalCode:
-    bytes: bytes
+class CanonicalCode(NamedTuple):
+    bytes: bytes  # codes order as their bytes
 
     def hex(self) -> str:
         return self.bytes.hex()
-
-    def __lt__(self, other: "CanonicalCode") -> bool:
-        return self.bytes < other.bytes
 
 
 def canonical_code(G: Graph, edge_labels: Optional[ReticulationLabelling] = None) -> CanonicalCode:
@@ -178,14 +173,11 @@ def _canon_general(G: Graph, edge_labels: Optional[ReticulationLabelling]
     elabels = {} if edge_labels is None else dict(edge_labels.numbered)
     directed = G.mode == ROOTED
     out_nb: list[list[tuple[int, int]]] = [[] for _ in range(num_nodes)]
-    in_nb: list[list[tuple[int, int]]] = [[] for _ in range(num_nodes)]
+    in_nb = [[] for _ in range(num_nodes)] if directed else out_nb  # unrooted: one list
     for i, (u, v) in enumerate(edges):
         lab = elabels.get(i, 0)
         out_nb[u].append((v, lab))
         in_nb[v].append((u, lab))
-        if not directed:
-            out_nb[v].append((u, lab))
-            in_nb[u].append((v, lab))
 
     init_keys = [("L", vlabels[v]) if v in vlabels else ("I", 0) for v in range(num_nodes)]
     colors = _rank([(k,) for k in init_keys])

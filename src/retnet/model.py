@@ -1,19 +1,17 @@
 """Value types for phylogenetic networks, plus basic structural operations.
 
 One graph type, `Graph`, holds rooted and unrooted networks; a tree is
-a graph without reticulations, and `PhyloTree`, `RootedNetwork` and
-`UnrootedNetwork` are other names for it.  All graphs use contiguous
-0-based node ids.  Rooted edges are directed pairs (parent, child);
-unrooted edges are stored as (min, max) pairs.  Leaf labels map leaf
-nodes bijectively onto 1..n.  All types are frozen: operations return
-new values and never mutate their inputs.
+a graph without reticulations.  All graphs use contiguous 0-based node
+ids.  Rooted edges are directed pairs (parent, child); unrooted edges
+are stored as (min, max) pairs.  Leaf labels map leaf nodes bijectively
+onto 1..n.  All types are immutable named tuples, compared and hashed
+by value: operations return new values and never mutate their inputs.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Collection, Iterable, Iterator, Mapping
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import LeafsetMismatch, ModeMismatch, NotATree
 
@@ -29,8 +27,7 @@ def _norm_edge(mode: str, u: int, v: int) -> Edge:
     return (u, v) if u <= v else (v, u)
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(NamedTuple):
     """A binary phylogenetic network, rooted or unrooted, with leaves labelled 1..n.
 
     Rooted: a single-source DAG of tree nodes and reticulations.
@@ -47,11 +44,7 @@ class Graph:
         return len(self.leaf_labels)
 
 
-PhyloTree = RootedNetwork = UnrootedNetwork = Graph
-
-
-@dataclass(frozen=True)
-class Switching:
+class Switching(NamedTuple):
     """An edge 2-labelling of a network: "on" edges (label 0) vs "off" edges (⊥).
 
     Rooted: every non-root node keeps exactly one on parent edge, so the
@@ -65,8 +58,7 @@ class Switching:
     off: frozenset[int]
 
 
-@dataclass(frozen=True)
-class ReticulationLabelling:
+class ReticulationLabelling(NamedTuple):
     """A switching extended by a bijective numbering of its off edges with 1..r."""
 
     host: Graph
@@ -76,8 +68,7 @@ class ReticulationLabelling:
         return Switching(self.host, frozenset(i for i, _ in self.numbered))
 
 
-@dataclass(frozen=True)
-class TreeSet:
+class TreeSet(NamedTuple):
     """A set of pairwise non-isomorphic trees sharing one mode and leaf set."""
 
     mode: str
@@ -92,8 +83,7 @@ class TreeSet:
         return self.trees[0].n
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple[str, ...] = ()
 
     @property

@@ -194,16 +194,16 @@ def newick_to_tree(s: str, mode: str = ROOTED) -> Graph:
 
 def network_to_enewick(N: Graph) -> str:
     """Extended Newick for a rooted network or tree, children in sorted order."""
-    children = model.adjacency(N)
     leaves = dict(N.leaf_labels)
     indeg = model._indegrees(N)
     rets = [v for v, d in enumerate(indeg) if d >= 2]
     if not rets:
+        children = model.adjacency(N)
         order = [indeg.index(0)]
         for v in order:
             order += children[v]
         return _tree_newick(children, leaves, order)
-    order = model.topological_order(N)[0]
+    order, children, _ = model.topological_order(N)
     reach: dict[int, tuple] = {}  # sorted labels of the leaves below each node
     for v in reversed(order):
         if v in leaves:

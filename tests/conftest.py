@@ -1,10 +1,10 @@
 import pytest
 
 from retnet import model
-from retnet.model import ROOTED, RootedNetwork
+from retnet.model import Graph, ROOTED
 
 
-def six_leaf_network() -> RootedNetwork:
+def six_leaf_network() -> Graph:
     """Rooted binary network with 6 leaves and 4 reticulations.
 
     Used across tests as a nontrivial worked example: reticulations at

@@ -115,3 +115,24 @@ def test_binomial_slack_refuses_small_argument():
     # the certified slack needs lg(df_arg!!) > 64; this must hold under -O too
     with pytest.raises(DomainError):
         bounds._lg_binomial_of_df(5, 2)
+
+
+# the "certified" intervals are not yet enclosures: `_mpf_to_fraction` rounds each
+# interval endpoint to nearest at 53 bits (see the FOUND line on it in CHANGES.md);
+# these fail until it rounds outward.  They call pytest.fail, not assert, so that
+# they still fail under -O.
+_NOT_ENCLOSURES = "_mpf_to_fraction rounds interval endpoints to nearest at 53 bits"
+
+
+@pytest.mark.xfail(strict=True, reason=_NOT_ENCLOSURES)
+def test_enclosure_of_e_lies_above_a_partial_sum():
+    partial = sum(Fraction(1, math.factorial(k)) for k in range(30))  # < e
+    if not bounds._iv_to_interval(bounds._iv().exp(1)).hi > partial:
+        pytest.fail("the upper end of the enclosure of e lies below e")
+
+
+@pytest.mark.xfail(strict=True, reason=_NOT_ENCLOSURES)
+def test_formula_lower_bound_interval_has_width():
+    iv = bounds.formula_lower_bound(100, 3)
+    if not iv.lo < iv.hi:
+        pytest.fail("an irrational bound is enclosed by one point")

@@ -108,7 +108,7 @@ def test_automorphism_count_unlabelled_symmetry():
 
 def test_automorphism_count_detects_symmetry():
     # erase leaf labels from a cherry: the two leaves become swappable
-    T = model.PhyloTree(ROOTED, 3, ((0, 1), (0, 2)), ())
+    T = model.Graph(ROOTED, 3, ((0, 1), (0, 2)), ())
     assert canonical.automorphism_count(T) == 2
 
 

@@ -77,3 +77,12 @@ def test_cli_import_skips_mpmath():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[False, False]"
+
+
+def test_cli_import_skips_dataclasses():
+    # the value types are named tuples, so no module needs dataclasses or the inspect it loads
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    probe = "import sys, retnet.cli; print([m in sys.modules for m in ('dataclasses', 'inspect')])"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[False, False]"

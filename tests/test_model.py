@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,11 +7,11 @@ import oracles
 import retnet as rn
 from retnet import generate, model, serialize
 from retnet.errors import LeafsetMismatch, ModeMismatch, NotATree
-from retnet.model import PhyloTree, ROOTED, UNROOTED, RootedNetwork
+from retnet.model import Graph, ROOTED, UNROOTED
 
 
 def test_single_leaf_tree_valid():
-    T = PhyloTree(ROOTED, 1, (), ((0, 1),))
+    T = Graph(ROOTED, 1, (), ((0, 1),))
     assert model.validate(T).ok
 
 
@@ -28,7 +30,7 @@ def test_validate_rejects_bad_leaf_labels():
 
 
 def test_validate_rejects_cycle():
-    N = RootedNetwork(ROOTED, 4, ((0, 1), (1, 2), (2, 1), (2, 3)), ((3, 1),))
+    N = Graph(ROOTED, 4, ((0, 1), (1, 2), (2, 1), (2, 3)), ((3, 1),))
     assert not model.validate(N).ok
 
 
@@ -40,7 +42,7 @@ def test_validate_rejects_disconnected_unrooted():
 
 def test_validate_is_total_never_raises():
     # junk graphs must produce reports, not exceptions
-    G = RootedNetwork(ROOTED, 3, ((0, 0), (1, 2)), ())
+    G = Graph(ROOTED, 3, ((0, 0), (1, 2)), ())
     rep = model.validate(G)
     assert not rep.ok
 
@@ -87,6 +89,34 @@ def test_labelling_validation(n6r4):
     bad = model.ReticulationLabelling(
         n6r4, tuple((e, 1) for e, _ in lab.numbered))
     assert not model.validate(bad).ok
+
+
+def test_value_types_are_immutable_values():
+    T = Graph(ROOTED, 1, (), ((0, 1),))
+    makers = {  # class -> (a maker of equal values, a field to assign to)
+        rn.Graph: (lambda: Graph(ROOTED, 1, (), ((0, 1),)), "edges"),
+        rn.Switching: (lambda: rn.Switching(T, frozenset()), "off"),
+        rn.ReticulationLabelling: (lambda: rn.ReticulationLabelling(T, ()), "numbered"),
+        rn.TreeSet: (lambda: rn.TreeSet(ROOTED, (T,)), "trees"),
+        rn.ValidationReport: (lambda: rn.ValidationReport(("x",)), "violations"),
+        rn.CanonicalCode: (lambda: rn.CanonicalCode(b"\x01RT1"), "bytes"),
+        rn.RealInterval: (lambda: rn.RealInterval(Fraction(1, 3), Fraction(1, 2)), "lo"),
+        rn.BoundReport: (lambda: rn.BoundReport("b", {"n": 1}, lhs=1, rhs=2, holds=True),
+                         "holds"),
+        rn.NetworkCountBound: (lambda: rn.NetworkCountBound(Fraction(3), None), "relaxed"),
+    }
+    for cls, (make, name) in makers.items():
+        a, b = make(), make()
+        assert type(a) is cls and a is not b and a == b
+        if cls is not rn.BoundReport:  # its parameters dict is compared but not hashable
+            assert hash(a) == hash(b)
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+        assert a == b  # the failed assignment changed nothing
+    codes = [rn.CanonicalCode(c) for c in (b"\x01RT12", b"\x01RG", b"\x01RT1", b"\x01UT")]
+    assert [c.bytes for c in sorted(codes)] == sorted(c.bytes for c in codes)
+    assert codes[2] < codes[0] and not codes[0] < codes[2]
+    assert not rn.ValidationReport(("x",)) and rn.ValidationReport()
 
 
 def test_tree_set_dedupes_and_orders():
@@ -136,7 +166,7 @@ SUPPRESS_CASES = [  # (mode, edges, labels, Newick of the suppressed tree)
 def test_suppress_contracts_degree_two():
     for mode, edges, labels, newick in SUPPRESS_CASES:
         num_nodes = 1 + max(max(e) for e in edges)
-        T = PhyloTree(mode, num_nodes, tuple(model._norm_edge(mode, u, v) for u, v in edges),
+        T = Graph(mode, num_nodes, tuple(model._norm_edge(mode, u, v) for u, v in edges),
                       tuple(sorted(labels.items())))
         S = model.suppress(T)
         assert model.validate(S).ok
@@ -152,7 +182,7 @@ def test_suppress_contracts_degree_two():
 ])
 def test_suppress_rejects_non_trees(mode, num_nodes, edges):
     labels = tuple((v, v + 1) for v in range(num_nodes))
-    G = PhyloTree(mode, num_nodes, tuple(edges), labels)
+    G = Graph(mode, num_nodes, tuple(edges), labels)
     for suppress in (model.suppress, oracles.suppress):
         with pytest.raises(NotATree):
             suppress(G)
@@ -201,7 +231,7 @@ def test_topological_order_returns_what_kahn_read():
         assert len(position) == len(order) == G.num_nodes
         assert all(position[u] < position[v] for u, v in G.edges)
     # a directed cycle shows as a short order
-    cycle = RootedNetwork(ROOTED, 3, ((0, 1), (1, 2), (2, 1)), ())
+    cycle = Graph(ROOTED, 3, ((0, 1), (1, 2), (2, 1)), ())
     order, _, indeg = model.topological_order(cycle)
     assert order == [0] and indeg == [0, 2, 1]
 
@@ -233,7 +263,7 @@ def _rooted_digraphs(draw):
                 edges[i % len(edges)] = (v, u)
             else:
                 labels[i % len(labels)] = (i % num_nodes, labels[i % len(labels)][1])
-        return RootedNetwork(ROOTED, num_nodes, tuple(edges), tuple(labels))
+        return Graph(ROOTED, num_nodes, tuple(edges), tuple(labels))
     num_nodes = draw(st.integers(1, 7))
     node = st.integers(0, num_nodes - 1)
     edges = draw(st.lists(st.tuples(node, node).filter(lambda e: e[0] != e[1]),
@@ -241,7 +271,7 @@ def _rooted_digraphs(draw):
     edges += draw(st.lists(st.tuples(node, node), max_size=1))  # a self-loop or parallel edge
     leaves = draw(st.lists(node, unique=True, max_size=num_nodes))
     labels = tuple((v, x) for x, v in enumerate(leaves, 1))
-    return RootedNetwork(ROOTED, num_nodes, tuple(edges), labels)
+    return Graph(ROOTED, num_nodes, tuple(edges), labels)
 
 
 @given(_rooted_digraphs())
