@@ -1,9 +1,10 @@
 """Exact evaluation of the counting formulas and inequality bounds.
 
-All comparisons are decided either in exact integer/rational arithmetic
-or by certified interval arithmetic (>= 128-bit working precision, with
-Robbins' bounds for huge factorials).  No floating-point comparison ever
-decides a report.
+The lower bounds are one counting argument: 2^(t*e) * T(n+2r) / r! pairs of a
+network and a displayed t-set (T the tree count, e = r rooted or n + 3r - 3
+unrooted) must cover all C(T(n), t) t-sets.  Every comparison is exact or in
+`mpmath.iv` (outward rounding); `formula_lower_bound`'s endpoints are the one
+exception, rounded to nearest at 53 bits.  Exact integers are budgeted in bits.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
+from . import generate
 from .errors import DomainError, TTooLarge
-from .model import ROOTED
+from .model import ROOTED, UNROOTED
 
 _IV_PREC = 192  # bits; comfortably above the 128-bit requirement
 
@@ -74,17 +76,44 @@ def double_factorial(k: int) -> int:
     return math.prod(range(k, 1, -2))
 
 
+def _tree_arg(n: int, mode: str) -> int:
+    """k with T(n) = k!!: 2n - 3 rooted, 2n - 5 unrooted."""
+    return 2 * n - (3 if mode == ROOTED else 5)
+
+
+def _exponent(n: int, r: int, mode: str) -> int:
+    """e with at most 2^e displayed trees per network: r rooted, n + 3r - 3 unrooted."""
+    return r if mode == ROOTED else n + 3 * r - 3
+
+
+def _tree_bits(n: int, mode: str) -> int:
+    """An upper estimate of lg T(n): k!! has (k + 1) // 2 factors below 2^bit_length(k)."""
+    k = _tree_arg(n, mode)
+    return max(k + 1, 0) // 2 * k.bit_length()
+
+
+def _relaxed_bits(n: int, r: int) -> int:
+    return n * n.bit_length() + r * r.bit_length() + 2 * n + 6 * r
+
+
+def _check_bits(bits: int) -> None:
+    """Refuse exact integers of more than RETNET_BUDGET bits before any is built."""
+    generate.check_budget((bits,), f"exact integers of about {bits} bits")
+
+
 def tree_count(n: int, mode: str = ROOTED) -> int:
-    """(2n-3)!! rooted trees / (2n-5)!! unrooted trees on leaf set [n]."""
+    """T(n): (2n-3)!! rooted / (2n-5)!! unrooted trees on leaf set [n]."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return double_factorial(2 * n - 3 if mode == ROOTED else 2 * n - 5)
+    _check_bits(_tree_bits(n, mode))
+    return double_factorial(_tree_arg(n, mode))
 
 
 def tree_set_count(n: int, t: int, mode: str = ROOTED) -> int:
     """Exact number of t-element sets of trees on [n]."""
     if t < 1:
         raise ValueError("t must be at least 1")
+    _check_bits(t * _tree_bits(n, mode))
     m = tree_count(n, mode)
     if t > m:
         raise TTooLarge(f"t = {t} exceeds the {m} trees on {n} leaves")
@@ -97,6 +126,7 @@ def tree_set_count_bounds(n: int, t: int, mode: str = ROOTED) -> BoundReport:
     Chain: C(m, t) >= (m/t)^t > (base/2)^(t*base') / t^t with base n
     (rooted, n >= 5) or n-1 (unrooted, n >= 6).
     """
+    _check_bits(3 * t * _tree_bits(n, mode))  # the count and its two bounds
     count = tree_set_count(n, t, mode)
     m = tree_count(n, mode)
     lb1 = Fraction(m, t) ** t
@@ -109,42 +139,42 @@ def tree_set_count_bounds(n: int, t: int, mode: str = ROOTED) -> BoundReport:
 
 
 class NetworkCountBound(NamedTuple):
-    tight: Fraction          # (2n+4r-3)!!/r! rooted, (2n+4r-5)!!/r! unrooted
+    tight: Fraction          # T(n + 2r) / r!
     relaxed: Optional[int]   # None where the factorial form is undefined
+
+
+_RELAXED_FROM = {ROOTED: 1, UNROOTED: 2}  # k, the least r of the relaxed form
+
+
+def _relaxed(n: int, r: int, mode: str) -> Optional[int]:
+    """n! (r-k)! 2^(2n+6r-3k), or None for r < k."""
+    k = _RELAXED_FROM[mode]
+    return math.factorial(n) * math.factorial(r - k) << 2 * n + 6 * r - 3 * k if r >= k else None
 
 
 def network_count_bound(n: int, r: int, mode: str = ROOTED) -> NetworkCountBound:
     """Both upper bounds on the number of network classes with n leaves, r reticulations."""
     if n < 1 or r < 0:
         raise DomainError("need n >= 1 and r >= 0")
-    if mode == ROOTED:
-        tight = Fraction(double_factorial(2 * n + 4 * r - 3), math.factorial(r))
-        relaxed = (math.factorial(n) * math.factorial(r - 1) * 2 ** (2 * n + 6 * r - 3)
-                   if r >= 1 else None)
-    else:
-        tight = Fraction(double_factorial(2 * n + 4 * r - 5), math.factorial(r))
-        relaxed = (math.factorial(n) * math.factorial(r - 2) * 2 ** (2 * n + 6 * r - 6)
-                   if r >= 2 else None)
-    return NetworkCountBound(tight, relaxed)
+    _check_bits(_tree_bits(n + 2 * r, mode) + _relaxed_bits(n, r))
+    return NetworkCountBound(Fraction(tree_count(n + 2 * r, mode), math.factorial(r)),
+                             _relaxed(n, r, mode))
 
 
 def pair_count_bound(n: int, t: int, r: int, mode: str = ROOTED) -> int:
-    """Upper bound on pairs (network, displayed t-set) from the corollary forms."""
+    """Upper bound 2^(t*e) times the relaxed network count on pairs (network, displayed t-set)."""
     if n < 1 or t < 1:
         raise DomainError("need n >= 1 and t >= 1")
-    if mode == ROOTED:
-        if r < 1:
-            raise DomainError("rooted pair bound needs r >= 1")
-        return 2 ** (r * t) * math.factorial(n) * math.factorial(r - 1) * 2 ** (2 * n + 6 * r - 3)
-    if r < 2:
-        raise DomainError("unrooted pair bound needs r >= 2")
-    return 2 ** ((t + 2) * (n + 3 * r - 3)) * math.factorial(n) * math.factorial(r - 2)
+    if r < _RELAXED_FROM[mode]:
+        raise DomainError(f"{mode} pair bound needs r >= {_RELAXED_FROM[mode]}")
+    _check_bits(t * _exponent(n, r, mode) + _relaxed_bits(n, r))
+    return _relaxed(n, r, mode) << t * _exponent(n, r, mode)
 
 
 # ---------------------------------------------------------------------------
 # certified log-scale arithmetic for huge parameters
 
-_EXACT_DF_LIMIT = 400  # below this, plain big integers are cheap
+_EXACT_BITS = 4096  # exact integers up to about this size are cheaper than loading mpmath
 
 
 def _iv():
@@ -156,67 +186,50 @@ def _iv():
     return mpmath.iv
 
 
-def _lg_factorial(m: int) -> RealInterval:
-    """Certified enclosure of lg m!."""
+def _lg_factorial(m: int):
+    """An `mpmath.iv` enclosure of lg m!, by Robbins' bounds for m >= 2:
+    ln m! in [S + 1/(12m+1), S + 1/(12m)], S = ln(2 pi m)/2 + m ln m - m."""
     iv = _iv()
     if m < 2:
-        return RealInterval(Fraction(0), Fraction(0))
-    if m <= 2000:
-        return _iv_to_interval(iv.log(iv.mpf(math.factorial(m))) / iv.log(2))
-    # Robbins: ln m! in [S + 1/(12m+1), S + 1/(12m)], S = ln(2*pi*m)/2 + m ln m - m
+        return iv.mpf(0)
     mm = iv.mpf(m)
     s = iv.log(2 * iv.pi * mm) / 2 + mm * iv.log(mm) - mm
-    lo = s + iv.mpf(1) / (12 * mm + 1)
-    hi = s + iv.mpf(1) / (12 * mm)
-    ln = _iv_to_interval(lo / iv.log(2))
-    hn = _iv_to_interval(hi / iv.log(2))
-    return RealInterval(ln.lo, hn.hi)
+    return (s + 1 / (12 * mm + iv.mpf([0, 1]))) / iv.log(2)
 
 
-def _lg_double_factorial(k: int) -> RealInterval:
-    """Certified enclosure of lg k!! for odd k (k = 2m-1)."""
-    if k <= 0:
-        return RealInterval(Fraction(0), Fraction(0))
+def _lg_double_factorial(k: int):
+    """An `mpmath.iv` enclosure of lg k!! for odd k = 2m - 1: lg (2m)! - m - lg m!."""
     m = (k + 1) // 2
-    f2m = _lg_factorial(2 * m)
-    fm = _lg_factorial(m)
-    return RealInterval(f2m.lo - m - fm.hi, f2m.hi - m - fm.lo)
+    return _lg_factorial(2 * m) - m - _lg_factorial(m)
 
 
-def _lg_binomial_of_df(df_arg: int, t: int) -> RealInterval:
-    """Certified enclosure of lg C(M, t) with M = df_arg!!, for huge M."""
+def _lg_binomial_of_df(df_arg: int, t: int):
+    """An `mpmath.iv` enclosure of lg C(M, t) with M = df_arg!!, for huge M."""
     lgm = _lg_double_factorial(df_arg)
-    lgtf = _lg_factorial(t)
-    # lg C(M,t) in [t*lg(M-t+1) - lg t!, t*lg M - lg t!]; for lg M > 64
-    # the slack lg(M-t+1) >= lg M - 3t*2^(-lg M) is certified.
-    if not lgm.lo > 64:
+    # lg C(M,t) in [t*lg(M-t+1) - lg t!, t*lg M - lg t!]; for lg M > 64 the slack
+    # lg(M-t+1) >= lg M - 3t*2^(-lg M) is certified.
+    if not lgm.a > 64:
         raise DomainError(f"{df_arg}!! is too small for the certified slack (needs lg > 64)")
-    slack = Fraction(3 * t, 2 ** 64)
-    lo = t * (lgm.lo - slack) - lgtf.hi
-    hi = t * lgm.hi - lgtf.lo
-    return RealInterval(lo, hi)
+    return t * (lgm - _iv().mpf([0, 3 * t]) / 2 ** 64) - _lg_factorial(t)
 
 
 def _pair_bound_tight_holds(n: int, t: int, r: int, mode: str) -> bool:
-    """Decide 2^{rt} * tight-network-bound >= |S_{n,t}| rigorously."""
-    if mode == ROOTED:
-        df_net, df_tree = 2 * n + 4 * r - 3, 2 * n - 3
-        lhs_pow = r * t
-    else:
-        df_net, df_tree = 2 * n + 4 * r - 5, 2 * n - 5
-        lhs_pow = t * (n + 3 * r - 3)
-    if df_tree > _EXACT_DF_LIMIT:
-        lhs = _lg_double_factorial(df_net)
-        lgr = _lg_factorial(r)
-        lhs = RealInterval(lhs.lo + lhs_pow - lgr.hi, lhs.hi + lhs_pow - lgr.lo)
-        rhs = _lg_binomial_of_df(df_tree, t)
-        if lhs.lo >= rhs.hi or lhs.hi < rhs.lo:
-            return lhs.lo >= rhs.hi
-        # inconclusive interval: settle exactly (only reachable at razor-thin margins)
-    m = double_factorial(df_tree)
+    """Decide 2^(t*e) * T(n+2r) / r! >= C(T(n), t): in lg scale past _EXACT_BITS,
+    and in exact integers below it or where the two enclosures overlap."""
+    bits = _tree_bits(n + 2 * r, mode) + t * _tree_bits(n, mode)
+    # k!! > 2^((k-1)/2), so lg T(n) > 64 as the slack needs
+    if bits > _EXACT_BITS and _tree_arg(n, mode) > 128:
+        lhs = (t * _exponent(n, r, mode) + _lg_double_factorial(_tree_arg(n + 2 * r, mode))
+               - _lg_factorial(r))
+        holds = lhs >= _lg_binomial_of_df(_tree_arg(n, mode), t)
+        if holds is not None:
+            return holds
+    _check_bits(bits)
+    m = tree_count(n, mode)
     if t > m:
         return True  # no t-sets exist at all
-    return 2 ** lhs_pow * double_factorial(df_net) >= math.comb(m, t) * math.factorial(r)
+    return (tree_count(n + 2 * r, mode) << t * _exponent(n, r, mode)
+            >= math.comb(m, t) * math.factorial(r))
 
 
 def counting_lower_bound(n: int, t: int, mode: str = ROOTED) -> int:
@@ -268,7 +281,7 @@ def _is_power_of_two(k: int) -> bool:
 
 
 def verify_math_lemmas(kmax: int) -> list[BoundReport]:
-    """Exact / interval-certified verification of the arithmetic groundwork.
+    """Exact verification of the arithmetic groundwork.
 
     Covers the double-factorial identity, the binomial factorial bound,
     and the three factorial sandwich lemmas, over their stated ranges up
@@ -276,8 +289,8 @@ def verify_math_lemmas(kmax: int) -> list[BoundReport]:
     """
     if kmax < 6:
         raise ValueError("kmax must be at least 6")
-    iv = _iv()
-    e_iv = _iv_to_interval(iv.exp(1))
+    # a partial sum of e = sum 1/k!: a lemma that holds with it in place of e holds with e
+    e_lo = sum(Fraction(1, math.factorial(k)) for k in range(30))
     reports: list[BoundReport] = []
 
     for k in range(0, kmax + 1):
@@ -295,21 +308,14 @@ def verify_math_lemmas(kmax: int) -> list[BoundReport]:
 
     for m in range(1, kmax + 1):
         q = Fraction(m, m + 1) ** m
-        upper_ok = q <= Fraction(1, 2)
-        # 1/e < q  <=>  e > 1/q, certified via the lower endpoint of e
-        lower_ok = e_iv.lo > 1 / q
-        reports.append(BoundReport("power-ratio-sandwich", {"n": m},
-                                   lhs=q, rhs=(Fraction(1, 2),), holds=upper_ok and lower_ok))
+        reports.append(BoundReport("power-ratio-sandwich", {"n": m}, lhs=q, rhs=(Fraction(1, 2),),
+                                   holds=q <= Fraction(1, 2) and e_lo > 1 / q))  # 1/e < q
 
     for m in range(6, kmax + 1):
-        fact = math.factorial(m)
-        upper_ok = fact < Fraction(m, 2) ** m
-        # (m/e)^m < m!  <=>  m^m < m! * e^m, certified via lower endpoint of e^m
-        en = _iv_to_interval(iv.exp(m))
-        lower_ok = Fraction(m) ** m < fact * en.lo
-        reports.append(BoundReport("factorial-sandwich", {"n": m},
-                                   lhs=fact, rhs=(Fraction(m, 2) ** m,),
-                                   holds=upper_ok and lower_ok))
+        fact, upper = math.factorial(m), Fraction(m, 2) ** m
+        # (m/e)^m < m!  <=>  m^m < m! * e^m
+        reports.append(BoundReport("factorial-sandwich", {"n": m}, lhs=fact, rhs=(upper,),
+                                   holds=fact < upper and Fraction(m) ** m < fact * e_lo ** m))
 
     for m in range(5, kmax + 1):
         lhs = double_factorial(2 * m - 3)

@@ -119,10 +119,9 @@ def worst_case_r(n: int, t: int, mode: str = ROOTED, *,
 def verify_counts(n_max: int, r_max: int, mode: str = ROOTED) -> list[bounds.BoundReport]:
     """Run every enumeration-vs-bound check over the (n, r) grid.
 
-    Per point: the counting chain |N_{n,r}| * r! <= (2(n+2r)-3)!! (or the
-    unrooted analogue), the tight and relaxed network-count bounds, the
-    displayed-tree bounds, codec injectivity, and the unit-automorphism
-    property of labelled networks.
+    Per point: the counting chain |N_{n,r}| * r! <= T(n + 2r), the tight
+    and relaxed network-count bounds, the displayed-tree bounds, codec
+    injectivity, and the unit-automorphism property of labelled networks.
     """
     if n_max < 1 or r_max < 1:  # an empty grid would check nothing and report success
         raise ValueError(f"n_max and r_max must be at least 1, not {n_max} and {r_max}")
@@ -132,12 +131,9 @@ def verify_counts(n_max: int, r_max: int, mode: str = ROOTED) -> list[bounds.Bou
             table = _code_sets(n, r, mode)
             params = {"n": n, "r": r, "mode": mode}
             nb = bounds.network_count_bound(n, r, mode)
-            df_arg = 2 * (n + 2 * r) - (3 if mode == ROOTED else 5)
-            chain = len(table) * math.factorial(r) <= bounds.double_factorial(df_arg)
-            reports.append(bounds.BoundReport(
-                "counting-chain", params,
-                lhs=len(table) * math.factorial(r),
-                rhs=bounds.double_factorial(df_arg), holds=chain))
+            lhs, rhs = len(table) * math.factorial(r), bounds.tree_count(n + 2 * r, mode)
+            reports.append(bounds.BoundReport("counting-chain", params,
+                                              lhs=lhs, rhs=rhs, holds=lhs <= rhs))
             tight_ok = len(table) <= nb.tight
             relaxed_ok = nb.relaxed is None or nb.tight <= nb.relaxed
             reports.append(bounds.BoundReport(

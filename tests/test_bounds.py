@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from retnet import bounds
-from retnet.errors import DomainError, TTooLarge
+from retnet.errors import BudgetExceeded, DomainError, TTooLarge
 from retnet.model import ROOTED, UNROOTED
 
 
@@ -73,14 +73,49 @@ def test_counting_lower_bound_monotone_in_n():
     assert vals == sorted(vals)
 
 
-def test_counting_lower_bound_exact_vs_interval_agree():
-    # n small enough that both the exact-integer and interval paths run
-    for n, t in [(16, 2), (24, 3), (40, 2)]:
-        r = bounds.counting_lower_bound(n, t, ROOTED)
-        # r is the least value whose pair bound can cover all t-sets
-        assert bounds._pair_bound_tight_holds(n, t, r, ROOTED)
-        if r > 0:
-            assert not bounds._pair_bound_tight_holds(n, t, r - 1, ROOTED)
+def _exact_pair_bound_holds(n, t, r, mode):
+    tree_arg = 2 * n - 3 if mode == ROOTED else 2 * n - 5
+    e = r if mode == ROOTED else n + 3 * r - 3
+    return (2 ** (t * e) * bounds.double_factorial(tree_arg + 4 * r)
+            >= math.comb(bounds.double_factorial(tree_arg), t) * math.factorial(r))
+
+
+def _no_exact_path(*_):
+    raise AssertionError("the exact path ran")
+
+
+def test_counting_lower_bound_exact_vs_interval_agree(monkeypatch):
+    # past _EXACT_BITS the interval path decides; the exact form, written out here, must agree
+    points = [(n, t) for n in range(203, 261, 5) for t in (2, 3)] + [(1000, 3)]
+    for mode in (ROOTED, UNROOTED):
+        for n, t in points:
+            with monkeypatch.context() as m:
+                m.setattr(bounds, "tree_count", _no_exact_path)
+                r = bounds.counting_lower_bound(n, t, mode)
+                near = (r - 1, r, r + 1)
+                decided = [bounds._pair_bound_tight_holds(n, t, s, mode) for s in near]
+            assert decided == [False, True, True], (n, t, mode)
+            assert decided == [_exact_pair_bound_holds(n, t, s, mode) for s in near], (n, t, mode)
+
+
+def test_counting_lower_bound_path_follows_integer_size(monkeypatch):
+    # n = 150 is small, but C(T(150), 3000) has about 3 million bits: the interval path
+    # decides, and where it could not, the exact form would be refused before it is built
+    monkeypatch.setattr(bounds, "tree_count", _no_exact_path)
+    for mode in (ROOTED, UNROOTED):
+        assert bounds.counting_lower_bound(150, 3000, mode) > 0
+    monkeypatch.setattr(bounds, "_lg_binomial_of_df", lambda *_: bounds._iv().mpf([0, 10 ** 9]))
+    with pytest.raises(BudgetExceeded, match="exact integers of about"):
+        bounds.counting_lower_bound(150, 3000)
+
+
+def test_lg_factorial_encloses_lg_factorial():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workprec(600):
+        for m in (2, 3, 10, 100, 250, 1000, 2000, 2001, 4096, 10 ** 5, 10 ** 6, 2 ** 25):
+            lo, hi = (mpmath.mpf(end) for end in bounds._lg_factorial(m)._mpi_)
+            lg = mpmath.loggamma(m + 1) / mpmath.log(2)
+            assert lo <= lg <= hi and lo < hi, m
 
 
 def test_formula_lower_bound_exact_rational_point():
@@ -117,10 +152,11 @@ def test_binomial_slack_refuses_small_argument():
         bounds._lg_binomial_of_df(5, 2)
 
 
-# the "certified" intervals are not yet enclosures: `_mpf_to_fraction` rounds each
-# interval endpoint to nearest at 53 bits (see the FOUND line on it in CHANGES.md);
-# these fail until it rounds outward.  They call pytest.fail, not assert, so that
-# they still fail under -O.
+# formula_lower_bound's intervals are not yet enclosures: `_mpf_to_fraction` rounds
+# each endpoint to nearest at 53 bits, the one float left in `bounds`; every other
+# interval stays in `mpmath.iv`.  These fail until it rounds outward, which changes
+# formula-lower's stored benchmark outputs.  They call pytest.fail, not assert, so
+# that they still fail under -O.
 _NOT_ENCLOSURES = "_mpf_to_fraction rounds interval endpoints to nearest at 53 bits"
 
 

@@ -308,7 +308,13 @@ def test_over_budget_refused_before_work(tmp_path, capsys):
                  ["worstcase", "--n", "10", "--t", "3", "--samples", "5"],
                  ["worstcase", "--n", "8", "--t", "2"],
                  ["displayed", "--network", net], ["switchings", "--network", net],
-                 ["display", "--network", net, "--tree", a]):
+                 ["display", "--network", net, "--tree", a],
+                 # exact integers of millions of bits, refused before they are built
+                 ["bounds", "--stmt", "tree-set-count", "--n", "40000", "--t", "3"],
+                 ["bounds", "--stmt", "tree-set-count", "--n", "100000", "--t", "3"],
+                 ["bounds", "--stmt", "network-count", "--n", "100000", "--r", "5"],
+                 ["bounds", "--stmt", "pair-count", "--n", "10", "--t", "100000", "--r", "50"],
+                 ["trees", "--n", "300000", "--count-only"]):
         start = time.perf_counter()
         code = cli.run([str(x) for x in argv])
         elapsed = time.perf_counter() - start

@@ -77,6 +77,20 @@ def test_cli_import_skips_mpmath():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[False, False]"
+    # nor do the exact statements, the lemma suite, or a counting bound of small integers
+    commands = [["verify", "--lemmas", "--kmax", "16"],
+                ["bounds", "--stmt", "tree-set-count", "--n", "10", "--t", "5"],
+                ["bounds", "--stmt", "network-count", "--n", "50", "--r", "20"],
+                ["bounds", "--stmt", "pair-count", "--n", "50", "--t", "4", "--r", "10"],
+                ["bounds", "--stmt", "counting-lower", "--n", "64", "--t", "2"]]
+    probe = ("import contextlib, io, sys, retnet.cli\n"
+             f"for argv in {commands!r}:\n"
+             "    with contextlib.redirect_stdout(io.StringIO()):\n"
+             "        code = retnet.cli.run(argv)\n"
+             "    print(code, 'mpmath' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines() == ["0 False"] * len(commands)
 
 
 def test_cli_import_skips_dataclasses():
