@@ -131,29 +131,39 @@ def _tree_code(G: Graph, off: Collection[int] = frozenset()) -> bytes:
     return b"[1|" + below[start][0] + b"]"
 
 
-def _shape(T: Graph) -> tuple[bytes, list[int]]:
-    """T's unlabelled shape, and its leaf labels in the order of a walk that ignores them.
+def _shape(T: Graph) -> tuple[Graph, dict[int, int]]:
+    """The representative tree of T's unlabelled shape, and a leaf relabelling taking T onto it.
 
-    The walk starts at the root (unrooted: at the leaf whose hung shape is
-    least) and visits children in shape order.  Trees of one shape have
-    the same walk up to an automorphism of the shape, so naming the i-th
-    leaf of the walk i gives isomorphic labelled trees.
+    T is hung from its root (unrooted: from the leaf whose hung shape is
+    least) and walked depth first with children in shape order; the
+    representative numbers the nodes in walk order and names the i-th
+    leaf i.  Trees of one shape have the same walk up to an automorphism
+    of the shape, so they all give the same representative.
     """
     leaves = dict(T.leaf_labels)
-    best: Optional[tuple[bytes, list[int]]] = None
+    best: Optional[tuple[bytes, int, list[list[int]]]] = None
     for start in [model.root_of(T)] if T.mode == ROOTED else sorted(leaves):
         order, parent = model.hang(T, start)
         kids: list[list[int]] = [[] for _ in range(T.num_nodes)]
         for v in order[1:]:
             kids[parent[v]].append(v)
-        shape, walk = [b""] * T.num_nodes, [[] for _ in range(T.num_nodes)]
+        shape = [b""] * T.num_nodes
         for v in reversed(order):
-            below = sorted(kids[v], key=shape.__getitem__)
-            shape[v] = (b"L(" if v in leaves else b"(") + b"".join(shape[c] for c in below) + b")"
-            walk[v] = ([leaves[v]] if v in leaves else []) + [x for c in below for x in walk[c]]
+            kids[v].sort(key=shape.__getitem__)
+            shape[v] = (b"L(" if v in leaves else b"(") + b"".join(shape[c] for c in kids[v]) + b")"
         if best is None or shape[start] < best[0]:
-            best = (shape[start], walk[start])
-    return best
+            best = (shape[start], start, kids)
+    _, start, kids = best
+    walk, stack = [], [start]
+    while stack:
+        v = stack.pop()
+        walk.append(v)
+        stack.extend(reversed(kids[v]))
+    pos = {v: i for i, v in enumerate(walk)}
+    to = {leaves[v]: i for i, v in enumerate((v for v in walk if v in leaves), 1)}
+    # in walk order, edges and labels come sorted as `model.make_graph` stores them
+    return Graph(T.mode, T.num_nodes, tuple((pos[v], pos[c]) for v in walk for c in kids[v]),
+                 tuple((pos[v], to[leaves[v]]) for v in walk if v in leaves)), to
 
 
 # ---------------------------------------------------------------------------

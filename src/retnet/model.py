@@ -339,24 +339,23 @@ def validate(obj) -> ValidationReport:
     elif isinstance(obj, ReticulationLabelling):
         v = _validate_labelling(obj)
     elif isinstance(obj, TreeSet):
-        v = []
-        if not obj.trees:
-            v.append("t must be at least 1")
-        else:
-            from .canonical import canonical_code
+        from .canonical import canonical_code
 
-            for T in obj.trees:
-                if T.mode != obj.mode:
-                    v.append("member mode mismatch")
-                bad = validate(T).violations
-                v.extend(bad)
-                if not bad and reticulation_count(T) != 0:
-                    v.append("member is not a tree")
-            if len({T.n for T in obj.trees}) != 1:
-                v.append("members disagree on n")
-            codes = [canonical_code(T).bytes for T in obj.trees]
-            if len(set(codes)) != len(codes):
-                v.append("members are not pairwise non-isomorphic")
+        v = [] if obj.trees else ["t must be at least 1"]
+        graphs = [T for T in obj.trees if isinstance(T, Graph)]
+        v.extend(["member is not a graph"] * (len(obj.trees) - len(graphs)))
+        for T in graphs:
+            if T.mode != obj.mode:
+                v.append("member mode mismatch")
+            bad = validate(T).violations
+            v.extend(bad)
+            if not bad and reticulation_count(T) != 0:
+                v.append("member is not a tree")
+        if len({T.n for T in graphs}) > 1:
+            v.append("members disagree on n")
+        codes = [canonical_code(T).bytes for T in graphs]
+        if len(set(codes)) != len(codes):
+            v.append("members are not pairwise non-isomorphic")
     else:
         v = ["unknown object type"]
     return ValidationReport(tuple(v))

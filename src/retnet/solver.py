@@ -4,11 +4,12 @@ and the enumeration-vs-bounds verification harness.
 Every network that displays a tree set displays its first tree T1, so
 `min_reticulations` searches T1's tower (`generate._networks` with T1),
 level by level, in place of all of N(n, r).  `worst_case_r` relabels
-each candidate set so that its first tree becomes the first tree of its
-unlabelled shape, and searches that shape's tower: the minimum does not
-change under leaf relabelling, and the candidates then share one tower
-per shape.  One table, `_code_sets`, holds the displayed tree codes of
-each network searched, for a tower or for all of N(n, r).
+each candidate set so that its first tree becomes the representative
+tree of its unlabelled shape, which `canonical._shape` builds, and
+searches that shape's tower: the minimum does not change under leaf
+relabelling, and the candidates then share one tower per shape.  One
+table, `_code_sets`, holds the displayed tree codes of each network
+searched, for a tower or for all of N(n, r).
 """
 
 from __future__ import annotations
@@ -61,23 +62,6 @@ def min_reticulations(ts: TreeSet) -> tuple[int, Graph]:
     return _least_r(ts.trees[0], target, (ts.t - 1) * ts.n)
 
 
-@lru_cache(maxsize=16)
-def _shapes(n: int, mode: str) -> dict[bytes, tuple[Graph, list[int]]]:
-    """Unlabelled shape -> its first tree in canonical order, and that tree's walk."""
-    reps: dict[bytes, tuple[Graph, list[int]]] = {}
-    for T in generate.enumerate_trees(n, mode):
-        shape, walk = _shape(T)
-        reps.setdefault(shape, (T, walk))
-    return reps
-
-
-def _relabelling(T: Graph) -> tuple[Graph, dict[int, int]]:
-    """The first tree R of T's unlabelled shape, and a leaf relabelling taking T onto R."""
-    shape, walk = _shape(T)
-    R, rep_walk = _shapes(T.n, T.mode)[shape]
-    return R, dict(zip(walk, rep_walk))
-
-
 def _relabel(T: Graph, to: dict[int, int]) -> Graph:
     return Graph(T.mode, T.num_nodes, T.edges, tuple((v, to[x]) for v, x in T.leaf_labels))
 
@@ -91,7 +75,7 @@ def worst_case_r(n: int, t: int, mode: str = ROOTED, *,
     The witness is the first maximal set searched: exhaustively, the
     least maximal set in canonical order; sampled, the first maximal draw.
     Each set's minimum is read, after relabelling, from the tower of the
-    first tree of its first member's shape.
+    representative tree of its first member's shape.
     """
     if samples is not None and samples < 1:
         raise ValueError("samples must be at least 1")
@@ -110,7 +94,7 @@ def worst_case_r(n: int, t: int, mode: str = ROOTED, *,
         candidates = (classes(rng.sample(trees, t)) for _ in range(samples))
     best_r, best_set = -1, None
     for subset in candidates:
-        R, to = _relabelling(subset[0])
+        R, to = _shape(subset[0])
         target = frozenset(canonical_code(_relabel(T, to)).bytes for T in subset)
         r, _ = _least_r(R, target, (t - 1) * n)
         if r > best_r:

@@ -177,7 +177,8 @@ def refuses_at_once(call) -> None:
     T3 = serialize.newick_to_tree("((1,2),3);", ROOTED)
     T4 = serialize.newick_to_tree("(((1,2),3),4);", ROOTED)
     for trees, violation in [((T4, T3), "members disagree on n"),
-                             ((T3, T4), "members disagree on n"), ((), "t must be at least 1")]:
+                             ((T3, T4), "members disagree on n"), ((), "t must be at least 1"),
+                             (("x",), "member is not a graph")]:
         ts = model.TreeSet(ROOTED, trees)
         start = time.perf_counter()
         with pytest.raises(DomainError, match=f"^invalid tree set: {violation}$"):

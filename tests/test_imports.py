@@ -69,25 +69,28 @@ def test_no_dead_public_names():
     assert dead_public_names(trees) == []
 
 
-def report_readers(trees: dict[str, ast.Module]) -> set[str]:
-    """module.function (or module alone, at module level) for every read of a
-    `.violations` or `.ok` attribute outside `model`."""
-    found = set()
-    for mod, tree in trees.items():
-        if mod == "model":
-            continue
-        for top in tree.body:
-            owner = f"{mod}.{top.name}" if hasattr(top, "name") else mod
-            found.update(owner for node in ast.walk(top)
-                         if isinstance(node, ast.Attribute) and node.attr in ("violations", "ok"))
-    return found
+def readers(trees: dict[str, ast.Module], is_read) -> set[str]:
+    """module.function (or module alone, at module level) for every node that `is_read`."""
+    return {f"{mod}.{top.name}" if hasattr(top, "name") else mod
+            for mod, tree in trees.items() for top in tree.body
+            for node in ast.walk(top) if is_read(node)}
 
 
 def test_only_model_check_turns_reports_into_errors():
     # every invalid-value error is raised by model.check; decode_tau alone reads a
     # report, because decode prints only its first violation
+    trees = {p.stem: ast.parse(p.read_text()) for p in PACKAGE if p.stem != "model"}
+    assert readers(trees, lambda node: isinstance(node, ast.Attribute)
+                   and node.attr in ("violations", "ok")) == {"codec.decode_tau"}
+
+
+def test_only_the_entry_points_list_every_tree():
+    # a shape's representative is built from the tree itself, so no module keeps a
+    # side table over every tree on [n]
     trees = {p.stem: ast.parse(p.read_text()) for p in PACKAGE}
-    assert report_readers(trees) == {"codec.decode_tau"}
+    assert readers(trees, lambda node: isinstance(node, ast.Name) and node.id == "enumerate_trees"
+                   or isinstance(node, ast.Attribute) and node.attr == "enumerate_trees") == {
+        "cli.trees", "generate.enumerate_networks", "solver.worst_case_r"}
 
 
 def test_cli_import_skips_mpmath():

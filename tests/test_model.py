@@ -199,6 +199,7 @@ _VIOLATIONS = [
     (lambda: model.TreeSet(ROOTED, (_CHERRY, _CHERRY)),
      ("members are not pairwise non-isomorphic",)),
     (lambda: "(1,2);", ("unknown object type",)),
+    (lambda: model.TreeSet(ROOTED, (_CHERRY, "x")), ("member is not a graph",)),
 ]
 
 

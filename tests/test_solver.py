@@ -27,7 +27,8 @@ def test_min_reticulations_two_trees_n3():
 
 def test_min_reticulations_refuses_invalid_tree_sets():
     # unchecked, (4-leaf, 3-leaf) built towers for 17 s and (3-leaf, 4-leaf) gave up
-    # at r = 3, both with BUDGET_EXCEEDED, and the empty set raised IndexError
+    # at r = 3, both with BUDGET_EXCEEDED, the empty set raised IndexError, and a
+    # member that is not a graph raised AttributeError
     refuses_at_once(solver.min_reticulations)
 
 
@@ -94,12 +95,32 @@ def test_tower_search_matches_full_scan():
 
 
 def test_relabelled_tree_is_its_shape_representative():
-    for mode in (ROOTED, UNROOTED):
-        for n in range(1, 7):
+    # the representatives are counted against the unlabelled trees' general-path codes
+    shapes = {ROOTED: [1, 1, 1, 2, 3, 6], UNROOTED: [1, 1, 1, 1, 1, 2]}
+    for mode, counts in shapes.items():
+        for n, count in enumerate(counts, 1):
+            reps, unlabelled = set(), set()
             for T in generate.enumerate_trees(n, mode):
-                R, to = solver._relabelling(T)
+                R, to = canonical._shape(T)
+                assert model.validate(R).ok and model.reticulation_count(R) == 0, (mode, T)
                 assert sorted(to) == sorted(to.values()) == list(range(1, n + 1))
                 assert rn.are_isomorphic(solver._relabel(T, to), R), (mode, T)
+                reps.add(R)
+                unlabelled.add(canonical._canon_general(T._replace(leaf_labels=()), None)[0])
+            assert len(reps) == len(unlabelled) == count, (mode, n)
+
+
+def test_sampled_worst_case_builds_no_shape_table(monkeypatch):
+    # one representative per draw, and no table of the shapes of every tree on [n]
+    calls = []
+
+    def counted(T):
+        calls.append(T)
+        return canonical._shape(T)
+
+    monkeypatch.setattr(solver, "_shape", counted)
+    solver.worst_case_r(4, 2, ROOTED, samples=3, seed=0)
+    assert len(calls) == 3
 
 
 # (n, t, mode) -> (r, witness): the witness is the least maximal t-set in
