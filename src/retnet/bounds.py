@@ -14,9 +14,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from . import generate
-from .errors import DomainError, TTooLarge
-from .model import ROOTED, UNROOTED
+from .errors import ROOTED, UNROOTED, DomainError, TTooLarge, check_budget
 
 _IV_PREC = 192  # bits; comfortably above the 128-bit requirement
 
@@ -104,7 +102,7 @@ def _relaxed_bits(n: int, r: int) -> int:
 
 def _check_bits(bits: int) -> None:
     """Refuse exact integers of more than RETNET_BUDGET bits before any is built."""
-    generate.check_budget((bits,), f"exact integers of about {bits} bits")
+    check_budget((bits,), f"exact integers of about {bits} bits")
 
 
 def tree_count(n: int, mode: str = ROOTED) -> int:

@@ -15,10 +15,8 @@ import sys
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from . import bounds, codec, display, generate, model, serialize, solver
-from .canonical import canonical_positions
-from .errors import RetnetError
-from .model import ROOTED, UNROOTED
+from . import bounds, canonical, codec, display, generate, model, serialize, solver
+from .errors import ROOTED, UNROOTED, RetnetError
 
 
 _encode_row = json.JSONEncoder(sort_keys=True).encode  # json.dumps(row, sort_keys=True)
@@ -113,8 +111,8 @@ def decode(path: str, n: int, r: int, mode: str) -> None:
         # name the labelled edges by the node ids that reading `text` back
         # gives: two least orderings differ by an isomorphism
         N2 = serialize.enewick_to_network(text)
-        pos = canonical_positions(N)
-        node2 = {p: v for v, p in enumerate(canonical_positions(N2))}
+        pos = canonical.canonical_positions(N)
+        node2 = {p: v for v, p in enumerate(canonical.canonical_positions(N2))}
         labels["edge_labels"] = [[node2[pos[u]], node2[pos[v]], h]
                                  for u, v, h in labels["edge_labels"]]
     print(json.dumps({"network": text, "labels": labels}, sort_keys=True))

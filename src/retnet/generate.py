@@ -33,58 +33,26 @@ both from the simple children of level r - 1, so with T1 it gives the
 networks of N(n, r) that display T1, in the same order: all that a
 search for a network displaying T1 and other trees needs to look at.
 
-Every job is checked against one budget, `check_budget`, before it is
-built.  Each edge-addition level, of all trees or of a tower, is checked
-by the moves that build it (`_grow`), once the level below it is built;
-level 0 is counted in closed form, so a level-1 refusal builds nothing.
-A cached level is not checked again, but `enumerate_networks` reads the
-budget before its cache, so a bad RETNET_BUDGET is always reported.
+Every job is checked against one budget, `errors.check_budget`, before
+it is built.  Each edge-addition level, of all trees or of a tower, is
+checked by the moves that build it (`_grow`), once the level below it is
+built; level 0 is counted in closed form, so a level-1 refusal builds
+nothing.  A cached level is not checked again, but `enumerate_networks`
+reads the budget before its cache, so a bad RETNET_BUDGET is always
+reported.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from . import model
 from .canonical import classes
-from .errors import BudgetExceeded, DomainError, SwitchingMismatch
-from .model import Graph, ReticulationLabelling, Switching, ROOTED, UNROOTED
-
-BUDGET_ENV = "RETNET_BUDGET"
-# 15!! <= 2^21 < 17!!: trees up to 9 leaves rooted and 10 unrooted; rooted N(4, 3)
-# passes its top level's 7,335 x 13^2 moves, and N(8, 1) fails at 13!! x 15^2
-DEFAULT_BUDGET = 1 << 21
-
-
-def _budget() -> int:
-    """RETNET_BUDGET, or the default if it is unset; a DomainError unless a positive integer."""
-    env = os.environ.get(BUDGET_ENV)
-    try:
-        budget = int(env) if env else DEFAULT_BUDGET
-    except ValueError:
-        budget = 0
-    if budget < 1:
-        raise DomainError(f"{BUDGET_ENV} must be a positive integer, not {env!r}")
-    return budget
-
-
-def check_budget(factors: Iterable, what: str) -> int:
-    """Refuse a job of more than RETNET_BUDGET items before any is built; return its item count.
-
-    The item count is the product of `factors`, each at least 1, so the
-    product is multiplied out only until it passes the budget.
-    """
-    budget = _budget()
-    items = 1
-    for f in factors:
-        items *= f
-        if items > budget:
-            raise BudgetExceeded(f"{what} exceed the budget of {budget} items ({BUDGET_ENV})")
-    return items
+from .errors import ROOTED, UNROOTED, SwitchingMismatch, _budget, check_budget
+from .model import Graph, ReticulationLabelling, Switching
 
 
 def _check_choose(m: int, r: int, what: str) -> None:

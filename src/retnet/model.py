@@ -13,10 +13,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple
 
-from .errors import LeafsetMismatch, ModeMismatch, NotATree
-
-ROOTED = "rooted"
-UNROOTED = "unrooted"
+from .errors import ROOTED, UNROOTED, LeafsetMismatch, ModeMismatch, NotATree
 
 Edge = tuple[int, int]
 
@@ -205,8 +202,28 @@ def _is_connected(num_nodes: int, edges: Iterable[Edge]) -> bool:
     return num_nodes > 0 and len(hang(G, 0)[0]) == num_nodes
 
 
-def _common_violations(G: Graph) -> list[str]:
+def _int_pairs(items) -> bool:
+    return isinstance(items, tuple) and all(
+        type(p) is tuple and len(p) == 2 and type(p[0]) is int and type(p[1]) is int
+        for p in items)
+
+
+def _shape_violations(G: Graph) -> list[str]:
+    """The fields' types, checked before any is read: every later check unpacks them."""
     bad = []
+    if type(G.num_nodes) is not int:
+        bad.append("node count is not an integer")
+    if not _int_pairs(G.edges):
+        bad.append("edges are not a tuple of integer pairs")
+    if not _int_pairs(G.leaf_labels):
+        bad.append("leaf labels are not a tuple of integer (node, label) pairs")
+    return bad
+
+
+def _common_violations(G: Graph) -> list[str]:
+    bad = _shape_violations(G)
+    if bad:
+        return bad
     for u, v in G.edges:
         if not (0 <= u < G.num_nodes and 0 <= v < G.num_nodes):
             bad.append("edge endpoint out of range")

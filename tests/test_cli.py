@@ -447,15 +447,16 @@ def test_closed_stdout_exits_quietly():
 def test_bad_budget_env_names_variable(monkeypatch, capsys):
     for budget in ("abc", "0", "-1"):
         monkeypatch.setenv("RETNET_BUDGET", budget)
-        # a 2-leaf job multiplies out no factor, but still reads the budget
-        for argv in (["networks", "--n", "3", "--r", "1", "--count-only"], ["trees", "--n", "2"]):
+        # a 2-leaf job multiplies out no factor, but still reads the budget; the counting
+        # bound reads the same budget without the graph modules
+        for argv in (["networks", "--n", "3", "--r", "1", "--count-only"], ["trees", "--n", "2"],
+                     ["bounds", "--stmt", "counting-lower", "--n", "64", "--t", "2"]):
             # as in a fresh process: a level already built is not checked again
             generate._networks.cache_clear()
             code = cli.run(argv)
             err = capsys.readouterr().err
             assert code == 1
-            assert err.count("\n") == 1 and "RETNET_BUDGET" in err
-            assert err.startswith("error [DOMAIN]"), (budget, argv, err)
+            assert err == f"error [DOMAIN]: RETNET_BUDGET must be a positive integer, not {budget!r}\n"
     # a level that a valid run has cached does not hide a bad budget
     argv = ["networks", "--n", "3", "--r", "1", "--count-only"]
     monkeypatch.delenv("RETNET_BUDGET")

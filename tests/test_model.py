@@ -200,6 +200,13 @@ _VIOLATIONS = [
      ("members are not pairwise non-isomorphic",)),
     (lambda: "(1,2);", ("unknown object type",)),
     (lambda: model.TreeSet(ROOTED, (_CHERRY, "x")), ("member is not a graph",)),
+    # fields of the wrong type are reported before any of them is unpacked
+    (lambda: Graph(ROOTED, 3, "ab", ()), ("edges are not a tuple of integer pairs",)),
+    (lambda: Graph(ROOTED, 3, ((0, 1, 2), (0, 1)), ((1, 1),)),
+     ("edges are not a tuple of integer pairs",)),
+    (lambda: Graph(UNROOTED, 2.0, ((0, 1),), ((0, 1), (1, "2"))),
+     ("node count is not an integer",
+      "leaf labels are not a tuple of integer (node, label) pairs")),
 ]
 
 
