@@ -2,21 +2,22 @@
 
 The lower bounds are one counting argument: 2^(t*e) * T(n+2r) / r! pairs of a
 network and a displayed t-set (T the tree count, e = r rooted or n + 3r - 3
-unrooted) must cover all C(T(n), t) t-sets.  Every comparison is exact or in
-`mpmath.iv` (outward rounding); `formula_lower_bound`'s endpoints are the one
-exception, rounded to nearest at 53 bits.  Exact integers are budgeted in bits.
+unrooted) must cover all C(T(n), t) t-sets.  Every comparison is exact, or
+between enclosures of lg m!, lg k!! and lg C(k!!, t) whose ends are dyadic
+rationals from integer fixed point (Robbins' factorial bounds, lg by repeated
+squaring, lg e and lg pi from integer series).  `formula_lower_bound`'s ends
+are the one exception, rounded to nearest at 53 bits.  Exact integers are
+budgeted in bits.
 """
 
 from __future__ import annotations
 
-import bisect
+import functools
 import math
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .errors import ROOTED, UNROOTED, DomainError, TTooLarge, check_budget
-
-_IV_PREC = 192  # bits; comfortably above the 128-bit requirement
 
 
 class RealInterval(NamedTuple):
@@ -47,20 +48,6 @@ class BoundReport(NamedTuple):
     lhs: object = None
     rhs: object = None
     holds: bool = False
-
-
-def _mpf_to_fraction(x) -> Fraction:
-    import mpmath
-
-    sign, man, exp, _ = mpmath.mpf(x)._mpf_
-    num = -man if sign else man
-    if exp >= 0:
-        return Fraction(num * (1 << exp))
-    return Fraction(num, 1 << -exp)
-
-
-def _iv_to_interval(x) -> RealInterval:
-    return RealInterval(_mpf_to_fraction(x.a), _mpf_to_fraction(x.b))
 
 
 # ---------------------------------------------------------------------------
@@ -182,43 +169,91 @@ def pair_count_bound(n: int, t: int, r: int, mode: str = ROOTED) -> int:
 # ---------------------------------------------------------------------------
 # certified log-scale arithmetic for huge parameters
 
-_EXACT_BITS = 4096  # exact integers up to about this size are cheaper than loading mpmath
+_EXACT_BITS = 4096  # exact integers up to about this size are cheaper than lg enclosures
+_P = 128  # fraction bits of each lg enclosure
+_Q = _P + 32  # working bits of the mantissa squarings and the series
 
 
-def _iv():
-    # imported on first use: `import retnet` and the commands that evaluate
-    # no interval bound never load mpmath
-    import mpmath
+def _lg(m: int) -> RealInterval:
+    """An enclosure of lg m for an integer m >= 1, at most 2^(1-P) wide, exact at powers of two.
 
-    mpmath.iv.prec = _IV_PREC
-    return mpmath.iv
+    m = 2^b x with 1 <= x < 2, and squaring x emits the next bit of lg x (halve when
+    x^2 >= 2).  x is kept at Q fraction bits, floored on the low track and raised to
+    the ceiling on the high; after P bits, lg x lies in [low, high + (x_high > 1)] / 2^P.
+    """
+    b, q = m.bit_length() - 1, _Q
+    one = 1 << q
+    two, ceil = 2 * one, one - 1
+    lo, hi = (m >> b - q, -(-m >> b - q)) if b > q else (m << q - b,) * 2
+    lo_bits = hi_bits = 0
+    for _ in range(_P):
+        lo = lo * lo >> q
+        hi = hi * hi + ceil >> q
+        lo_bits <<= 1
+        hi_bits <<= 1
+        if lo >= two:  # the next bit is 1: halve
+            lo >>= 1
+            lo_bits |= 1
+        if hi >= two:
+            hi = hi + 1 >> 1
+            hi_bits |= 1
+    return RealInterval(Fraction((b << _P) + lo_bits, 1 << _P),
+                        Fraction((b << _P) + hi_bits + (hi > one), 1 << _P))
 
 
-def _lg_factorial(m: int):
-    """An `mpmath.iv` enclosure of lg m!, by Robbins' bounds for m >= 2:
+def _atan_inv(x: int) -> tuple[int, int]:
+    """s and d with 2^Q atan(1/x) in (s - d, s + d): sum (-1)^j / ((2j+1) x^(2j+1)),
+    each term floored; the first omitted term is below 1."""
+    s, power, j = 0, (1 << _Q) // x, 0
+    while power:
+        s += power // (2 * j + 1) * (-1) ** j
+        power //= x * x
+        j += 1
+    return s, j + 1
+
+
+@functools.cache
+def _lg_e_pi() -> tuple[RealInterval, RealInterval]:
+    """Enclosures of lg e and lg pi, from integer series at Q fraction bits."""
+    # e = sum 1/k!, each term floored from the last: k floors and a tail below 2
+    e, term, k = 0, 1 << _Q, 0
+    while term:
+        e, k = e + term, k + 1
+        term //= k
+    a5, d5 = _atan_inv(5)
+    a239, d239 = _atan_inv(239)
+    pi, d = 16 * a5 - 4 * a239, 16 * d5 + 4 * d239  # Machin's formula
+    return (RealInterval(_lg(e).lo - _Q, _lg(e + k + 2).hi - _Q),
+            RealInterval(_lg(pi - d).lo - _Q, _lg(pi + d).hi - _Q))
+
+
+def _lg_factorial(m: int) -> RealInterval:
+    """An enclosure of lg m!, by Robbins' bounds for m >= 2:
     ln m! in [S + 1/(12m+1), S + 1/(12m)], S = ln(2 pi m)/2 + m ln m - m."""
-    iv = _iv()
     if m < 2:
-        return iv.mpf(0)
-    mm = iv.mpf(m)
-    s = iv.log(2 * iv.pi * mm) / 2 + mm * iv.log(mm) - mm
-    return (s + 1 / (12 * mm + iv.mpf([0, 1]))) / iv.log(2)
+        return RealInterval(Fraction(0), Fraction(0))
+    lg_m, (lg_e, lg_pi) = _lg(m), _lg_e_pi()
+    return RealInterval(
+        (1 + lg_pi.lo + lg_m.lo) / 2 + m * (lg_m.lo - lg_e.hi) + lg_e.lo / (12 * m + 1),
+        (1 + lg_pi.hi + lg_m.hi) / 2 + m * (lg_m.hi - lg_e.lo) + lg_e.hi / (12 * m))
 
 
-def _lg_double_factorial(k: int):
-    """An `mpmath.iv` enclosure of lg k!! for odd k = 2m - 1: lg (2m)! - m - lg m!."""
+def _lg_double_factorial(k: int) -> RealInterval:
+    """An enclosure of lg k!! for odd k = 2m - 1: lg (2m)! - m - lg m!."""
     m = (k + 1) // 2
-    return _lg_factorial(2 * m) - m - _lg_factorial(m)
+    lg_2m, lg_m = _lg_factorial(2 * m), _lg_factorial(m)
+    return RealInterval(lg_2m.lo - m - lg_m.hi, lg_2m.hi - m - lg_m.lo)
 
 
-def _lg_binomial_of_df(df_arg: int, t: int):
-    """An `mpmath.iv` enclosure of lg C(M, t) with M = df_arg!!, for huge M."""
-    lgm = _lg_double_factorial(df_arg)
+@functools.lru_cache(maxsize=8)  # the same for every r that counting_lower_bound tries
+def _lg_binomial_of_df(df_arg: int, t: int) -> RealInterval:
+    """An enclosure of lg C(M, t) with M = df_arg!!, for huge M."""
+    lgm, lg_t = _lg_double_factorial(df_arg), _lg_factorial(t)
     # lg C(M,t) in [t*lg(M-t+1) - lg t!, t*lg M - lg t!]; for lg M > 64 the slack
     # lg(M-t+1) >= lg M - 3t*2^(-lg M) is certified.
-    if not lgm.a > 64:
+    if not lgm.lo > 64:
         raise DomainError(f"{df_arg}!! is too small for the certified slack (needs lg > 64)")
-    return t * (lgm - _iv().mpf([0, 3 * t]) / 2 ** 64) - _lg_factorial(t)
+    return RealInterval(t * (lgm.lo - Fraction(3 * t, 1 << 64)) - lg_t.hi, t * lgm.hi - lg_t.lo)
 
 
 def _pair_bound_tight_holds(n: int, t: int, r: int, mode: str) -> bool:
@@ -227,11 +262,13 @@ def _pair_bound_tight_holds(n: int, t: int, r: int, mode: str) -> bool:
     bits = _tree_bits(n + 2 * r, mode) + t * _tree_bits(n, mode)
     # k!! > 2^((k-1)/2), so lg T(n) > 64 as the slack needs
     if bits > _EXACT_BITS and _tree_arg(n, mode) > 128:
-        lhs = (t * _exponent(n, r, mode) + _lg_double_factorial(_tree_arg(n + 2 * r, mode))
-               - _lg_factorial(r))
-        holds = lhs >= _lg_binomial_of_df(_tree_arg(n, mode), t)
-        if holds is not None:
-            return holds
+        lg_df, lg_r = _lg_double_factorial(_tree_arg(n + 2 * r, mode)), _lg_factorial(r)
+        rhs = _lg_binomial_of_df(_tree_arg(n, mode), t)
+        te = t * _exponent(n, r, mode)
+        if te + lg_df.lo - lg_r.hi >= rhs.hi:
+            return True
+        if te + lg_df.hi - lg_r.lo < rhs.lo:
+            return False
     _check_bits(bits)
     m = tree_count(n, mode)
     if t > m:
@@ -249,39 +286,48 @@ def counting_lower_bound(n: int, t: int, mode: str = ROOTED) -> int:
     """
     if n < 2 or t < 1:
         raise ValueError("need n >= 2 and t >= 1")
-    # the predicate is monotone in r and holds at (t - 1)n, so that point is never tested
-    return bisect.bisect_left(range((t - 1) * n), True,
-                              key=lambda r: _pair_bound_tight_holds(n, t, r, mode))
+    # the predicate is monotone in r and holds at (t - 1)n, so that point is never tested;
+    # a bisection over plain integers, as a range past 2^63 has no length
+    lo, hi = 0, (t - 1) * n
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _pair_bound_tight_holds(n, t, mid, mode):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def formula_lower_bound(n: int, t: int, mode: str = ROOTED) -> RealInterval:
-    """Closed-form worst-case reticulation lower bound, certified.
+    """Closed-form worst-case reticulation lower bound.
 
-    Exact rational when both lg n and lg t are integral; otherwise an
-    interval at >= 128-bit working precision.
+    Exact rational when both lg n and lg t are integral.  Otherwise the ends of
+    an enclosure from `_lg(n)` and `_lg(t)`, each rounded to nearest at 53 bits
+    by `_nearest53`, so not certified.
     """
     if n < 6 or t < 1:
         raise ValueError("need n >= 6 and t >= 1")
-    exact = _is_power_of_two(n) and _is_power_of_two(t)
-    if exact:
-        lg_n = Fraction(n.bit_length() - 1)
-        lg_t = Fraction(t.bit_length() - 1)
-    else:
-        iv = _iv()
-        lg_n = iv.log(iv.mpf(n)) / iv.log(2)
-        lg_t = iv.log(iv.mpf(t)) / iv.log(2)
+    lg_n, lg_t = _lg(n), _lg(t)
     if mode == ROOTED:
-        num = (t - 1) * n * lg_n - 6 * t * n - t * lg_t
-        den = lg_n + t + lg_t
+        num = ((t - 1) * n * lg_n.lo - 6 * t * n - t * lg_t.hi,
+               (t - 1) * n * lg_n.hi - 6 * t * n - t * lg_t.lo)
+        den = (lg_n.lo + t + lg_t.lo, lg_n.hi + t + lg_t.hi)
     else:
-        num = (t - 1) * n * lg_n - t * (8 * n + lg_n + lg_t - 1)
-        den = lg_n + 3 * t + lg_t
-    v = num / den
-    return RealInterval(v, v) if exact else _iv_to_interval(v)
+        num = ((t - 1) * n * lg_n.lo - t * (8 * n + lg_n.hi + lg_t.hi - 1),
+               (t - 1) * n * lg_n.hi - t * (8 * n + lg_n.lo + lg_t.lo - 1))
+        den = (lg_n.lo + 3 * t + lg_t.lo, lg_n.hi + 3 * t + lg_t.hi)
+    corners = [a / b for a in num for b in den]  # den > 0
+    lo, hi = min(corners), max(corners)
+    return RealInterval(lo, hi) if lo == hi else RealInterval(_nearest53(lo), _nearest53(hi))
 
 
-def _is_power_of_two(k: int) -> bool:
-    return k >= 1 and k & (k - 1) == 0
+def _nearest53(x: Fraction) -> Fraction:
+    """x rounded to nearest at 53 significant bits, ties to even; not outward."""
+    if not x:
+        return x
+    e = abs(x.numerator).bit_length() - x.denominator.bit_length() - 53  # |x| / 2^e > 2^52
+    ulp = Fraction(2) ** (e + (abs(x) >= Fraction(2) ** (e + 53)))
+    return round(x / ulp) * ulp
 
 
 # ---------------------------------------------------------------------------

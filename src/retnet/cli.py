@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from . import bounds, canonical, codec, display, generate, model, serialize, solver
-from .errors import ROOTED, UNROOTED, RetnetError
+from .errors import ROOTED, UNROOTED, DomainError, RetnetError
 
 
 _encode_row = json.JSONEncoder(sort_keys=True).encode  # json.dumps(row, sort_keys=True)
@@ -40,7 +40,7 @@ def _emit_stream(rows: Iterable[dict], fmt: str) -> None:
 
 
 def _report_rows(reports) -> Iterator[dict]:
-    return ({"name": rep.name, "parameters": json.dumps(rep.parameters, sort_keys=True),
+    return ({"name": rep.name, "parameters": _encode_row(rep.parameters),
              "lhs": str(rep.lhs), "rhs": str(rep.rhs), "holds": rep.holds} for rep in reports)
 
 
@@ -192,8 +192,12 @@ def bounds_cmd(stmt: str, n: int, t: int | None, r: int | None, mode: str) -> No
         print(json.dumps({"r": bounds.counting_lower_bound(n, t, mode)}))
         return
     iv = bounds.formula_lower_bound(n, t, mode)
+    try:
+        midpoint = float(iv)
+    except OverflowError:
+        raise DomainError("the bound's midpoint exceeds the float range") from None
     print(json.dumps({"lo": str(iv.lo), "hi": str(iv.hi),
-                      "midpoint": float(iv)}, sort_keys=True))
+                      "midpoint": midpoint}, sort_keys=True))
 
 
 def verify(lemmas: bool, counts: bool, kmax: int, n_max: int, r_max: int,

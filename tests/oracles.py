@@ -16,15 +16,22 @@ where `retnet.serialize` writes trees by least leaf and breaks ties in
 networks only when there are some.  `validate_rooted_graph` builds the
 adjacency and in-degrees apart from its Kahn pass, always tests
 connectivity and checks the edge count, where `model.validate` reads
-all three from one `model.topological_order` call.
+all three from one `model.topological_order` call.  `bounds` encloses
+lg m!, lg k!! and lg C(k!!, t) with integer fixed-point logarithms; the
+`iv_*` evaluators here are the same Robbins bounds in `mpmath.iv` at 192
+bits, and `iv_formula_lower_bound` rounds `mpmath.iv` endpoints to nearest
+at 53 bits through `mpmath.mpf`.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from typing import Optional
 
-from retnet import codec, generate, model
+import mpmath
+
+from retnet import bounds, codec, generate, model
 from retnet.canonical import classes
 from retnet.canonical import canonical_positions
 from retnet.errors import ModeMismatch, NotATree, NotInImage, SwitchingMismatch
@@ -306,3 +313,56 @@ def network_to_enewick(N: Graph) -> str:
             stack.append(kids[0])
             out.append("(")
     return "".join(out) + ";"
+
+
+IV_PREC = 192  # bits
+
+
+def _iv():
+    mpmath.iv.prec = IV_PREC
+    return mpmath.iv
+
+
+def mpf_to_fraction(x) -> Fraction:
+    """x rounded to nearest at the `mp` context's precision, 53 bits by default."""
+    sign, man, exp, _ = mpmath.mpf(x)._mpf_
+    num = -man if sign else man
+    if exp >= 0:
+        return Fraction(num * (1 << exp))
+    return Fraction(num, 1 << -exp)
+
+
+def iv_lg_factorial(m: int):
+    """An `mpmath.iv` enclosure of lg m!, by Robbins' bounds for m >= 2:
+    ln m! in [S + 1/(12m+1), S + 1/(12m)], S = ln(2 pi m)/2 + m ln m - m."""
+    iv = _iv()
+    if m < 2:
+        return iv.mpf(0)
+    mm = iv.mpf(m)
+    s = iv.log(2 * iv.pi * mm) / 2 + mm * iv.log(mm) - mm
+    return (s + 1 / (12 * mm + iv.mpf([0, 1]))) / iv.log(2)
+
+
+def iv_lg_double_factorial(k: int):
+    """An `mpmath.iv` enclosure of lg k!! for odd k = 2m - 1: lg (2m)! - m - lg m!."""
+    m = (k + 1) // 2
+    return iv_lg_factorial(2 * m) - m - iv_lg_factorial(m)
+
+
+def iv_lg_binomial_of_df(df_arg: int, t: int):
+    """An `mpmath.iv` enclosure of lg C(M, t) with M = df_arg!!, for lg M > 64."""
+    lgm = iv_lg_double_factorial(df_arg)
+    return t * (lgm - _iv().mpf([0, 3 * t]) / 2 ** 64) - iv_lg_factorial(t)
+
+
+def iv_formula_lower_bound(n: int, t: int, mode: str) -> bounds.RealInterval:
+    """`bounds.formula_lower_bound` off its power-of-two path, with lg n and lg t
+    in `mpmath.iv` and each end of the quotient rounded by `mpf_to_fraction`."""
+    iv = _iv()
+    lg_n = iv.log(iv.mpf(n)) / iv.log(2)
+    lg_t = iv.log(iv.mpf(t)) / iv.log(2)
+    if mode == ROOTED:
+        v = ((t - 1) * n * lg_n - 6 * t * n - t * lg_t) / (lg_n + t + lg_t)
+    else:
+        v = ((t - 1) * n * lg_n - t * (8 * n + lg_n + lg_t - 1)) / (lg_n + 3 * t + lg_t)
+    return bounds.RealInterval(mpf_to_fraction(v.a), mpf_to_fraction(v.b))

@@ -229,6 +229,10 @@ def test_bounds_counting_lower(capsys):
 # stdout of the bound statements; formula-lower is exact when n and t are powers of
 # two and an interval otherwise
 BOUND_PINS = [
+    (["tree-set-count", "--n", "6", "--t", "2"],
+     {"holds": True, "lhs": "446040", "name": "tree-set-count-chain",
+      "parameters": '{"mode": "rooted", "n": 6, "t": 2}',
+      "rhs": "(Fraction(893025, 4), Fraction(531441, 4))"}),
     (["network-count", "--n", "4", "--r", "2"], {"relaxed": "3145728", "tight": "135135/2"}),
     (["network-count", "--n", "10", "--r", "5", "--mode", "unrooted"],
      {"relaxed": "383031148307860684800", "tight": "14776206365113318125/8"}),
@@ -255,6 +259,21 @@ def test_bound_statements_stdout_is_pinned(capsys):
     for argv, doc in BOUND_PINS:
         code, out = run(capsys, "bounds", "--stmt", *argv)
         assert (code, out) == (0, json.dumps(doc, sort_keys=True) + "\n"), argv
+
+
+def test_formula_lower_refuses_a_midpoint_past_the_float_range(capsys):
+    # the bound itself is an exact rational at any n; only its float midpoint overflows
+    big = 10 ** 400 + 1
+    assert bounds.formula_lower_bound(big, 3).lo > 10 ** 399
+    code = cli.run(["bounds", "--stmt", "formula-lower", "--n", str(big), "--t", "3"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == "error [DOMAIN]: the bound's midpoint exceeds the float range\n"
+    iv = bounds.formula_lower_bound(10 ** 300 + 1, 3)
+    code, out = run(capsys, "bounds", "--stmt", "formula-lower", "--n", str(10 ** 300 + 1),
+                    "--t", "3")
+    assert (code, json.loads(out)) == (0, {"lo": str(iv.lo), "hi": str(iv.hi),
+                                           "midpoint": float(iv.lo)})
 
 
 # each is a usage error: exit 2, nothing on stdout, one stderr line

@@ -108,19 +108,21 @@ def test_only_the_entry_points_list_every_tree():
 
 
 def test_cli_import_skips_mpmath():
-    # only the interval-certified bounds need mpmath, and they import it on first use;
-    # the CLI parses with argparse and needs no click at all
+    # no command needs mpmath, and the CLI parses with argparse and needs no click at all
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     probe = "import sys, retnet.cli; print([m in sys.modules for m in ('mpmath', 'click')])"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[False, False]"
-    # nor do the exact statements, the lemma suite, or a counting bound of small integers
+    # nor does a command: the exact statements, the lemma suite, and the counting and
+    # formula bounds, whose logarithm enclosures are integer arithmetic
     commands = [["verify", "--lemmas", "--kmax", "16"],
                 ["bounds", "--stmt", "tree-set-count", "--n", "10", "--t", "5"],
                 ["bounds", "--stmt", "network-count", "--n", "50", "--r", "20"],
                 ["bounds", "--stmt", "pair-count", "--n", "50", "--t", "4", "--r", "10"],
-                ["bounds", "--stmt", "counting-lower", "--n", "64", "--t", "2"]]
+                ["bounds", "--stmt", "counting-lower", "--n", "64", "--t", "2"],
+                ["bounds", "--stmt", "counting-lower", "--n", "16777216", "--t", "4"],
+                ["bounds", "--stmt", "formula-lower", "--n", "100", "--t", "3"]]
     probe = ("import contextlib, io, sys, retnet.cli\n"
              f"for argv in {commands!r}:\n"
              "    with contextlib.redirect_stdout(io.StringIO()):\n"
