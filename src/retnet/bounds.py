@@ -34,10 +34,6 @@ class RealInterval(NamedTuple):
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    @property
-    def radius(self) -> Fraction:
-        return (self.hi - self.lo) / 2
-
     def __float__(self) -> float:
         return float(self.midpoint)
 

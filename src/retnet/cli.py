@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from . import bounds, canonical, codec, display, generate, model, serialize, solver
-from .errors import ROOTED, UNROOTED, DomainError, RetnetError
+from .errors import MODES, ROOTED, DomainError, RetnetError
 
 
 _encode_row = json.JSONEncoder(sort_keys=True).encode  # json.dumps(row, sort_keys=True)
@@ -235,7 +235,7 @@ def _path(flag: str, dest: str, **kwargs) -> tuple[str, dict]:
     return flag, {"dest": dest, "type": _existing, "required": True, **kwargs}
 
 
-_MODE = ("--mode", {"choices": [ROOTED, UNROOTED], "default": ROOTED})
+_MODE = ("--mode", {"choices": MODES, "default": ROOTED})
 _FLAG = {"action": "store_true"}
 _COUNT_ONLY = ("--count-only", _FLAG)
 _FORMAT = ("--format", {"dest": "fmt", "choices": ["jsonl", "csv"], "default": "jsonl"})

@@ -11,7 +11,7 @@ for most trees.
 from __future__ import annotations
 
 from . import model
-from .errors import InvalidLabelling, NotInImage
+from .errors import DomainError, InvalidLabelling, NotInImage
 from .model import Graph, ReticulationLabelling, ROOTED, UNROOTED
 
 
@@ -46,16 +46,13 @@ def encode_tau(N: Graph, lab: ReticulationLabelling) -> Graph:
 def decode_tau(T: Graph, n: int, r: int):
     """Recover the reticulation-labelled network whose encoding is T.
 
-    Raises NotInImage when the reconstruction violates any network or
-    labelling invariant (parallel edge, cycle, degree violation, 0-edges
-    not forming a switching).
+    An invalid T raises DomainError, checked first.  Raises NotInImage when
+    the reconstruction violates any network or labelling invariant (parallel
+    edge, cycle, degree violation, 0-edges not forming a switching).
     """
     if n < 1 or r < 0:
         raise ValueError("n must be at least 1 and r at least 0")
-    if r == 0:
-        if T.n != n:
-            raise ValueError("leaf count does not match n")
-        return T, ReticulationLabelling(T, ())
+    model.check(T, DomainError, "invalid tree: ")
     if T.n != n + 2 * r:
         raise ValueError("tree must have n + 2r leaves")
     by_label = model.label_map(T)

@@ -11,6 +11,7 @@ from typing import Iterable
 
 ROOTED = "rooted"
 UNROOTED = "unrooted"
+MODES = (ROOTED, UNROOTED)
 
 BUDGET_ENV = "RETNET_BUDGET"
 # 15!! <= 2^21 < 17!!: trees up to 9 leaves rooted and 10 unrooted; rooted N(4, 3)

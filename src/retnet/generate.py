@@ -51,7 +51,8 @@ from typing import Iterator, Optional
 
 from . import model
 from .canonical import classes
-from .errors import ROOTED, UNROOTED, SwitchingMismatch, _budget, check_budget
+from .errors import (MODES, ROOTED, UNROOTED, DomainError, SwitchingMismatch, _budget,
+                     check_budget)
 from .model import Graph, ReticulationLabelling, Switching
 
 
@@ -61,6 +62,8 @@ def _check_choose(m: int, r: int, what: str) -> None:
 
 
 def _tree_count(n: int, mode: str) -> int:
+    if mode not in MODES:
+        raise DomainError(f"unknown mode {mode!r}")
     k = 2 * n - (3 if mode == ROOTED else 5)  # bounds.tree_count(n, mode) = k!!
     return check_budget(range(k, 1, -2), f"{k}!! {mode} trees on {n} leaves")
 
@@ -235,10 +238,9 @@ def _add_edge(P: Graph, any_in_edge: bool = False) -> Iterator[Graph]:
 
 
 def enumerate_switchings(N: Graph) -> tuple[Switching, ...]:
-    """All switchings of N: 2^r for rooted, one per spanning tree for unrooted.
-
-    Unrooted switchings are found among the C(|E|, r) sets of r edges.
-    """
+    """All switchings of N: 2^r for rooted, one per spanning tree for unrooted,
+    walked by `_off_edges` once N is checked (DomainError if invalid)."""
+    model.check(N, DomainError, "invalid network: ")
     return tuple(Switching(N, frozenset(off)) for off in _off_edges(N))
 
 
@@ -247,7 +249,10 @@ def _off_edges(N: Graph) -> Iterator[tuple[int, ...]]:
     a time, in `enumerate_switchings` order.
 
     Rooted, one in-edge per reticulation, reticulations in id order, each
-    one's in-edges sorted, the last reticulation varying fastest.  Indices
+    one's in-edges sorted, the last reticulation varying fastest.  Unrooted
+    (N connected), a depth-first walk over the sorted edges turns each off
+    only while `model.hang` still reaches every node, so each r-set it ends
+    at leaves a spanning tree on, in `itertools.combinations` order.  Indices
     tell apart parallel edges, which the lower levels of `_level` have;
     there a switching may turn either of two parallel in-edges off, and
     unrooted, a loop is never on a spanning tree.  The item budget is
@@ -264,20 +269,17 @@ def _off_edges(N: Graph) -> Iterator[tuple[int, ...]]:
         return
     m, r = len(edges), model.reticulation_count(N)
     _check_choose(m, r, "edge sets")
-    # the other m - r = |V| - 1 edges span N iff they close no cycle, by union-find
-    for off in itertools.combinations(sorted(range(m), key=edges.__getitem__), r):
-        root = list(range(N.num_nodes))
-        for i, (a, b) in enumerate(edges):
-            if i not in off:
-                while root[a] != a:
-                    a = root[a]
-                while root[b] != b:
-                    b = root[b]
-                if a == b:
-                    break
-                root[a] = b
-        else:
+    order = sorted(range(m), key=edges.__getitem__)
+
+    def walk(off: tuple[int, ...], start: int) -> Iterator[tuple[int, ...]]:
+        if len(off) == r:
             yield off
+            return
+        for p in range(start, m - r + len(off) + 1):  # leaving enough edges to complete off
+            if len(model.hang(N, 0, more := off + (order[p],))[0]) == N.num_nodes:
+                yield from walk(more, p + 1)
+
+    yield from walk((), 0)
 
 
 def reticulation_labellings(N: Graph, sigma: Switching) -> tuple[ReticulationLabelling, ...]:
@@ -285,13 +287,18 @@ def reticulation_labellings(N: Graph, sigma: Switching) -> tuple[ReticulationLab
     if sigma.host != N:
         raise SwitchingMismatch("switching is not hosted by this network")
     model.check(sigma, SwitchingMismatch)
+    return _numberings(N, sigma)
+
+
+def all_reticulation_labellings(N: Graph) -> Iterator[ReticulationLabelling]:
+    """Every reticulation labelling of N, over every switching; N is checked once."""
+    for sigma in enumerate_switchings(N):
+        yield from _numberings(N, sigma)
+
+
+def _numberings(N: Graph, sigma: Switching) -> tuple[ReticulationLabelling, ...]:
+    """The r! numberings of the off edges of a valid switching of N, once r! passes the budget."""
     off = sorted(sigma.off)
     check_budget(range(1, len(off) + 1), f"{len(off)}! labellings")
     return tuple(ReticulationLabelling(N, tuple(sorted(zip(off, perm), key=lambda eh: eh[1])))
                  for perm in itertools.permutations(range(1, len(off) + 1)))
-
-
-def all_reticulation_labellings(N: Graph) -> Iterator[ReticulationLabelling]:
-    """Every reticulation labelling of N, over every switching."""
-    for sigma in enumerate_switchings(N):
-        yield from reticulation_labellings(N, sigma)

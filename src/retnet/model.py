@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple
 
-from .errors import ROOTED, UNROOTED, LeafsetMismatch, ModeMismatch, NotATree
+from .errors import MODES, ROOTED, UNROOTED, DomainError, LeafsetMismatch, ModeMismatch, NotATree
 
 Edge = tuple[int, int]
 
@@ -209,8 +209,8 @@ def _int_pairs(items) -> bool:
 
 
 def _shape_violations(G: Graph) -> list[str]:
-    """The fields' types, checked before any is read: every later check unpacks them."""
-    bad = []
+    """The mode and the fields' types, checked before any is read: later checks unpack them."""
+    bad = [] if G.mode in MODES else ["unknown mode"]
     if type(G.num_nodes) is not int:
         bad.append("node count is not an integer")
     if not _int_pairs(G.edges):
@@ -361,16 +361,18 @@ def validate(obj) -> ValidationReport:
         v = [] if obj.trees else ["t must be at least 1"]
         graphs = [T for T in obj.trees if isinstance(T, Graph)]
         v.extend(["member is not a graph"] * (len(obj.trees) - len(graphs)))
+        codes = []  # of the valid members only: coding reads the edges unchecked
         for T in graphs:
             if T.mode != obj.mode:
                 v.append("member mode mismatch")
             bad = validate(T).violations
             v.extend(bad)
-            if not bad and reticulation_count(T) != 0:
-                v.append("member is not a tree")
+            if not bad:
+                codes.append(canonical_code(T).bytes)
+                if reticulation_count(T) != 0:
+                    v.append("member is not a tree")
         if len({T.n for T in graphs}) > 1:
             v.append("members disagree on n")
-        codes = [canonical_code(T).bytes for T in graphs]
         if len(set(codes)) != len(codes):
             v.append("members are not pairwise non-isomorphic")
     else:
@@ -476,7 +478,8 @@ def is_leaf_connecting(N: Graph) -> bool:
 def tree_set(trees: Iterable[Graph]) -> TreeSet:
     """Build a TreeSet, dropping isomorphic duplicates, in canonical-code order.
 
-    Members must share one mode (else ModeMismatch) and n (else LeafsetMismatch)."""
+    Members must share one mode (else ModeMismatch) and n (else LeafsetMismatch),
+    and each must be a valid graph (else DomainError)."""
     from .canonical import classes
 
     trees = list(trees)
@@ -488,4 +491,5 @@ def tree_set(trees: Iterable[Graph]) -> TreeSet:
             raise ModeMismatch(f"{mode} vs {T.mode}")
         if T.n != n:
             raise LeafsetMismatch(f"{n} vs {T.n} leaves")
+        check(T, DomainError, "invalid tree: ")
     return TreeSet(mode, classes(trees))

@@ -49,15 +49,13 @@ def _least_r(T1: Graph, target: frozenset, r_cap: int) -> tuple[int, Graph]:
 def min_reticulations(ts: TreeSet) -> tuple[int, Graph]:
     """Least r such that some network with r reticulations displays every member.
 
-    A single tree is its own witness.  Otherwise searches r upward, up to
-    (t-1)n, the trivial network's reticulation count, through the networks
-    that display the first member, in canonical order; so the witness is
-    the first network of N(n, r) in canonical order that displays the set.
-    An invalid set raises DomainError before any search.
+    Searches r upward, up to (t-1)n, the trivial network's reticulation
+    count, through the networks that display the first member, in
+    canonical order; so the witness is the first network of N(n, r) in
+    canonical order that displays the set, and a single tree is its own
+    witness, at r = 0.  An invalid set raises DomainError before any search.
     """
     model.check(ts, DomainError, "invalid tree set: ")
-    if ts.t == 1:
-        return 0, ts.trees[0]
     target = frozenset(canonical_code(T).bytes for T in ts.trees)
     return _least_r(ts.trees[0], target, (ts.t - 1) * ts.n)
 

@@ -9,9 +9,10 @@ here searches the leaf-to-leaf paths themselves.  `subdivide` is the
 inverse of suppression.  `model.suppress(G, off)` walks G's edge lists
 once, skipping the off edges; `suppress` here builds no such lists: it
 checks the edge count, hangs the graph with `model.hang` and keeps the
-survivors, and `displayed_tree` runs it on a graph of the on edges.  The
-writers
-here sort every node's children by the sorted leaf labels below them,
+survivors, and `displayed_tree` runs it on a graph of the on edges.
+`generate._off_edges` walks only the edge sets that leave N connected;
+`unrooted_off_edges` tests every r-set of edges by union-find.  The
+writers here sort every node's children by the sorted leaf labels below them,
 where `retnet.serialize` writes trees by least leaf and breaks ties in
 networks only when there are some.  `validate_rooted_graph` builds the
 adjacency and in-degrees apart from its Kahn pass, always tests
@@ -259,6 +260,28 @@ def displayed_tree(N: Graph, sigma: Switching) -> Graph:
         raise SwitchingMismatch("switching is not hosted by this network")
     on_edges = tuple(e for i, e in enumerate(N.edges) if i not in sigma.off)
     return suppress(Graph(N.mode, N.num_nodes, on_edges, N.leaf_labels))
+
+
+def unrooted_off_edges(N: Graph) -> list[tuple[int, ...]]:
+    """Each r-set of N's edges, in sorted edge order as `itertools.combinations`
+    lists them, whose other |V| - 1 edges close no cycle, by union-find: the
+    unrooted switchings, in `generate._off_edges` order."""
+    r = model.reticulation_count(N)
+    found = []
+    for off in itertools.combinations(sorted(range(len(N.edges)), key=N.edges.__getitem__), r):
+        root = list(range(N.num_nodes))
+        for i, (a, b) in enumerate(N.edges):
+            if i not in off:
+                while root[a] != a:
+                    a = root[a]
+                while root[b] != b:
+                    b = root[b]
+                if a == b:
+                    break
+                root[a] = b
+        else:
+            found.append(off)
+    return found
 
 
 def tree_to_newick(T: Graph) -> str:

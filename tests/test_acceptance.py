@@ -155,7 +155,7 @@ def test_acceptance_09_worst_case_tiny():
 def test_acceptance_10_bound_evaluators():
     t0 = time.time()
     iv = bounds.formula_lower_bound(2 ** 16, 4, ROOTED)
-    ok = iv.radius <= Fraction(1, 10 ** 20) and iv.midpoint == Fraction(1572856, 22)
+    ok = iv.hi - iv.lo <= Fraction(2, 10 ** 20) and iv.midpoint == Fraction(1572856, 22)
     for k in range(10, 21):
         n = 1 << k
         for t in range(2, 17):

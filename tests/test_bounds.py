@@ -241,7 +241,7 @@ def test_formula_lower_bound_exact_rational_point():
 
 def test_formula_lower_bound_interval_path():
     iv = bounds.formula_lower_bound(1000, 3, ROOTED)
-    assert iv.radius < Fraction(1, 10 ** 6)
+    assert iv.hi - iv.lo < Fraction(2, 10 ** 6)
     with pytest.raises(ValueError):
         bounds.formula_lower_bound(4, 2, ROOTED)
 

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import sweep
+from oracles import sweep, unrooted_off_edges
 from retnet import bounds, canonical, generate, model, solver
-from retnet.errors import BudgetExceeded, SwitchingMismatch
+from retnet.errors import BudgetExceeded, DomainError, SwitchingMismatch
 from retnet.model import ROOTED, UNROOTED
 
 # every (mode, n, r, leaf_connecting) with r >= 1 and n + 2r <= 7; the filter is unrooted only
@@ -249,6 +249,27 @@ def test_unrooted_switchings_match_matrix_tree_count():
                 kept = [e for i, e in enumerate(N.edges) if i not in s.off]
                 assert len(kept) == N.num_nodes - 1
                 assert model._is_connected(N.num_nodes, kept)
+
+
+def test_unrooted_switching_walk_matches_union_find_scan():
+    # every unrooted level graph with n + 2k <= 7, multigraphs with loops and parallel
+    # edges among them, and every unrooted network there, leaf-connecting or not
+    graphs = [G for n in range(1, 8) for k in range((7 - n) // 2 + 1)
+              for G in generate._level(n, k, UNROOTED, None)]
+    graphs += [N for n in range(1, 8) for r in range(1, (7 - n) // 2 + 1)
+               for N in generate.enumerate_networks(n, r, UNROOTED, leaf_connecting=False)]
+    assert any(a == b for G in graphs for a, b in G.edges)
+    assert any(len(set(G.edges)) < len(G.edges) for G in graphs)
+    for G in graphs:
+        assert list(generate._off_edges(G)) == unrooted_off_edges(G)
+
+
+def test_enumerations_refuse_unknown_modes():
+    with pytest.raises(DomainError, match="^unknown mode 'sideways'$"):
+        generate.enumerate_trees(4, "sideways")
+    for r in (1, 2):
+        with pytest.raises(DomainError, match="^unknown mode 'x'$"):
+            generate.enumerate_networks(3, r, "x")
 
 
 def test_labellings_per_switching_is_r_factorial(n6r4):

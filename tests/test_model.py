@@ -1,3 +1,4 @@
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -207,6 +208,9 @@ _VIOLATIONS = [
     (lambda: Graph(UNROOTED, 2.0, ((0, 1),), ((0, 1), (1, "2"))),
      ("node count is not an integer",
       "leaf labels are not a tuple of integer (node, label) pairs")),
+    # an invalid member is reported, and not coded
+    (lambda: model.TreeSet(ROOTED, (_OUT_OF_RANGE,)), ("edge endpoint out of range",)),
+    (lambda: Graph("sideways", 2, ((0, 1),), ((0, 1), (1, 2))), ("unknown mode",)),
 ]
 
 
@@ -353,3 +357,40 @@ def _rooted_digraphs(draw):
 @settings(max_examples=400, deadline=None)
 def test_rooted_validation_matches_the_reference(G):
     assert model.validate(G).violations == tuple(oracles.validate_rooted_graph(G))
+
+
+_BAD = Graph(ROOTED, 2, ((0, 5),), ((1, 1),))  # an edge endpoint out of range
+_LEAF = Graph(ROOTED, 1, (), ((0, 1),))
+# export -> calls of it that each pass one invalid value
+_INVALID_CALLS = {
+    "tree_set": [lambda: rn.tree_set([_BAD])],
+    "enumerate_switchings": [lambda: rn.enumerate_switchings(_BAD)],
+    "reticulation_labellings": [
+        lambda: rn.reticulation_labellings(_BAD, rn.Switching(_BAD, frozenset()))],
+    "all_reticulation_labellings": [lambda: list(rn.all_reticulation_labellings(_BAD))],
+    "encode_tau": [lambda: rn.encode_tau(_BAD, rn.ReticulationLabelling(_BAD, ()))],
+    "decode_tau": [lambda: rn.decode_tau(_BAD, 1, 0), lambda: rn.decode_tau(_BAD, 1, 1)],
+    "displayed_trees": [lambda: rn.displayed_trees(_BAD)],
+    "displays": [lambda: rn.displays(_BAD, _LEAF), lambda: rn.displays(_LEAF, _BAD)],
+    "trivial_network": [lambda: rn.trivial_network(rn.TreeSet(ROOTED, (_BAD,)))],
+    "min_reticulations": [lambda: rn.min_reticulations(rn.TreeSet(ROOTED, (_BAD,)))],
+}
+# validate reports the violation instead of raising; the others read, by design, the
+# generator's multigraphs (`oracle_pool`, `oracle_codes`) or graphs with unlabelled
+# leaves, so they check nothing (nor does the unexported `canonical_positions`)
+_UNCHECKED = {"validate", "canonical_code", "are_isomorphic", "automorphism_count",
+              "displayed_tree"}
+
+
+def test_every_entry_point_refuses_an_invalid_value():
+    types = ("Graph", "Switching", "ReticulationLabelling", "TreeSet")
+    takers = {name for name in rn.__all__ if inspect.isfunction(getattr(rn, name))
+              and any(t in str(p.annotation) for t in types
+                      for p in inspect.signature(getattr(rn, name)).parameters.values())}
+    assert takers | {"validate", "automorphism_count"} == set(_INVALID_CALLS) | _UNCHECKED
+    assert not rn.validate(_BAD).ok
+    for name, calls in _INVALID_CALLS.items():
+        for call in calls:
+            with pytest.raises((rn.RetnetError, ValueError)) as info:
+                call()
+            assert "\n" not in str(info.value) and str(info.value), name
