@@ -5,7 +5,8 @@ one under u labelled n + 2h - 1 and one under v labelled n + 2h.  The
 inverse locates those leaf pairs, removes them, and re-adds the numbered
 edge.  Decoding validates eagerly: any violated invariant means the tree
 is not the image of a labelled network, which is the expected outcome
-for most trees.
+for most trees.  `encode_tau` checks its labelling; `verify_counts` encodes
+the labellings it builds from checked networks through `_encode`, unchecked.
 """
 
 from __future__ import annotations
@@ -17,9 +18,14 @@ from .model import Graph, ReticulationLabelling, ROOTED, UNROOTED
 
 def encode_tau(N: Graph, lab: ReticulationLabelling) -> Graph:
     """Replace every numbered edge of (N, lab) by a pendant leaf pair."""
+    model.check(lab, InvalidLabelling)
     if lab.host is not N and lab.host != N:
         raise InvalidLabelling("labelling is not hosted by this network")
-    model.check(lab, InvalidLabelling)
+    return _encode(N, lab)
+
+
+def _encode(N: Graph, lab: ReticulationLabelling) -> Graph:
+    """`encode_tau` unchecked, for a labelling built from a checked network."""
     n = N.n
     numbered = {i for i, _ in lab.numbered}
     edges = [e for i, e in enumerate(N.edges) if i not in numbered]
@@ -56,25 +62,20 @@ def decode_tau(T: Graph, n: int, r: int):
     if T.n != n + 2 * r:
         raise ValueError("tree must have n + 2r leaves")
     by_label = model.label_map(T)
-    leaves = dict(T.leaf_labels)
-    if sorted(leaves.values()) != list(range(1, n + 2 * r + 1)):
-        raise ValueError("leaves must be labelled 1..n+2r")
 
     if T.mode == ROOTED:
         parent = {v: u for u, v in T.edges}
     else:
         nb = model.adjacency(T)
-        parent = {v: nb[v][0] for v in leaves if len(nb[v]) == 1}
+        parent = {v: nb[v][0] for v in by_label.values() if len(nb[v]) == 1}
 
     drop_nodes = set()
     numbered: list[tuple[tuple[int, int], int]] = []
     for h in range(1, r + 1):
         z = by_label[n + 2 * h - 1]
         zp = by_label[n + 2 * h]
-        if z not in parent or zp not in parent:
-            raise NotInImage("pendant pair leaf has no parent")
         u, v = parent[z], parent[zp]
-        if u in drop_nodes or v in drop_nodes or u == v:
+        if u == v:
             raise NotInImage("pendant pair parents collide")
         drop_nodes.update((z, zp))
         numbered.append(((u, v), h))

@@ -59,12 +59,12 @@ def displayed_trees(N: Graph) -> tuple[Graph, ...]:
 
 def displays(N: Graph, T: Graph) -> tuple[bool, Optional[Switching]]:
     """Whether some switching of N certifies T; returns the witness if so."""
+    model.check(N, DomainError, "invalid network: ")
+    model.check(T, DomainError, "invalid tree: ")
     if N.mode != T.mode:
         raise ModeMismatch(f"{N.mode} vs {T.mode}")
     if N.n != T.n:
         raise LeafsetMismatch(f"{N.n} vs {T.n} leaves")
-    model.check(N, DomainError, "invalid network: ")
-    model.check(T, DomainError, "invalid tree: ")
     code = canonical_code(T).bytes
     for off, c in _switching_codes(N):
         if c == code:

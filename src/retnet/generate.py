@@ -284,9 +284,9 @@ def _off_edges(N: Graph) -> Iterator[tuple[int, ...]]:
 
 def reticulation_labellings(N: Graph, sigma: Switching) -> tuple[ReticulationLabelling, ...]:
     """All r! bijective number assignments extending the switching sigma."""
+    model.check(sigma, SwitchingMismatch)
     if sigma.host != N:
         raise SwitchingMismatch("switching is not hosted by this network")
-    model.check(sigma, SwitchingMismatch)
     return _numberings(N, sigma)
 
 

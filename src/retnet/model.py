@@ -6,6 +6,9 @@ ids.  Rooted edges are directed pairs (parent, child); unrooted edges
 are stored as (min, max) pairs.  Leaf labels map leaf nodes bijectively
 onto 1..n.  All types are immutable named tuples, compared and hashed
 by value: operations return new values and never mutate their inputs.
+
+Validity is decided once per value: one graph check for both modes, and
+one tree-set member rule that `validate` and `tree_set` share.
 """
 
 from __future__ import annotations
@@ -208,8 +211,8 @@ def _int_pairs(items) -> bool:
         for p in items)
 
 
-def _shape_violations(G: Graph) -> list[str]:
-    """The mode and the fields' types, checked before any is read: later checks unpack them."""
+def _graph_violations(G: Graph) -> list[str]:
+    """The violations of a graph of either mode; each stage runs once the ones before pass."""
     bad = [] if G.mode in MODES else ["unknown mode"]
     if type(G.num_nodes) is not int:
         bad.append("node count is not an integer")
@@ -217,11 +220,6 @@ def _shape_violations(G: Graph) -> list[str]:
         bad.append("edges are not a tuple of integer pairs")
     if not _int_pairs(G.leaf_labels):
         bad.append("leaf labels are not a tuple of integer (node, label) pairs")
-    return bad
-
-
-def _common_violations(G: Graph) -> list[str]:
-    bad = _shape_violations(G)
     if bad:
         return bad
     for u, v in G.edges:
@@ -237,30 +235,34 @@ def _common_violations(G: Graph) -> list[str]:
         bad.append("node labelled twice")
     if sorted(labels) != list(range(1, len(labels) + 1)):
         bad.append("leaf labels are not a bijection onto [n]")
-    return bad
-
-
-def _validate_rooted_graph(G: Graph) -> list[str]:
-    bad = _common_violations(G)
+    rooted = G.mode == ROOTED
+    if not bad and not rooted and any(u > v for u, v in G.edges):
+        bad.append("unrooted edge not stored as (min, max)")
     if bad:
         return bad
     if G.num_nodes == 1:  # an edge on one node is a self-loop, reported above
         if dict(G.leaf_labels) != {0: 1}:
             bad.append("degenerate tree must be one leaf labelled 1")
         return bad
-    order, children, indeg = topological_order(G)
-    if len(order) < G.num_nodes:
-        bad.append("directed cycle")
-    if indeg.count(0) != 1:
-        bad.append("single source violated")
-        return bad
-    # a DAG with one source reaches every node from it
-    if len(order) < G.num_nodes and not _is_connected(G.num_nodes, G.edges):
-        bad.append("not connected")
-    # with every degree right, |E| = the sum of in-degrees = |V| - 1 + r
-    labelled = set(v for v, _ in G.leaf_labels)
+    if rooted:
+        order, children, indeg = topological_order(G)
+        if len(order) < G.num_nodes:
+            bad.append("directed cycle")
+        if indeg.count(0) != 1:
+            return bad + ["single source violated"]
+        # a DAG with one source reaches every node from it
+        if len(order) < G.num_nodes and not _is_connected(G.num_nodes, G.edges):
+            bad.append("not connected")
+        outdeg = [len(c) for c in children]
+    elif not _is_connected(G.num_nodes, G.edges):
+        return ["not connected"]
+    else:
+        outdeg = [len(nb) - 1 for nb in adjacency(G)]
+        indeg = [1] * G.num_nodes  # degree d as 1 in, d - 1 out: a leaf or internal, no root
+    # with every degree right, rooted |E| = the sum of in-degrees = |V| - 1 + r
+    labelled = set(nodes)
     for v in range(G.num_nodes):
-        din, dout = indeg[v], len(children[v])
+        din, dout = indeg[v], outdeg[v]
         if din == 0:
             if dout != 2:
                 bad.append("root out-degree must be 2")
@@ -275,36 +277,7 @@ def _validate_rooted_graph(G: Graph) -> list[str]:
             if v in labelled:
                 bad.append("internal node is labelled")
         else:
-            bad.append("not binary")
-    return bad
-
-
-def _validate_unrooted_graph(G: Graph) -> list[str]:
-    bad = _common_violations(G)
-    if bad:
-        return bad
-    for u, v in G.edges:
-        if u > v:
-            bad.append("unrooted edge not stored as (min, max)")
-            return bad
-    if G.num_nodes == 1:
-        if dict(G.leaf_labels) != {0: 1}:
-            bad.append("degenerate tree must be one leaf labelled 1")
-        return bad
-    if not _is_connected(G.num_nodes, G.edges):
-        bad.append("not connected")
-        return bad
-    deg = [len(nb) for nb in adjacency(G)]
-    labelled = set(v for v, _ in G.leaf_labels)
-    for v in range(G.num_nodes):
-        if deg[v] == 1:
-            if v not in labelled:
-                bad.append("unlabelled leaf")
-        elif deg[v] == 3:
-            if v in labelled:
-                bad.append("internal node is labelled")
-        else:
-            bad.append("not binary (internal degree must be 3)")
+            bad.append("not binary" if rooted else "not binary (internal degree must be 3)")
     return bad
 
 
@@ -344,13 +317,20 @@ def _validate_labelling(lab: ReticulationLabelling) -> list[str]:
     return bad
 
 
+def _member_violations(T) -> list[str]:
+    """The one rule for a member of a tree set: a valid graph with no reticulation."""
+    if not isinstance(T, Graph):
+        return ["member is not a graph"]
+    return _graph_violations(T) or (["member is not a tree"] if reticulation_count(T) else [])
+
+
 def validate(obj) -> ValidationReport:
     """List every violated invariant of a graph, switching, labelling, or tree set.
 
     Total: never raises, never mutates.  An empty report means valid.
     """
     if isinstance(obj, Graph):
-        v = (_validate_rooted_graph if obj.mode == ROOTED else _validate_unrooted_graph)(obj)
+        v = _graph_violations(obj)
     elif isinstance(obj, Switching):
         v = _validate_switching(obj)
     elif isinstance(obj, ReticulationLabelling):
@@ -359,20 +339,17 @@ def validate(obj) -> ValidationReport:
         from .canonical import canonical_code
 
         v = [] if obj.trees else ["t must be at least 1"]
-        graphs = [T for T in obj.trees if isinstance(T, Graph)]
-        v.extend(["member is not a graph"] * (len(obj.trees) - len(graphs)))
-        codes = []  # of the valid members only: coding reads the edges unchecked
-        for T in graphs:
-            if T.mode != obj.mode:
+        members = []  # those that pass the member rule: only they are read further
+        for T in obj.trees:
+            if isinstance(T, Graph) and T.mode != obj.mode:
                 v.append("member mode mismatch")
-            bad = validate(T).violations
+            bad = _member_violations(T)
             v.extend(bad)
             if not bad:
-                codes.append(canonical_code(T).bytes)
-                if reticulation_count(T) != 0:
-                    v.append("member is not a tree")
-        if len({T.n for T in graphs}) > 1:
+                members.append(T)
+        if len({T.n for T in members}) > 1:
             v.append("members disagree on n")
+        codes = [canonical_code(T).bytes for T in members]
         if len(set(codes)) != len(codes):
             v.append("members are not pairwise non-isomorphic")
     else:
@@ -478,18 +455,19 @@ def is_leaf_connecting(N: Graph) -> bool:
 def tree_set(trees: Iterable[Graph]) -> TreeSet:
     """Build a TreeSet, dropping isomorphic duplicates, in canonical-code order.
 
-    Members must share one mode (else ModeMismatch) and n (else LeafsetMismatch),
-    and each must be a valid graph (else DomainError)."""
+    Each member must be a valid graph with no reticulation (else DomainError) and share
+    the first member's mode (else ModeMismatch) and n (else LeafsetMismatch)."""
     from .canonical import classes
 
     trees = list(trees)
     if not trees:
         raise ValueError("a tree set needs at least one tree")
-    mode, n = trees[0].mode, trees[0].n
-    for T in trees:
-        if T.mode != mode:
-            raise ModeMismatch(f"{mode} vs {T.mode}")
-        if T.n != n:
-            raise LeafsetMismatch(f"{n} vs {T.n} leaves")
-        check(T, DomainError, "invalid tree: ")
-    return TreeSet(mode, classes(trees))
+    for T in trees:  # trees[0] is checked before any member's mode or n is read
+        bad = _member_violations(T)
+        if bad:
+            raise DomainError("invalid tree: " + "; ".join(bad))
+        if T.mode != trees[0].mode:
+            raise ModeMismatch(f"{trees[0].mode} vs {T.mode}")
+        if T.n != trees[0].n:
+            raise LeafsetMismatch(f"{trees[0].n} vs {T.n} leaves")
+    return TreeSet(trees[0].mode, classes(trees))

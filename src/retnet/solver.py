@@ -142,7 +142,7 @@ def verify_counts(n_max: int, r_max: int, mode: str = ROOTED) -> list[bounds.Bou
                     # distinct labelled networks must encode to distinct trees
                     code, autos = _general_code(N, lab)
                     labelled_codes.add(code.bytes)
-                    codec_images.add(canonical_code(codec.encode_tau(N, lab)).bytes)
+                    codec_images.add(canonical_code(codec._encode(N, lab)).bytes)
                     if autos != 1:
                         autos_ok = False
             reports.append(bounds.BoundReport(

@@ -17,7 +17,10 @@ where `retnet.serialize` writes trees by least leaf and breaks ties in
 networks only when there are some.  `validate_rooted_graph` builds the
 adjacency and in-degrees apart from its Kahn pass, always tests
 connectivity and checks the edge count, where `model.validate` reads
-all three from one `model.topological_order` call.  `bounds` encloses
+all three from one `model.topological_order` call;
+`validate_unrooted_graph` keeps the unrooted checks and degree loop
+apart from the rooted ones, where `model.validate` writes one loop for
+both modes.  `bounds` encloses
 lg m!, lg k!! and lg C(k!!, t) with integer fixed-point logarithms; the
 `iv_*` evaluators here are the same Robbins bounds in `mpmath.iv` at 192
 bits, and `iv_formula_lower_bound` rounds `mpmath.iv` endpoints to nearest
@@ -35,7 +38,7 @@ import mpmath
 from retnet import bounds, codec, generate, model
 from retnet.canonical import classes
 from retnet.canonical import canonical_positions
-from retnet.errors import ModeMismatch, NotATree, NotInImage, SwitchingMismatch
+from retnet.errors import MODES, ModeMismatch, NotATree, NotInImage, SwitchingMismatch
 from retnet.model import Edge, Graph, Switching, ROOTED
 
 
@@ -173,9 +176,42 @@ def sweep(n: int, r: int, mode: str, leaf_connecting: bool) -> tuple[Graph, ...]
                    if mode == ROOTED or not leaf_connecting or is_leaf_connecting(N))
 
 
+def _int_pairs(items) -> bool:
+    return isinstance(items, tuple) and all(
+        type(p) is tuple and len(p) == 2 and type(p[0]) is int and type(p[1]) is int
+        for p in items)
+
+
+def _common_violations(G: Graph) -> list[str]:
+    """The mode, the fields' types, then the edges' and labels' checks of both modes."""
+    bad = [] if G.mode in MODES else ["unknown mode"]
+    if type(G.num_nodes) is not int:
+        bad.append("node count is not an integer")
+    if not _int_pairs(G.edges):
+        bad.append("edges are not a tuple of integer pairs")
+    if not _int_pairs(G.leaf_labels):
+        bad.append("leaf labels are not a tuple of integer (node, label) pairs")
+    if bad:
+        return bad
+    for u, v in G.edges:
+        if not (0 <= u < G.num_nodes and 0 <= v < G.num_nodes):
+            bad.append("edge endpoint out of range")
+        if u == v:
+            bad.append("self-loop")
+    if len(set(frozenset(e) for e in G.edges)) != len(G.edges):
+        bad.append("parallel edges")
+    labels = [x for _, x in G.leaf_labels]
+    nodes = [v for v, _ in G.leaf_labels]
+    if len(set(nodes)) != len(nodes):
+        bad.append("node labelled twice")
+    if sorted(labels) != list(range(1, len(labels) + 1)):
+        bad.append("leaf labels are not a bijection onto [n]")
+    return bad
+
+
 def validate_rooted_graph(G: Graph) -> list[str]:
     """The violations `model.validate` lists for a rooted graph, each found on its own."""
-    bad = model._common_violations(G)
+    bad = _common_violations(G)
     if bad:
         return bad
     if G.num_nodes == 1:
@@ -218,6 +254,36 @@ def validate_rooted_graph(G: Graph) -> list[str]:
             bad.append("not binary")
     if not bad and len(G.edges) != G.num_nodes - 1 + r:
         bad.append("edge count does not match |V| - 1 + r")
+    return bad
+
+
+def validate_unrooted_graph(G: Graph) -> list[str]:
+    """The violations `model.validate` lists for an unrooted graph, with its own degree loop."""
+    bad = _common_violations(G)
+    if bad:
+        return bad
+    for u, v in G.edges:
+        if u > v:
+            bad.append("unrooted edge not stored as (min, max)")
+            return bad
+    if G.num_nodes == 1:
+        if dict(G.leaf_labels) != {0: 1}:
+            bad.append("degenerate tree must be one leaf labelled 1")
+        return bad
+    if not model._is_connected(G.num_nodes, G.edges):
+        bad.append("not connected")
+        return bad
+    deg = [len(nb) for nb in model.adjacency(G)]
+    labelled = set(v for v, _ in G.leaf_labels)
+    for v in range(G.num_nodes):
+        if deg[v] == 1:
+            if v not in labelled:
+                bad.append("unlabelled leaf")
+        elif deg[v] == 3:
+            if v in labelled:
+                bad.append("internal node is labelled")
+        else:
+            bad.append("not binary (internal degree must be 3)")
     return bad
 
 

@@ -144,6 +144,8 @@ def test_tree_set_rejects_networks():
     T = generate.enumerate_trees(3, ROOTED)[0]
     assert model.validate(model.TreeSet(ROOTED, (T,))).ok
     assert "member is not a tree" in model.validate(model.TreeSet(ROOTED, (N,))).violations
+    with pytest.raises(DomainError, match="^invalid tree: member is not a tree$"):
+        model.tree_set([T, N])
 
 
 def test_check_raises_every_violation_or_nothing():
@@ -211,6 +213,9 @@ _VIOLATIONS = [
     # an invalid member is reported, and not coded
     (lambda: model.TreeSet(ROOTED, (_OUT_OF_RANGE,)), ("edge endpoint out of range",)),
     (lambda: Graph("sideways", 2, ((0, 1),), ((0, 1), (1, 2))), ("unknown mode",)),
+    # members are compared on n only once they pass the member rule
+    (lambda: model.TreeSet(ROOTED, (Graph(ROOTED, 1, (), 5),)),
+     ("leaf labels are not a tuple of integer (node, label) pairs",)),
 ]
 
 
@@ -292,11 +297,11 @@ def test_leaf_connecting_cut_node_test_matches_path_search():
     assert verdicts.count(False) > 0
 
 
-def _level_graphs(m: int) -> list:
-    """Every rooted graph of `generate._level` with n + 2k <= m: trees, networks
+def _level_graphs(m: int, mode: str = ROOTED) -> list:
+    """Every graph of `generate._level` with n + 2k <= m: trees, networks
     and the multigraphs of the lower levels."""
     return [G for n in range(1, m + 1) for k in range((m - n) // 2 + 1)
-            for G in generate._level(n, k, ROOTED, None)]
+            for G in generate._level(n, k, mode, None)]
 
 
 def test_topological_order_returns_what_kahn_read():
@@ -315,26 +320,29 @@ def test_topological_order_returns_what_kahn_read():
     assert order == [0] and indeg == [0, 2, 1]
 
 
-_VALID = [G for G in _level_graphs(6) if model.validate(G).ok]
+_VALID = {mode: [G for G in _level_graphs(6, mode) if model.validate(G).ok]
+          for mode in (ROOTED, UNROOTED)}
 
 
 @st.composite
-def _rooted_digraphs(draw):
-    """Small rooted digraphs, mostly invalid: a valid graph with up to three edits,
-    or arbitrary edges on up to 7 nodes.  Cycles, several sources, lone
-    cycles beside a network, self-loops, parallel edges and bad labels all occur."""
+def _small_graphs(draw, mode):
+    """Small graphs, mostly invalid: a valid graph with up to three edits, or
+    arbitrary edges on up to 7 nodes.  Cycles, several sources, lone cycles
+    beside a network, self-loops, parallel edges and bad labels all occur; an
+    unrooted edge is stored as (max, min) only by a "flip" or a last edge."""
     if draw(st.booleans()):
-        G = draw(st.sampled_from(_VALID))
+        G = draw(st.sampled_from(_VALID[mode]))
         num_nodes, edges, labels = G.num_nodes, list(G.edges), list(G.leaf_labels)
         for _ in range(draw(st.integers(0, 3))):
             op = draw(st.sampled_from(["drop", "flip", "add", "label", "cycle"]))
             i = draw(st.integers(0, 99))
-            if op == "cycle":  # a directed triangle that no source reaches
+            if op == "cycle":  # a triangle apart from the rest: rooted, no source reaches it
                 a, b, c = range(num_nodes, num_nodes + 3)
-                num_nodes, edges = num_nodes + 3, edges + [(a, b), (b, c), (c, a)]
+                num_nodes += 3
+                edges += [(a, b), (b, c), model._norm_edge(mode, c, a)]
             elif op == "add" or not edges:
                 node = st.integers(0, num_nodes - 1)
-                edges.append((draw(node), draw(node)))
+                edges.append(model._norm_edge(mode, draw(node), draw(node)))
             elif op == "drop":
                 del edges[i % len(edges)]
             elif op == "flip":
@@ -342,38 +350,55 @@ def _rooted_digraphs(draw):
                 edges[i % len(edges)] = (v, u)
             else:
                 labels[i % len(labels)] = (i % num_nodes, labels[i % len(labels)][1])
-        return Graph(ROOTED, num_nodes, tuple(edges), tuple(labels))
+        return Graph(mode, num_nodes, tuple(edges), tuple(labels))
     num_nodes = draw(st.integers(1, 7))
     node = st.integers(0, num_nodes - 1)
-    edges = draw(st.lists(st.tuples(node, node).filter(lambda e: e[0] != e[1]),
-                          max_size=10, unique_by=frozenset))
+    edges = [model._norm_edge(mode, u, v) for u, v in draw(st.lists(
+        st.tuples(node, node).filter(lambda e: e[0] != e[1]), max_size=10, unique_by=frozenset))]
     edges += draw(st.lists(st.tuples(node, node), max_size=1))  # a self-loop or parallel edge
     leaves = draw(st.lists(node, unique=True, max_size=num_nodes))
     labels = tuple((v, x) for x, v in enumerate(leaves, 1))
-    return Graph(ROOTED, num_nodes, tuple(edges), labels)
+    return Graph(mode, num_nodes, tuple(edges), labels)
 
 
-@given(_rooted_digraphs())
+@given(_small_graphs(ROOTED))
 @settings(max_examples=400, deadline=None)
 def test_rooted_validation_matches_the_reference(G):
     assert model.validate(G).violations == tuple(oracles.validate_rooted_graph(G))
+
+
+@given(_small_graphs(UNROOTED))
+@settings(max_examples=400, deadline=None)
+def test_unrooted_validation_matches_the_reference(G):
+    assert model.validate(G).violations == tuple(oracles.validate_unrooted_graph(G))
 
 
 _BAD = Graph(ROOTED, 2, ((0, 5),), ((1, 1),))  # an edge endpoint out of range
 _LEAF = Graph(ROOTED, 1, (), ((0, 1),))
 # export -> calls of it that each pass one invalid value
 _INVALID_CALLS = {
-    "tree_set": [lambda: rn.tree_set([_BAD])],
-    "enumerate_switchings": [lambda: rn.enumerate_switchings(_BAD)],
+    "tree_set": [lambda: rn.tree_set([_BAD]), lambda: rn.tree_set(["x"]),
+                 lambda: rn.tree_set([generate.enumerate_networks(3, 1, ROOTED)[0]])],
+    "enumerate_switchings": [lambda: rn.enumerate_switchings(_BAD),
+                             lambda: rn.enumerate_switchings("x")],
     "reticulation_labellings": [
-        lambda: rn.reticulation_labellings(_BAD, rn.Switching(_BAD, frozenset()))],
-    "all_reticulation_labellings": [lambda: list(rn.all_reticulation_labellings(_BAD))],
-    "encode_tau": [lambda: rn.encode_tau(_BAD, rn.ReticulationLabelling(_BAD, ()))],
-    "decode_tau": [lambda: rn.decode_tau(_BAD, 1, 0), lambda: rn.decode_tau(_BAD, 1, 1)],
-    "displayed_trees": [lambda: rn.displayed_trees(_BAD)],
-    "displays": [lambda: rn.displays(_BAD, _LEAF), lambda: rn.displays(_LEAF, _BAD)],
-    "trivial_network": [lambda: rn.trivial_network(rn.TreeSet(ROOTED, (_BAD,)))],
-    "min_reticulations": [lambda: rn.min_reticulations(rn.TreeSet(ROOTED, (_BAD,)))],
+        lambda: rn.reticulation_labellings(_BAD, rn.Switching(_BAD, frozenset())),
+        lambda: rn.reticulation_labellings("x", rn.Switching("x", frozenset())),
+        lambda: rn.reticulation_labellings(_LEAF, "x")],
+    "all_reticulation_labellings": [lambda: list(rn.all_reticulation_labellings(_BAD)),
+                                    lambda: list(rn.all_reticulation_labellings("x"))],
+    "encode_tau": [lambda: rn.encode_tau(_BAD, rn.ReticulationLabelling(_BAD, ())),
+                   lambda: rn.encode_tau("x", rn.ReticulationLabelling("x", ())),
+                   lambda: rn.encode_tau(_LEAF, "x")],
+    "decode_tau": [lambda: rn.decode_tau(_BAD, 1, 0), lambda: rn.decode_tau(_BAD, 1, 1),
+                   lambda: rn.decode_tau("x", 1, 0)],
+    "displayed_trees": [lambda: rn.displayed_trees(_BAD), lambda: rn.displayed_trees("x")],
+    "displays": [lambda: rn.displays(_BAD, _LEAF), lambda: rn.displays(_LEAF, _BAD),
+                 lambda: rn.displays(_LEAF, "x"), lambda: rn.displays("x", _LEAF)],
+    "trivial_network": [lambda: rn.trivial_network(rn.TreeSet(ROOTED, (_BAD,))),
+                        lambda: rn.trivial_network("x")],
+    "min_reticulations": [lambda: rn.min_reticulations(rn.TreeSet(ROOTED, (_BAD,))),
+                          lambda: rn.min_reticulations("x")],
 }
 # validate reports the violation instead of raising; the others read, by design, the
 # generator's multigraphs (`oracle_pool`, `oracle_codes`) or graphs with unlabelled
@@ -391,6 +416,6 @@ def test_every_entry_point_refuses_an_invalid_value():
     assert not rn.validate(_BAD).ok
     for name, calls in _INVALID_CALLS.items():
         for call in calls:
-            with pytest.raises((rn.RetnetError, ValueError)) as info:
+            with pytest.raises(rn.RetnetError) as info:
                 call()
             assert "\n" not in str(info.value) and str(info.value), name

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -144,8 +145,25 @@ def test_worst_case_r_tiny_points():
         assert (got_r, [serialize.tree_to_newick(T) for T in ts.trees]) == (r, witness)
 
 
+def _exact_count_lower_bound(n: int, t: int, mode: str) -> int:
+    """The least r with sum over r' <= r and N in N(n, r') of C(|D(N)|, t) >= C(T(n), t):
+    fewer reticulations leave some t-set of trees displayed by no network."""
+    need, covered = math.comb(bounds.tree_count(n, mode), t), 0
+    for r in itertools.count():
+        covered += sum(math.comb(len(codes), t) for _, codes in solver._code_sets(n, r, mode))
+        if covered >= need:
+            return r
+
+
 def test_worst_case_dominates_counting_lower_bound():
-    assert bounds.counting_lower_bound(3, 2, ROOTED) <= 1
+    # the paper's comparison: counting bound <= exact count bound <= worst case <= (t - 1)n
+    sandwich = {(3, 2, ROOTED): (0, 1, 1), (3, 3, ROOTED): (0, 2, 2),
+                (4, 2, UNROOTED): (0, 1, 1), (4, 3, UNROOTED): (0, 2, 2)}
+    for (n, t, mode), pinned in sandwich.items():
+        got = (bounds.counting_lower_bound(n, t, mode), _exact_count_lower_bound(n, t, mode),
+               solver.worst_case_r(n, t, mode)[0])
+        assert got == pinned and sorted(got) == list(got) and got[2] <= (t - 1) * n
+    assert solver.worst_case_r(3, 2, ROOTED)[0] == 3 - 2  # rooted t = 2: n - 2
 
 
 def test_worst_case_sampled_reproducible():
@@ -179,16 +197,27 @@ def test_worst_case_rejects_empty_sets():
             solver.worst_case_r(3, 0, ROOTED, samples=samples)
 
 
-def test_verify_counts_runs_each_canonical_search_once():
-    # encode_tau's unrooted search repeats the one verify_counts has just run
+def test_verify_counts_runs_each_canonical_search_once(monkeypatch):
+    # encode_tau's unrooted search repeats the one verify_counts has just run; each
+    # network is validated once, and the labellings built from it are not re-checked
     search = canonical._canon_general
-    for mode, searches, repeats in [(UNROOTED, 204, 171), (ROOTED, 2861, 64)]:
+    validated, validate = [], model.validate
+
+    def counted(obj):
+        validated.append(obj)
+        return validate(obj)
+
+    monkeypatch.setattr(model, "validate", counted)
+    for mode, searches, repeats, networks in [(UNROOTED, 204, 171, 9), (ROOTED, 2861, 64, 321)]:
         for cached in (generate._level, generate._networks,
                        solver._code_sets, search):
             cached.cache_clear()
+        validated.clear()
         solver.verify_counts(3, 2, mode)
         info = search.cache_info()
         assert (info.misses, info.hits) == (searches, repeats), mode
+        assert len(validated) == networks == sum(len(solver._code_sets(n, r, mode))
+                                                 for n in (1, 2, 3) for r in (1, 2)), mode
 
 
 def test_verify_counts_refuses_an_empty_grid():
