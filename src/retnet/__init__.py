@@ -28,7 +28,7 @@ _EXPORTS = {
                "DomainError", "TTooLarge", "ParseError"),
     "model": ("Graph", "Switching", "ReticulationLabelling", "TreeSet", "ValidationReport",
               "tree_set", "validate"),
-    "canonical": ("CanonicalCode", "canonical_code", "are_isomorphic", "automorphism_count"),
+    "canonical": ("CanonicalCode", "canonical_code", "automorphism_count"),
     "generate": ("enumerate_trees", "enumerate_networks", "enumerate_switchings",
                  "reticulation_labellings", "all_reticulation_labellings"),
     "codec": ("encode_tau", "decode_tau"),

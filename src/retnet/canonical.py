@@ -2,9 +2,10 @@
 
 Codes are complete isomorphism invariants: two graphs get equal codes
 exactly when they are isomorphic as labelled graphs (leaf labels always,
-edge labels when supplied).  Trees use a fast bottom-up code; networks
-use colour refinement with backtracking over the residual symmetry,
-taking the lexicographically least encoding over all refinement leaves.
+and a labelled network's edge numbers).  Trees use a fast bottom-up
+code; networks use colour refinement with backtracking over the residual
+symmetry, taking the lexicographically least encoding over all
+refinement leaves.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from functools import lru_cache
 from typing import Collection, Iterable, NamedTuple, Optional
 
 from . import model
-from .errors import ModeMismatch, NotATree
+from .errors import NotATree
 from .model import Graph, ReticulationLabelling, ROOTED
 
 CODE_VERSION = 1
@@ -26,11 +27,13 @@ class CanonicalCode(NamedTuple):
         return self.bytes.hex()
 
 
-def canonical_code(G: Graph, edge_labels: Optional[ReticulationLabelling] = None) -> CanonicalCode:
-    """Deterministic, node-id-invariant code for a labelled graph."""
-    if (edge_labels is None or not edge_labels.numbered) and model.reticulation_count(G) == 0:
+def canonical_code(X: Graph | ReticulationLabelling) -> CanonicalCode:
+    """Deterministic, node-id-invariant code for a labelled graph: a graph, or a
+    labelled network with its edge numbers."""
+    G = X if isinstance(X, Graph) else X.host
+    if (G is X or not X.numbered) and model.reticulation_count(G) == 0:
         return CanonicalCode(_header(G.mode) + b"T" + _tree_code(G))
-    return _general_code(G, edge_labels)[0]
+    return CanonicalCode(_canon_general(X)[0])
 
 
 def classes(graphs: Iterable[Graph]) -> tuple[Graph, ...]:
@@ -41,44 +44,29 @@ def classes(graphs: Iterable[Graph]) -> tuple[Graph, ...]:
     return tuple(seen[c] for c in sorted(seen))
 
 
-def canonical_positions(G: Graph,
-                        edge_labels: Optional[ReticulationLabelling] = None) -> tuple[int, ...]:
-    """node -> position in the canonical ordering of G (general path).
+def canonical_positions(X: Graph | ReticulationLabelling) -> tuple[int, ...]:
+    """node -> position in the canonical ordering of a graph or labelled network
+    (general path).
 
     Any two minimal orderings differ by an automorphism, so sets of
-    edges compared in canonical coordinates are class invariants.  With
-    edge labels supplied the ordering respects them too.
+    edges compared in canonical coordinates are class invariants.  A
+    labelled network's ordering respects its edge numbers too.
     """
-    return _canon_general(G, edge_labels)[1]
+    return _canon_general(X)[1]
 
 
-def are_isomorphic(A: Graph, B: Graph) -> bool:
-    if A.mode != B.mode:
-        raise ModeMismatch(f"{A.mode} vs {B.mode}")
-    return canonical_code(A) == canonical_code(B)
-
-
-def automorphism_count(X) -> int:
+def automorphism_count(X: Graph | ReticulationLabelling) -> int:
     """Number of labelled-graph automorphisms of a graph or labelled network.
 
     For a valid reticulation-labelled network this is always 1: the edge
     numbering pins every node.  Without edge labels larger groups are
     possible (parent-swap symmetries).
     """
-    if isinstance(X, ReticulationLabelling):
-        return _canon_general(X.host, X)[2]
-    return _canon_general(X, None)[2]
+    return _canon_general(X)[2]
 
 
 def _header(mode: str) -> bytes:
     return bytes([CODE_VERSION]) + (b"R" if mode == ROOTED else b"U")
-
-
-def _general_code(G: Graph, edge_labels: Optional[ReticulationLabelling]
-                  ) -> tuple[CanonicalCode, int]:
-    """The general-path code of G and its automorphism count, from one search."""
-    body, _, ties = _canon_general(G, edge_labels)
-    return CanonicalCode(_header(G.mode) + b"G" + body), ties
 
 
 # ---------------------------------------------------------------------------
@@ -170,17 +158,19 @@ def _shape(T: Graph) -> tuple[Graph, dict[int, int]]:
 # general labelled-graph canonization
 
 
-@lru_cache(maxsize=1)  # encode_tau repeats the search verify_counts has just run
-def _canon_general(G: Graph, edge_labels: Optional[ReticulationLabelling]
-                   ) -> tuple[bytes, tuple[int, ...], int]:
-    """Least encoding, its node -> position map, and how many search leaves reach it.
+# unrooted, the canonical_positions call of codec._encode repeats the search
+# verify_counts has just run on the same labelling
+@lru_cache(maxsize=1)
+def _canon_general(X) -> tuple[bytes, tuple[int, ...], int]:
+    """The general-path code of a graph or labelled network (its least encoding),
+    its node -> position map, and how many search leaves reach it.
 
     Every branch of the search is explored and target cells are chosen
     canonically, so the leaves reaching the least encoding correspond one
     to one with the automorphisms of the labelled graph.
     """
+    G, elabels = (X, {}) if isinstance(X, Graph) else (X.host, dict(X.numbered))
     num_nodes, edges, vlabels = G.num_nodes, G.edges, dict(G.leaf_labels)
-    elabels = {} if edge_labels is None else dict(edge_labels.numbered)
     directed = G.mode == ROOTED
     out_nb: list[list[tuple[int, int]]] = [[] for _ in range(num_nodes)]
     in_nb = [[] for _ in range(num_nodes)] if directed else out_nb  # unrooted: one list
@@ -239,7 +229,7 @@ def _canon_general(G: Graph, edge_labels: Optional[ReticulationLabelling]
             search(_rank(keyed))
 
     search(colors)
-    return tuple(best)
+    return _header(G.mode) + b"G" + best[0], best[1], best[2]
 
 
 def _rank(keys: list) -> list[int]:

@@ -92,10 +92,8 @@ def switchings(path: str, count_only: bool, fmt: str) -> None:
 
 def encode(path: str, labels_path: str) -> None:
     """Encode a reticulation-labelled network as a tree; prints Newick."""
-    N = _read_network(path)
-    lab = serialize.json_to_labelling(N, Path(labels_path).read_text())
-    T = codec.encode_tau(N, lab)
-    print(serialize.tree_to_newick(T))
+    lab = serialize.json_to_labelling(_read_network(path), Path(labels_path).read_text())
+    print(serialize.tree_to_newick(codec.encode_tau(lab)))
 
 
 def decode(path: str, n: int, r: int, mode: str) -> None:
@@ -104,7 +102,8 @@ def decode(path: str, n: int, r: int, mode: str) -> None:
     Prints a JSON object holding the network and the edge-label sidecar.
     """
     T = _read_tree(path, mode)
-    N, lab = codec.decode_tau(T, n, r)
+    lab = codec.decode_tau(T, n, r)
+    N = lab.host
     text = _write_network(N)
     labels = json.loads(serialize.labelling_to_json(lab))
     if mode == ROOTED:

@@ -12,20 +12,19 @@ the labellings it builds from checked networks through `_encode`, unchecked.
 from __future__ import annotations
 
 from . import model
-from .errors import DomainError, InvalidLabelling, NotInImage
+from .errors import InvalidLabelling, NotInImage
 from .model import Graph, ReticulationLabelling, ROOTED, UNROOTED
 
 
-def encode_tau(N: Graph, lab: ReticulationLabelling) -> Graph:
-    """Replace every numbered edge of (N, lab) by a pendant leaf pair."""
+def encode_tau(lab: ReticulationLabelling) -> Graph:
+    """Replace every numbered edge of the labelled network lab by a pendant leaf pair."""
     model.check(lab, InvalidLabelling)
-    if lab.host is not N and lab.host != N:
-        raise InvalidLabelling("labelling is not hosted by this network")
-    return _encode(N, lab)
+    return _encode(lab)
 
 
-def _encode(N: Graph, lab: ReticulationLabelling) -> Graph:
+def _encode(lab: ReticulationLabelling) -> Graph:
     """`encode_tau` unchecked, for a labelling built from a checked network."""
+    N = lab.host
     n = N.n
     numbered = {i for i, _ in lab.numbered}
     edges = [e for i, e in enumerate(N.edges) if i not in numbered]
@@ -36,7 +35,7 @@ def _encode(N: Graph, lab: ReticulationLabelling) -> Graph:
         # canonical position of the labelled host so the image is a class
         # invariant (isomorphic labelled networks encode to isomorphic trees)
         from .canonical import canonical_positions
-        pos = canonical_positions(N, lab)
+        pos = canonical_positions(lab)
     for i, h in lab.numbered:
         u, v = N.edges[i]
         if N.mode == UNROOTED and pos[u] > pos[v]:
@@ -49,16 +48,18 @@ def _encode(N: Graph, lab: ReticulationLabelling) -> Graph:
     return model.make_graph(N.mode, range(nid), edges, labels)
 
 
-def decode_tau(T: Graph, n: int, r: int):
-    """Recover the reticulation-labelled network whose encoding is T.
+def decode_tau(T: Graph, n: int, r: int) -> ReticulationLabelling:
+    """Recover the reticulation-labelled network whose encoding is T; the
+    labelling's `host` is the network.
 
-    An invalid T raises DomainError, checked first.  Raises NotInImage when
-    the reconstruction violates any network or labelling invariant (parallel
-    edge, cycle, degree violation, 0-edges not forming a switching).
+    A T that is not a valid tree raises DomainError, checked first.  Raises
+    NotInImage when the reconstruction violates any network or labelling
+    invariant (parallel edge, cycle, degree violation, 0-edges not forming
+    a switching).
     """
     if n < 1 or r < 0:
         raise ValueError("n must be at least 1 and r at least 0")
-    model.check(T, DomainError, "invalid tree: ")
+    model.check_tree(T)
     if T.n != n + 2 * r:
         raise ValueError("tree must have n + 2r leaves")
     by_label = model.label_map(T)
@@ -101,4 +102,4 @@ def decode_tau(T: Graph, n: int, r: int):
     report = model.validate(net)
     if not report.ok:
         raise NotInImage(report.violations[0])
-    return net, lab
+    return lab

@@ -33,17 +33,15 @@ from typing import Iterator, Optional
 
 from . import generate, model
 from .canonical import _header, _tree_code, canonical_code
-from .errors import DomainError, LeafsetMismatch, ModeMismatch, NotATree, SwitchingMismatch
+from .errors import DomainError, LeafsetMismatch, ModeMismatch, NotATree
 from .model import Graph, Switching, TreeSet, ROOTED
 
 
-def displayed_tree(N: Graph, sigma: Switching) -> Graph:
-    """The unique tree certified by one switching of N.
+def displayed_tree(sigma: Switching) -> Graph:
+    """The unique tree certified by one switching of its network.
 
     On edges that do not form a tree raise NotATree."""
-    if sigma.host != N:
-        raise SwitchingMismatch("switching is not hosted by this network")
-    return model.suppress(N, sigma.off)
+    return model.suppress(sigma.host, sigma.off)
 
 
 def displayed_trees(N: Graph) -> tuple[Graph, ...]:
@@ -60,7 +58,7 @@ def displayed_trees(N: Graph) -> tuple[Graph, ...]:
 def displays(N: Graph, T: Graph) -> tuple[bool, Optional[Switching]]:
     """Whether some switching of N certifies T; returns the witness if so."""
     model.check(N, DomainError, "invalid network: ")
-    model.check(T, DomainError, "invalid tree: ")
+    model.check_tree(T)
     if N.mode != T.mode:
         raise ModeMismatch(f"{N.mode} vs {T.mode}")
     if N.n != T.n:
@@ -76,7 +74,7 @@ def _switching_codes(N: Graph) -> Iterator[tuple[tuple[int, ...], bytes]]:
     """(off edge indices, canonical code of the displayed tree) for every switching of N.
 
     In `generate._off_edges` order; each code is that of the suppressed
-    tree on the other edges, `canonical_code(displayed_tree(N, sigma)).bytes`
+    tree on the other edges, `canonical_code(displayed_tree(sigma)).bytes`
     for the switching sigma with off edges `off`.  N may be one of the
     multigraphs of `generate._level`; the public entry points validate
     their network first.  Unrooted, each spanning tree is coded afresh by

@@ -282,23 +282,21 @@ def _off_edges(N: Graph) -> Iterator[tuple[int, ...]]:
     yield from walk((), 0)
 
 
-def reticulation_labellings(N: Graph, sigma: Switching) -> tuple[ReticulationLabelling, ...]:
+def reticulation_labellings(sigma: Switching) -> tuple[ReticulationLabelling, ...]:
     """All r! bijective number assignments extending the switching sigma."""
     model.check(sigma, SwitchingMismatch)
-    if sigma.host != N:
-        raise SwitchingMismatch("switching is not hosted by this network")
-    return _numberings(N, sigma)
+    return _numberings(sigma)
 
 
 def all_reticulation_labellings(N: Graph) -> Iterator[ReticulationLabelling]:
     """Every reticulation labelling of N, over every switching; N is checked once."""
     for sigma in enumerate_switchings(N):
-        yield from _numberings(N, sigma)
+        yield from _numberings(sigma)
 
 
-def _numberings(N: Graph, sigma: Switching) -> tuple[ReticulationLabelling, ...]:
-    """The r! numberings of the off edges of a valid switching of N, once r! passes the budget."""
-    off = sorted(sigma.off)
+def _numberings(sigma: Switching) -> tuple[ReticulationLabelling, ...]:
+    """The r! numberings of the off edges of a valid switching, once r! passes the budget."""
+    N, off = sigma.host, sorted(sigma.off)
     check_budget(range(1, len(off) + 1), f"{len(off)}! labellings")
     return tuple(ReticulationLabelling(N, tuple(sorted(zip(off, perm), key=lambda eh: eh[1])))
                  for perm in itertools.permutations(range(1, len(off) + 1)))

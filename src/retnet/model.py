@@ -8,7 +8,7 @@ onto 1..n.  All types are immutable named tuples, compared and hashed
 by value: operations return new values and never mutate their inputs.
 
 Validity is decided once per value: one graph check for both modes, and
-one tree-set member rule that `validate` and `tree_set` share.
+one tree-set member rule that `validate` reads and `check_tree` raises.
 """
 
 from __future__ import annotations
@@ -282,6 +282,8 @@ def _graph_violations(G: Graph) -> list[str]:
 
 
 def _validate_switching(s: Switching) -> list[str]:
+    if not isinstance(s.off, frozenset):
+        return ["off edges are not a frozenset"]
     host = s.host
     bad = list(validate(host).violations)
     if bad:
@@ -308,6 +310,8 @@ def _validate_switching(s: Switching) -> list[str]:
 
 
 def _validate_labelling(lab: ReticulationLabelling) -> list[str]:
+    if not _int_pairs(lab.numbered):
+        return ["numbered edges are not a tuple of integer (index, number) pairs"]
     bad = _validate_switching(lab.switching())
     if bad:
         return bad
@@ -335,6 +339,8 @@ def validate(obj) -> ValidationReport:
         v = _validate_switching(obj)
     elif isinstance(obj, ReticulationLabelling):
         v = _validate_labelling(obj)
+    elif isinstance(obj, TreeSet) and not isinstance(obj.trees, tuple):
+        v = ["trees are not a tuple"]
     elif isinstance(obj, TreeSet):
         from .canonical import canonical_code
 
@@ -362,6 +368,14 @@ def check(obj, error: type[Exception], prefix: str = "") -> None:
     violations = validate(obj).violations
     if violations:
         raise error(prefix + "; ".join(violations))
+
+
+def check_tree(T) -> None:
+    """Raise DomainError("invalid tree: " + the violations) unless T passes the tree-set
+    member rule: the one tree check of `tree_set`, `displays` and `decode_tau`."""
+    bad = _member_violations(T)
+    if bad:
+        raise DomainError("invalid tree: " + "; ".join(bad))
 
 
 # ---------------------------------------------------------------------------
@@ -463,9 +477,7 @@ def tree_set(trees: Iterable[Graph]) -> TreeSet:
     if not trees:
         raise ValueError("a tree set needs at least one tree")
     for T in trees:  # trees[0] is checked before any member's mode or n is read
-        bad = _member_violations(T)
-        if bad:
-            raise DomainError("invalid tree: " + "; ".join(bad))
+        check_tree(T)
         if T.mode != trees[0].mode:
             raise ModeMismatch(f"{trees[0].mode} vs {T.mode}")
         if T.n != trees[0].n:

@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import Optional
 
 from . import bounds, codec, display, generate, model
-from .canonical import _general_code, _shape, canonical_code, classes
+from .canonical import _canon_general, _shape, canonical_code, classes
 from .errors import ROOTED, BudgetExceeded, DomainError, _budget
 from .model import Graph, TreeSet
 
@@ -140,9 +140,9 @@ def verify_counts(n_max: int, r_max: int, mode: str = ROOTED) -> list[bounds.Bou
                         disp_ok = False
                 for lab in generate.all_reticulation_labellings(N):
                     # distinct labelled networks must encode to distinct trees
-                    code, autos = _general_code(N, lab)
-                    labelled_codes.add(code.bytes)
-                    codec_images.add(canonical_code(codec._encode(N, lab)).bytes)
+                    code, _, autos = _canon_general(lab)
+                    labelled_codes.add(code)
+                    codec_images.add(canonical_code(codec._encode(lab)).bytes)
                     if autos != 1:
                         autos_ok = False
             reports.append(bounds.BoundReport(

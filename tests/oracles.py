@@ -38,7 +38,7 @@ import mpmath
 from retnet import bounds, codec, generate, model
 from retnet.canonical import classes
 from retnet.canonical import canonical_positions
-from retnet.errors import MODES, ModeMismatch, NotATree, NotInImage, SwitchingMismatch
+from retnet.errors import MODES, ModeMismatch, NotATree, NotInImage
 from retnet.model import Edge, Graph, Switching, ROOTED
 
 
@@ -168,7 +168,7 @@ def sweep(n: int, r: int, mode: str, leaf_connecting: bool) -> tuple[Graph, ...]
     def decoded():
         for T in generate.enumerate_trees(n + 2 * r, mode):
             try:
-                yield codec.decode_tau(T, n, r)[0]
+                yield codec.decode_tau(T, n, r).host
             except NotInImage:
                 pass
 
@@ -320,10 +320,9 @@ def suppress(G: Graph) -> Graph:
     return model.make_graph(mode, kept, new_edges, labels)
 
 
-def displayed_tree(N: Graph, sigma: Switching) -> Graph:
-    """The tree of one switching: a graph of the on edges, suppressed."""
-    if sigma.host != N:
-        raise SwitchingMismatch("switching is not hosted by this network")
+def displayed_tree(sigma: Switching) -> Graph:
+    """The tree of one switching: a graph of its network's on edges, suppressed."""
+    N = sigma.host
     on_edges = tuple(e for i, e in enumerate(N.edges) if i not in sigma.off)
     return suppress(Graph(N.mode, N.num_nodes, on_edges, N.leaf_labels))
 

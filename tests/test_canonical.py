@@ -5,7 +5,7 @@ import pytest
 
 import retnet as rn
 from retnet import canonical, generate, model
-from retnet.errors import ModeMismatch, NotATree
+from retnet.errors import NotATree
 from retnet.model import ROOTED, UNROOTED
 
 
@@ -60,14 +60,14 @@ def test_code_agrees_with_brute_force_oracle():
     nets = generate.enumerate_networks(2, 2, ROOTED)
     for _ in range(60):
         A, B = rng.choice(nets), rng.choice(nets)
-        assert rn.are_isomorphic(A, B) == brute_force_isomorphic(A, B)
+        assert (rn.canonical_code(A) == rn.canonical_code(B)) == brute_force_isomorphic(A, B)
 
 
 def test_tree_and_general_paths_agree_on_isomorphism():
     # same trees, once with the fast tree code and once forced through
-    # the general path by attaching (empty) edge labels
+    # the general path
     trees = generate.enumerate_trees(4, ROOTED)
-    gen_codes = {canonical._canon_general(T, None)[0] for T in trees}
+    gen_codes = {canonical._canon_general(T)[0] for T in trees}
     assert len(gen_codes) == len(trees)
 
 
@@ -85,17 +85,18 @@ def test_code_of_non_tree_raises_not_a_tree():
             canonical.canonical_code(G)
 
 
-def test_mode_mismatch_raises():
-    a = generate.enumerate_trees(3, ROOTED)[0]
-    b = generate.enumerate_trees(3, UNROOTED)[0]
-    with pytest.raises(ModeMismatch):
-        rn.are_isomorphic(a, b)
+def test_rooted_and_unrooted_trees_get_different_codes():
+    # a code's header names its mode: the one-leaf trees differ in nothing else
+    for n in (1, 2, 3):
+        a = generate.enumerate_trees(n, ROOTED)[0]
+        b = generate.enumerate_trees(n, UNROOTED)[0]
+        assert rn.canonical_code(a) != rn.canonical_code(b)
 
 
 def test_edge_labels_distinguish_labellings(n6r4):
     sigma = generate.enumerate_switchings(n6r4)[0]
-    labs = generate.reticulation_labellings(n6r4, sigma)
-    codes = {canonical.canonical_code(n6r4, lab).bytes for lab in labs}
+    labs = generate.reticulation_labellings(sigma)
+    codes = {canonical.canonical_code(lab).bytes for lab in labs}
     assert len(codes) == len(labs)
 
 
@@ -183,8 +184,8 @@ def test_code_equality_matches_networkx():
             rng.shuffle(perm)
             B = permuted(A, perm)
             eb = {model._norm_edge(A.mode, perm[u], perm[v]): h for (u, v), h in ea.items()}
-        code_a = canonical.canonical_code(A, labelling(A, ea))
-        code_b = canonical.canonical_code(B, labelling(B, eb))
+        code_a = canonical.canonical_code(labelling(A, ea))
+        code_b = canonical.canonical_code(labelling(B, eb))
         same = nx_matcher(nx_graph(A, ea), nx_graph(B, eb)).is_isomorphic()
         assert (code_a == code_b) == same
         matches += same

@@ -195,7 +195,7 @@ def test_budget_counts_closed_form_items(monkeypatch, n6r4):
                        (16, lambda: generate.enumerate_networks(1, 2, ROOTED)),
                        (16, lambda: generate.enumerate_switchings(n6r4)),  # 2^4
                        (36, lambda: generate.enumerate_switchings(unrooted)),  # C(9, 2)
-                       (24, lambda: generate.reticulation_labellings(n6r4, sigma))]:  # 4!
+                       (24, lambda: generate.reticulation_labellings(sigma))]:  # 4!
         monkeypatch.setenv("RETNET_BUDGET", str(items))
         job()
         for cached in (generate._level, generate._networks):
@@ -274,7 +274,7 @@ def test_enumerations_refuse_unknown_modes():
 
 def test_labellings_per_switching_is_r_factorial(n6r4):
     sigma = generate.enumerate_switchings(n6r4)[0]
-    labs = generate.reticulation_labellings(n6r4, sigma)
+    labs = generate.reticulation_labellings(sigma)
     assert len(labs) == math.factorial(4)
     for lab in labs:
         assert lab.switching() == sigma
@@ -293,15 +293,17 @@ def test_fixed_switching_count_identity():
         codes = set()
         for N in nets:
             sigma = generate.enumerate_switchings(N)[0]
-            for lab in generate.reticulation_labellings(N, sigma):
-                codes.add(canonical.canonical_code(N, lab).bytes)
+            for lab in generate.reticulation_labellings(sigma):
+                codes.add(canonical.canonical_code(lab).bytes)
         assert len(codes) == len(nets) * math.factorial(r)
 
 
-def test_labellings_refuse_foreign_and_invalid_switchings(n6r4):
+def test_labellings_read_their_network_and_refuse_invalid_switchings(n6r4):
+    # a switching carries its network, and its labellings number that network's edges
     other = generate.enumerate_networks(3, 1, ROOTED)[0]
-    with pytest.raises(SwitchingMismatch, match="^switching is not hosted by this network$"):
-        generate.reticulation_labellings(n6r4, generate.enumerate_switchings(other)[0])
+    sigma = generate.enumerate_switchings(other)[0]
+    labs = generate.reticulation_labellings(sigma)
+    assert [(lab.host, lab.switching()) for lab in labs] == [(other, sigma)]
     with pytest.raises(SwitchingMismatch,
                        match="^off edge count differs from reticulation number$"):
-        generate.reticulation_labellings(n6r4, model.Switching(n6r4, frozenset()))
+        generate.reticulation_labellings(model.Switching(n6r4, frozenset()))

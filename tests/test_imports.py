@@ -3,6 +3,7 @@ every public function or class and every private function of the package is read
 somewhere in it, or exported.  Each CLI command runs only the modules it reaches."""
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -91,8 +92,8 @@ def readers(trees: dict[str, ast.Module], is_read) -> set[str]:
 
 
 def test_only_model_check_turns_reports_into_errors():
-    # every invalid-value error is raised by model.check; decode_tau alone reads a
-    # report, because decode prints only its first violation
+    # every invalid-value error is raised by model.check or model.check_tree; decode_tau
+    # alone reads a report, because decode prints only its first violation
     trees = {p.stem: ast.parse(p.read_text()) for p in PACKAGE if p.stem != "model"}
     assert readers(trees, lambda node: isinstance(node, ast.Attribute)
                    and node.attr in ("violations", "ok")) == {"codec.decode_tau"}
@@ -105,6 +106,20 @@ def test_only_the_entry_points_list_every_tree():
     assert readers(trees, lambda node: isinstance(node, ast.Name) and node.id == "enumerate_trees"
                    or isinstance(node, ast.Attribute) and node.attr == "enumerate_trees") == {
         "cli.trees", "generate.enumerate_networks", "solver.worst_case_r"}
+
+
+def test_no_export_takes_a_network_beside_a_switching_or_labelling():
+    # a switching or labelling holds its network (`host`): no function takes that
+    # network again, so none compares two copies of it
+    carriers = ("Switching", "ReticulationLabelling")
+    for name in retnet.__all__:
+        if inspect.isfunction(fn := getattr(retnet, name)):
+            kinds = [str(p.annotation) for p in inspect.signature(fn).parameters.values()]
+            graphs = {i for i, a in enumerate(kinds) if "Graph" in a}
+            carried = {i for i, a in enumerate(kinds) if any(c in a for c in carriers)}
+            assert not any(g != c for g in graphs for c in carried), name
+    assert [p for p in (ROOT / "src").rglob("*")
+            if p.is_file() and b"hosted by this network" in p.read_bytes()] == []
 
 
 def test_cli_import_skips_mpmath():

@@ -85,7 +85,7 @@ def test_unrooted_switching_messages():
 
 def test_labelling_validation(n6r4):
     sigma = generate.enumerate_switchings(n6r4)[0]
-    lab = generate.reticulation_labellings(n6r4, sigma)[0]
+    lab = generate.reticulation_labellings(sigma)[0]
     assert model.validate(lab).ok
     # duplicate number
     bad = model.ReticulationLabelling(
@@ -144,8 +144,11 @@ def test_tree_set_rejects_networks():
     T = generate.enumerate_trees(3, ROOTED)[0]
     assert model.validate(model.TreeSet(ROOTED, (T,))).ok
     assert "member is not a tree" in model.validate(model.TreeSet(ROOTED, (N,))).violations
-    with pytest.raises(DomainError, match="^invalid tree: member is not a tree$"):
-        model.tree_set([T, N])
+    # displays and decode_tau read their tree argument by the same rule
+    for call in (lambda: model.tree_set([T, N]), lambda: rn.displays(N, N),
+                 lambda: rn.decode_tau(N, 1, 1)):
+        with pytest.raises(DomainError, match="^invalid tree: member is not a tree$"):
+            call()
 
 
 def test_check_raises_every_violation_or_nothing():
@@ -216,6 +219,11 @@ _VIOLATIONS = [
     # members are compared on n only once they pass the member rule
     (lambda: model.TreeSet(ROOTED, (Graph(ROOTED, 1, (), 5),)),
      ("leaf labels are not a tuple of integer (node, label) pairs",)),
+    # a tree set's, switching's or labelling's collection field is checked first too
+    (lambda: model.TreeSet(ROOTED, 5), ("trees are not a tuple",)),
+    (lambda: model.Switching(_CHERRY, 5), ("off edges are not a frozenset",)),
+    (lambda: model.ReticulationLabelling(_CHERRY, 5),
+     ("numbered edges are not a tuple of integer (index, number) pairs",)),
 ]
 
 
@@ -276,7 +284,7 @@ def test_subdivide_then_suppress_roundtrip():
     for T in generate.enumerate_trees(4, ROOTED)[:5]:
         S = oracles.subdivide(T, T.edges[0], 2)
         back = model.suppress(S)
-        assert rn.are_isomorphic(T, back)
+        assert rn.canonical_code(T) == rn.canonical_code(back)
         assert back == oracles.suppress(S)
 
 
@@ -375,6 +383,7 @@ def test_unrooted_validation_matches_the_reference(G):
 
 _BAD = Graph(ROOTED, 2, ((0, 5),), ((1, 1),))  # an edge endpoint out of range
 _LEAF = Graph(ROOTED, 1, (), ((0, 1),))
+_NETWORK = Graph(ROOTED, 5, ((0, 1), (0, 2), (1, 2), (1, 3), (2, 4)), ((3, 1), (4, 2)))  # N(2, 1)
 # export -> calls of it that each pass one invalid value
 _INVALID_CALLS = {
     "tree_set": [lambda: rn.tree_set([_BAD]), lambda: rn.tree_set(["x"]),
@@ -382,19 +391,24 @@ _INVALID_CALLS = {
     "enumerate_switchings": [lambda: rn.enumerate_switchings(_BAD),
                              lambda: rn.enumerate_switchings("x")],
     "reticulation_labellings": [
-        lambda: rn.reticulation_labellings(_BAD, rn.Switching(_BAD, frozenset())),
-        lambda: rn.reticulation_labellings("x", rn.Switching("x", frozenset())),
-        lambda: rn.reticulation_labellings(_LEAF, "x")],
+        lambda: rn.reticulation_labellings(rn.Switching(_BAD, frozenset())),
+        lambda: rn.reticulation_labellings(rn.Switching("x", frozenset())),
+        lambda: rn.reticulation_labellings(rn.Switching(_LEAF, 5)),
+        lambda: rn.reticulation_labellings("x")],
     "all_reticulation_labellings": [lambda: list(rn.all_reticulation_labellings(_BAD)),
                                     lambda: list(rn.all_reticulation_labellings("x"))],
-    "encode_tau": [lambda: rn.encode_tau(_BAD, rn.ReticulationLabelling(_BAD, ())),
-                   lambda: rn.encode_tau("x", rn.ReticulationLabelling("x", ())),
-                   lambda: rn.encode_tau(_LEAF, "x")],
+    "encode_tau": [lambda: rn.encode_tau(rn.ReticulationLabelling(_BAD, ())),
+                   lambda: rn.encode_tau(rn.ReticulationLabelling("x", ())),
+                   lambda: rn.encode_tau(rn.ReticulationLabelling(_LEAF, 5)),
+                   lambda: rn.encode_tau("x")],
+    # a network is no tree, even where its leaf count is n + 2r
     "decode_tau": [lambda: rn.decode_tau(_BAD, 1, 0), lambda: rn.decode_tau(_BAD, 1, 1),
-                   lambda: rn.decode_tau("x", 1, 0)],
+                   lambda: rn.decode_tau("x", 1, 0), lambda: rn.decode_tau(_NETWORK, 2, 0),
+                   lambda: rn.decode_tau(generate.enumerate_networks(3, 2, ROOTED)[0], 1, 1)],
     "displayed_trees": [lambda: rn.displayed_trees(_BAD), lambda: rn.displayed_trees("x")],
     "displays": [lambda: rn.displays(_BAD, _LEAF), lambda: rn.displays(_LEAF, _BAD),
-                 lambda: rn.displays(_LEAF, "x"), lambda: rn.displays("x", _LEAF)],
+                 lambda: rn.displays(_LEAF, "x"), lambda: rn.displays("x", _LEAF),
+                 lambda: rn.displays(_NETWORK, _NETWORK)],
     "trivial_network": [lambda: rn.trivial_network(rn.TreeSet(ROOTED, (_BAD,))),
                         lambda: rn.trivial_network("x")],
     "min_reticulations": [lambda: rn.min_reticulations(rn.TreeSet(ROOTED, (_BAD,))),
@@ -403,8 +417,7 @@ _INVALID_CALLS = {
 # validate reports the violation instead of raising; the others read, by design, the
 # generator's multigraphs (`oracle_pool`, `oracle_codes`) or graphs with unlabelled
 # leaves, so they check nothing (nor does the unexported `canonical_positions`)
-_UNCHECKED = {"validate", "canonical_code", "are_isomorphic", "automorphism_count",
-              "displayed_tree"}
+_UNCHECKED = {"validate", "canonical_code", "automorphism_count", "displayed_tree"}
 
 
 def test_every_entry_point_refuses_an_invalid_value():
@@ -412,7 +425,7 @@ def test_every_entry_point_refuses_an_invalid_value():
     takers = {name for name in rn.__all__ if inspect.isfunction(getattr(rn, name))
               and any(t in str(p.annotation) for t in types
                       for p in inspect.signature(getattr(rn, name)).parameters.values())}
-    assert takers | {"validate", "automorphism_count"} == set(_INVALID_CALLS) | _UNCHECKED
+    assert takers | {"validate"} == set(_INVALID_CALLS) | _UNCHECKED
     assert not rn.validate(_BAD).ok
     for name, calls in _INVALID_CALLS.items():
         for call in calls:

@@ -46,7 +46,7 @@ def test_newick_roundtrip_random_tree(n, mode, pick):
     trees = generate.enumerate_trees(n, mode)
     T = trees[pick % len(trees)]
     s = serialize.tree_to_newick(T)
-    assert rn.are_isomorphic(T, serialize.newick_to_tree(s, mode))
+    assert rn.canonical_code(T) == rn.canonical_code(serialize.newick_to_tree(s, mode))
 
 
 @given(st.integers(0, 2 ** 16), st.integers(0, 2 ** 16), st.integers(1, 3))
@@ -56,7 +56,7 @@ def test_subdivide_suppress_is_identity(pick, epick, times):
     T = trees[pick % len(trees)]
     e = T.edges[epick % len(T.edges)]
     S = oracles.subdivide(T, e, times)
-    assert rn.are_isomorphic(T, model.suppress(S))
+    assert rn.canonical_code(T) == rn.canonical_code(model.suppress(S))
     assert model.suppress(S) == oracles.suppress(S)
 
 
@@ -67,9 +67,8 @@ def test_codec_roundtrip_random_labelled_network(pick, lpick):
     N = nets[pick % len(nets)]
     labs = list(generate.all_reticulation_labellings(N))
     lab = labs[lpick % len(labs)]
-    T = codec.encode_tau(N, lab)
-    N2, lab2 = codec.decode_tau(T, 3, 1)
-    assert canonical.canonical_code(N2, lab2) == canonical.canonical_code(N, lab)
+    lab2 = codec.decode_tau(codec.encode_tau(lab), 3, 1)
+    assert canonical.canonical_code(lab2) == canonical.canonical_code(lab)
 
 
 @given(st.integers(0, 2 ** 16))
@@ -78,7 +77,7 @@ def test_displayed_tree_leafset_preserved(pick):
     nets = generate.enumerate_networks(3, 2, ROOTED)
     N = nets[pick % len(nets)]
     for sigma in generate.enumerate_switchings(N):
-        T = display.displayed_tree(N, sigma)
+        T = display.displayed_tree(sigma)
         assert sorted(dict(T.leaf_labels).values()) == [1, 2, 3]
 
 

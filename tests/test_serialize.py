@@ -15,7 +15,7 @@ def test_newick_roundtrip_rooted():
         for T in generate.enumerate_trees(n, ROOTED):
             s = serialize.tree_to_newick(T)
             T2 = serialize.newick_to_tree(s, ROOTED)
-            assert rn.are_isomorphic(T, T2)
+            assert rn.canonical_code(T) == rn.canonical_code(T2)
             assert serialize.tree_to_newick(T2) == s
 
 
@@ -24,7 +24,7 @@ def test_newick_roundtrip_unrooted():
         for T in generate.enumerate_trees(n, UNROOTED):
             s = serialize.tree_to_newick(T)
             T2 = serialize.newick_to_tree(s, UNROOTED)
-            assert rn.are_isomorphic(T, T2)
+            assert rn.canonical_code(T) == rn.canonical_code(T2)
             assert serialize.tree_to_newick(T2) == s
 
 
@@ -115,13 +115,13 @@ def test_writer_handles_deep_trees():
         assert serialize.tree_to_newick(T) == want
         assert rn.canonical_code(serialize.newick_to_tree(want, mode)) == rn.canonical_code(T)
         if mode == ROOTED:
-            assert rn.are_isomorphic(serialize.enewick_to_network(want), T)
+            assert rn.canonical_code(serialize.enewick_to_network(want)) == rn.canonical_code(T)
 
 
 def test_newick_accepts_arbitrary_child_order():
     a = serialize.newick_to_tree("((3,1),2);", ROOTED)
     b = serialize.newick_to_tree("(2,(1,3));", ROOTED)
-    assert rn.are_isomorphic(a, b)
+    assert rn.canonical_code(a) == rn.canonical_code(b)
 
 
 def test_newick_parse_errors():
@@ -137,14 +137,14 @@ def test_enewick_roundtrip_enumerated():
         for N in generate.enumerate_networks(n, r, ROOTED):
             s = serialize.network_to_enewick(N)
             N2 = serialize.enewick_to_network(s)
-            assert rn.are_isomorphic(N, N2)
+            assert rn.canonical_code(N) == rn.canonical_code(N2)
             assert serialize.network_to_enewick(N2) == s
 
 
 def test_enewick_tag_count(n6r4):
     s = serialize.network_to_enewick(n6r4)
     assert s.count("#H") == 2 * 4
-    assert rn.are_isomorphic(serialize.enewick_to_network(s), n6r4)
+    assert rn.canonical_code(serialize.enewick_to_network(s)) == rn.canonical_code(n6r4)
 
 
 def test_enewick_rejects_duplicate_subtree():
@@ -157,7 +157,7 @@ def test_json_roundtrip_unrooted_networks():
         for N in generate.enumerate_networks(n, r, UNROOTED):
             s = serialize.network_to_json(N)
             N2 = serialize.json_to_network(s)
-            assert rn.are_isomorphic(N, N2)
+            assert rn.canonical_code(N) == rn.canonical_code(N2)
             assert serialize.network_to_json(N2) == s
 
 
@@ -170,7 +170,7 @@ def test_json_reader_refuses_invalid_graphs():
 
 def test_labelling_sidecar_roundtrip(n6r4):
     sigma = generate.enumerate_switchings(n6r4)[0]
-    for lab in generate.reticulation_labellings(n6r4, sigma)[:4]:
+    for lab in generate.reticulation_labellings(sigma)[:4]:
         s = serialize.labelling_to_json(lab)
         lab2 = serialize.json_to_labelling(n6r4, s)
         assert lab2 == lab

@@ -14,7 +14,7 @@ def test_min_reticulations_single_tree_is_zero():
     T = generate.enumerate_trees(4, ROOTED)[0]
     r, N = solver.min_reticulations(model.tree_set([T]))
     assert r == 0
-    assert rn.are_isomorphic(N, T)
+    assert rn.canonical_code(N) == rn.canonical_code(T)
 
 
 def test_min_reticulations_two_trees_n3():
@@ -92,7 +92,7 @@ def test_tower_search_matches_full_scan():
                 if mode == ROOTED:  # eNewick is a graph invariant; unrooted JSON shows node ids
                     assert serialize.network_to_enewick(N) == serialize.network_to_enewick(want)
                 else:
-                    assert rn.are_isomorphic(N, want)
+                    assert rn.canonical_code(N) == rn.canonical_code(want)
 
 
 def test_relabelled_tree_is_its_shape_representative():
@@ -105,9 +105,9 @@ def test_relabelled_tree_is_its_shape_representative():
                 R, to = canonical._shape(T)
                 assert model.validate(R).ok and model.reticulation_count(R) == 0, (mode, T)
                 assert sorted(to) == sorted(to.values()) == list(range(1, n + 1))
-                assert rn.are_isomorphic(solver._relabel(T, to), R), (mode, T)
+                assert rn.canonical_code(solver._relabel(T, to)) == rn.canonical_code(R), (mode, T)
                 reps.add(R)
-                unlabelled.add(canonical._canon_general(T._replace(leaf_labels=()), None)[0])
+                unlabelled.add(canonical._canon_general(T._replace(leaf_labels=()))[0])
             assert len(reps) == len(unlabelled) == count, (mode, n)
 
 
@@ -198,8 +198,9 @@ def test_worst_case_rejects_empty_sets():
 
 
 def test_verify_counts_runs_each_canonical_search_once(monkeypatch):
-    # encode_tau's unrooted search repeats the one verify_counts has just run; each
-    # network is validated once, and the labellings built from it are not re-checked
+    # unrooted, the canonical_positions call of codec._encode repeats the search
+    # verify_counts has just run; each network is validated once, and the labellings
+    # built from it are not re-checked
     search = canonical._canon_general
     validated, validate = [], model.validate
 
