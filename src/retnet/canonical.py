@@ -10,11 +10,10 @@ refinement leaves.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Collection, Iterable, NamedTuple, Optional
 
 from . import model
-from .errors import NotATree
+from .errors import InvalidLabelling, NotATree
 from .model import Graph, ReticulationLabelling, ROOTED
 
 CODE_VERSION = 1
@@ -29,8 +28,8 @@ class CanonicalCode(NamedTuple):
 
 def canonical_code(X: Graph | ReticulationLabelling) -> CanonicalCode:
     """Deterministic, node-id-invariant code for a labelled graph: a graph, or a
-    labelled network with its edge numbers."""
-    G = X if isinstance(X, Graph) else X.host
+    labelled network with its edge numbers (checked first, InvalidLabelling)."""
+    G = X if isinstance(X, Graph) else _checked(X).host
     if (G is X or not X.numbered) and model.reticulation_count(G) == 0:
         return CanonicalCode(_header(G.mode) + b"T" + _tree_code(G))
     return CanonicalCode(_canon_general(X)[0])
@@ -39,8 +38,11 @@ def canonical_code(X: Graph | ReticulationLabelling) -> CanonicalCode:
 def classes(graphs: Iterable[Graph]) -> tuple[Graph, ...]:
     """The first graph of each isomorphism class, in canonical-code order."""
     seen: dict[bytes, Graph] = {}
+    last = None
     for G in graphs:
-        seen.setdefault(canonical_code(G).bytes, G)
+        if G != last:  # a move at either of two parallel edges gives the same child twice
+            seen.setdefault(canonical_code(G).bytes, G)
+            last = G
     return tuple(seen[c] for c in sorted(seen))
 
 
@@ -50,9 +52,10 @@ def canonical_positions(X: Graph | ReticulationLabelling) -> tuple[int, ...]:
 
     Any two minimal orderings differ by an automorphism, so sets of
     edges compared in canonical coordinates are class invariants.  A
-    labelled network's ordering respects its edge numbers too.
+    labelled network's ordering respects its edge numbers too.  A labelling
+    is checked first (InvalidLabelling).
     """
-    return _canon_general(X)[1]
+    return _canon_general(_checked(X))[1]
 
 
 def automorphism_count(X: Graph | ReticulationLabelling) -> int:
@@ -60,9 +63,18 @@ def automorphism_count(X: Graph | ReticulationLabelling) -> int:
 
     For a valid reticulation-labelled network this is always 1: the edge
     numbering pins every node.  Without edge labels larger groups are
-    possible (parent-swap symmetries).
+    possible (parent-swap symmetries).  A labelling is checked first
+    (InvalidLabelling).
     """
-    return _canon_general(X)[2]
+    return _canon_general(_checked(X))[2]
+
+
+def _checked(X: Graph | ReticulationLabelling) -> Graph | ReticulationLabelling:
+    """X, once checked if it is a labelling: the code of an invalid one would
+    be read off edges its network may not have."""
+    if not isinstance(X, Graph):
+        model.check(X, InvalidLabelling)
+    return X
 
 
 def _header(mode: str) -> bytes:
@@ -84,6 +96,19 @@ def _tree_code(G: Graph, off: Collection[int] = frozenset()) -> bytes:
     codes a network's switchings so).  A graph that is not a tree (no
     single root, or a node out of reach) raises `NotATree`.
     """
+    order, _, code = _hung_codes(G, off)
+    if G.mode != ROOTED and len(order) > 1 and code[order[1]] is not None:
+        return b"[1|" + code[order[1]] + b"]"  # leaf 1 and the code below it
+    if code[order[0]] is None:
+        raise NotATree("tree has no labelled leaf")
+    return code[order[0]]
+
+
+def _hung_codes(G: Graph, off: Collection[int] = frozenset()
+                ) -> tuple[list[int], list[int], list[Optional[bytes]]]:
+    """G hung as `_tree_code` hangs it: the walk order from the start (the root,
+    or unrooted leaf 1), each node's parent, and each node's code, None for a
+    subtree without leaves."""
     leaves = dict(G.leaf_labels)
     if G.mode == ROOTED:
         try:
@@ -98,25 +123,26 @@ def _tree_code(G: Graph, off: Collection[int] = frozenset()) -> bytes:
     if len(order) < G.num_nodes:
         raise NotATree("graph is not connected")
     below: list[list[bytes]] = [[] for _ in range(G.num_nodes)]
-    code = None
+    code: list[Optional[bytes]] = [None] * G.num_nodes
     for v in reversed(order):
         kids = below[v]
         if v in leaves:
-            code = b"%d" % leaves[v]
+            c = b"%d" % leaves[v]
         elif len(kids) > 1:
-            code = b"(" + b",".join(sorted(kids)) + b")"
+            c = _join(kids)
         elif kids:
-            code = kids[0]
+            c = kids[0]
         else:
             continue
-        below[parent[v]].append(code)
-    if code is None:
-        raise NotATree("tree has no labelled leaf")
-    # unrooted, the start leaf's own code closes below[start]; a lone
-    # entry means no other leaf, so the tree is leaf 1 alone
-    if G.mode == ROOTED or len(below[start]) == 1:
-        return code
-    return b"[1|" + below[start][0] + b"]"
+        code[v] = c
+        below[parent[v]].append(c)
+    return order, parent, code
+
+
+def _join(parts: list[bytes]) -> bytes:
+    """The code of a node whose children have the codes `parts` (two or more)."""
+    parts.sort()
+    return b"(" + b",".join(parts) + b")"
 
 
 def _shape(T: Graph) -> tuple[Graph, dict[int, int]]:
@@ -158,9 +184,6 @@ def _shape(T: Graph) -> tuple[Graph, dict[int, int]]:
 # general labelled-graph canonization
 
 
-# unrooted, the canonical_positions call of codec._encode repeats the search
-# verify_counts has just run on the same labelling
-@lru_cache(maxsize=1)
 def _canon_general(X) -> tuple[bytes, tuple[int, ...], int]:
     """The general-path code of a graph or labelled network (its least encoding),
     its node -> position map, and how many search leaves reach it.

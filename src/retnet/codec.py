@@ -6,7 +6,8 @@ inverse locates those leaf pairs, removes them, and re-adds the numbered
 edge.  Decoding validates eagerly: any violated invariant means the tree
 is not the image of a labelled network, which is the expected outcome
 for most trees.  `encode_tau` checks its labelling; `verify_counts` encodes
-the labellings it builds from checked networks through `_encode`, unchecked.
+the labellings it builds from checked networks through `_encode`, unchecked,
+with the canonical positions its own search has found.
 """
 
 from __future__ import annotations
@@ -19,25 +20,26 @@ from .model import Graph, ReticulationLabelling, ROOTED, UNROOTED
 def encode_tau(lab: ReticulationLabelling) -> Graph:
     """Replace every numbered edge of the labelled network lab by a pendant leaf pair."""
     model.check(lab, InvalidLabelling)
-    return _encode(lab)
+    if lab.host.mode == ROOTED:
+        return _encode(lab, ())
+    from .canonical import _canon_general
+    return _encode(lab, _canon_general(lab)[1])
 
 
-def _encode(lab: ReticulationLabelling) -> Graph:
-    """`encode_tau` unchecked, for a labelling built from a checked network."""
+def _encode(lab: ReticulationLabelling, pos: tuple[int, ...]) -> Graph:
+    """`encode_tau` unchecked, for a labelling built from a checked network;
+    unrooted, `pos` is the labelling's `canonical_positions`."""
     N = lab.host
     n = N.n
     numbered = {i for i, _ in lab.numbered}
     edges = [e for i, e in enumerate(N.edges) if i not in numbered]
     labels = dict(N.leaf_labels)
     nid = N.num_nodes
-    if N.mode == UNROOTED:
+    for i, h in lab.numbered:
+        u, v = N.edges[i]
         # undirected numbered edges have no intrinsic tail; orient them by
         # canonical position of the labelled host so the image is a class
         # invariant (isomorphic labelled networks encode to isomorphic trees)
-        from .canonical import canonical_positions
-        pos = canonical_positions(lab)
-    for i, h in lab.numbered:
-        u, v = N.edges[i]
         if N.mode == UNROOTED and pos[u] > pos[v]:
             u, v = v, u
         z, zp = nid, nid + 1

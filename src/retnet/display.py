@@ -32,7 +32,7 @@ import itertools
 from typing import Iterator, Optional
 
 from . import generate, model
-from .canonical import _header, _tree_code, canonical_code
+from .canonical import _header, _join, _tree_code, canonical_code
 from .errors import DomainError, LeafsetMismatch, ModeMismatch, NotATree
 from .model import Graph, Switching, TreeSet, ROOTED
 
@@ -150,8 +150,7 @@ def _switching_codes(N: Graph) -> Iterator[tuple[tuple[int, ...], bytes]]:
         for v in redo[start[k + 1]:]:
             got = [x for c in kids[v] if par[c] == v and (x := code[c]) is not None]
             if len(got) > 1:
-                got.sort()
-                code[v] = b"(" + b",".join(got) + b")"
+                code[v] = _join(got)
             else:
                 code[v] = got[0] if got else None
         if code[root] is None:

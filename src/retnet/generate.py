@@ -1,11 +1,14 @@
 """Exhaustive generation of trees, networks, switchings, and labellings.
 
-Everything comes from one augmentation recursion, level by level, and
-each level keeps the first graph of each class in canonical-code order
-(`canonical.classes`).  Level 0 holds the trees on [n], built from the
-trees on [n - 1] by the leaf move of `_add_leaf`; deleting leaf n
-inverts it, so every tree arises exactly once.  Level k + 1 is built
-from level k by the edge moves of `_add_edge`, one reticulation each.
+Everything comes from one augmentation recursion, level by level, each
+level in canonical-code order.  Level 0 holds the trees on [n], built
+from the trees on [n - 1] by the leaf move of `_add_leaf`; deleting leaf
+n inverts it, so every tree arises exactly once and there is nothing to
+deduplicate.  Each child's code is built along the move's path from its
+parent's node codes (`_leaf_codes`), and the level is sorted by code
+once.  Level k + 1 is built from level k by the edge moves of
+`_add_edge`, one reticulation each, and keeps the first graph of each
+class (`canonical.classes`).
 Levels below r keep binary multigraphs, and level r keeps the children
 that are simple, which only move (a) gives.  Unrooted networks are then
 restricted to the leaf-connecting ones, a class invariant tested once
@@ -50,7 +53,7 @@ from functools import lru_cache
 from typing import Iterator, Optional
 
 from . import model
-from .canonical import classes
+from .canonical import _header, _hung_codes, _join, classes
 from .errors import (MODES, ROOTED, UNROOTED, DomainError, SwitchingMismatch, _budget,
                      check_budget)
 from .model import Graph, ReticulationLabelling, Switching
@@ -114,9 +117,11 @@ def _level(n: int, k: int, mode: str, T1: Optional[Graph]) -> tuple[Graph, ...]:
     """Binary multigraphs with n leaves and k reticulations, one per class; given a
     tree T1 on [n], level k of T1's tower: only those that display T1.
 
-    Level 0 holds the trees, or T1 alone.  Rooted levels above it may
-    have parallel edges; unrooted ones are connected and may have
-    parallel edges and loops.  Both are in canonical-code order.
+    Level 0 holds the trees, or T1 alone: the leaf-insertion children of
+    level 0 on n - 1 leaves, each coded along its move's path and none
+    dropped, sorted by code.  Rooted levels above it may have parallel
+    edges; unrooted ones are connected and may have parallel edges and
+    loops.  Both are in canonical-code order.
 
     T1's tower builds level k from level k - 1 by `_add_edge` with rooted
     rule 3 switched off.  Every child displays T1: the parent's T1
@@ -138,7 +143,10 @@ def _level(n: int, k: int, mode: str, T1: Optional[Graph]) -> tuple[Graph, ...]:
             return (Graph(mode, 1, (), ((0, 1),)),)
         if n == 2 and mode == UNROOTED:  # the one-node tree has no edge to subdivide
             return (Graph(UNROOTED, 2, ((0, 1),), ((0, 1), (1, 2))),)
-        return classes(C for P in _level(n - 1, 0, mode, None) for C in _add_leaf(P))
+        level: dict[bytes, Graph] = {}  # code -> tree; no code repeats, as each tree arises once
+        for P in _level(n - 1, 0, mode, None):
+            level.update(zip(_leaf_codes(P), _add_leaf(P)))
+        return tuple(level[c] for c in sorted(level))
     if mode == UNROOTED and n == 1 and k == 1:  # the one-leaf tree has no edge to subdivide
         return (Graph(UNROOTED, 2, ((0, 1), (1, 1)), ((0, 1),)),)
     return _grow(n, k, mode, T1)
@@ -176,6 +184,42 @@ def _add_leaf(P: Graph) -> Iterator[Graph]:
         yield child(P.edges[:i] + P.edges[i + 1:] + ((a, w), down(b)))
     if P.mode == ROOTED:
         yield child(P.edges + (down(model.root_of(P)),))
+
+
+def _leaf_codes(P: Graph) -> Iterator[bytes]:
+    """The canonical code of each `_add_leaf(P)` child, in the same order.
+
+    P is coded once, every node hung as `canonical._tree_code` hangs it.
+    A child differs from P only along the path from w up to the start:
+    w's code joins that of the lower end of its edge with the new leaf's
+    label, and each node above it re-joins with its other child's
+    unchanged code.  Unrooted, the path ends below leaf 1.
+    """
+    order, parent, code = _hung_codes(P)
+    rooted = P.mode == ROOTED
+    # the start, or the node below leaf 1 (a one-node tree has no edge to split)
+    top = order[0] if rooted or not P.edges else order[1]
+    other: list[Optional[bytes]] = [None] * P.num_nodes  # each node's sibling's code
+    first = [-1] * P.num_nodes
+    for v in order[1:]:
+        p = first[parent[v]]
+        if p < 0:
+            first[parent[v]] = v
+        else:
+            other[v], other[p] = code[p], code[v]
+    head, label = _header(P.mode) + b"T", b"%d" % (P.n + 1)
+
+    def path(v: int) -> bytes:
+        c = _join([code[v], label])
+        while v != top:
+            c = _join([c, other[v]])
+            v = parent[v]
+        return head + c if rooted else head + b"[1|" + c + b"]"
+
+    for a, b in P.edges:
+        yield path(b if rooted or parent[b] == a else a)
+    if rooted:
+        yield path(top)
 
 
 def _add_edge(P: Graph, any_in_edge: bool = False) -> Iterator[Graph]:

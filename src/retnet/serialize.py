@@ -9,10 +9,11 @@ position search breaks ties, and runs only when two siblings or two
 reticulations reach the same leaves.  A tree has no tags, and its
 sibling leaf sets are disjoint, so `network_to_enewick` and
 `tree_to_newick` hand trees to `_tree_newick`, which orders siblings by
-their least leaf label, found in one bottom-up pass: the same order,
-with no leaf sets built.  An unrooted tree is drawn rooted at the
-internal node next to leaf 1.  Both then hand the sorted children to one
-emitter, `_newick`, which trees call with no tags.
+their least leaf label: the same order, with no leaf sets built.  One
+bottom-up fold finds each node's least leaf and writes its text.  A
+rooted tree's children and root come from one pass over its edges; an
+unrooted tree is drawn rooted at the internal node next to leaf 1.
+Networks are written by the stack emitter `_newick`.
 Unrooted networks are JSON edge lists.
 One iterative reader, `_parse`, reads both written forms.  It numbers a
 leaf or bare tag when it is read and an internal node at its ")" (a
@@ -54,24 +55,38 @@ def tree_to_newick(T: Graph) -> str:
             kids[parent[w]].append(w)
         kids[order[1]].append(leaf1)
         order[:2] = order[1], leaf1
-    return _tree_newick(kids, dict(T.leaf_labels), order)
+    return _tree_newick(kids, T.leaf_labels, order)
 
 
-def _tree_newick(kids: list[list[int]], leaves: dict[int, int], order: list[int]) -> str:
-    """Newick of the tree hung from order[0] by `kids`; `order` lists each node after its parent.
+def _tree_newick(kids: list[list[int]], labels: tuple[tuple[int, int], ...],
+                 order: list[int]) -> str:
+    """Newick of the tree hung from order[0] by `kids`, with its (leaf, label) pairs;
+    `order` lists each node after its parent.
 
-    Siblings are written by their least leaf label, found in one bottom-up
-    pass.  Sibling leaf sets are disjoint, so this is the order of their
-    sorted leaf sets, the key `network_to_enewick` sorts networks by.
+    One bottom-up fold writes each node's text and finds its least leaf
+    label, by which its children are written.  Sibling leaf sets are
+    disjoint, so this is the order of their sorted leaf sets, the key
+    `network_to_enewick` sorts networks by.
     """
     least = [0] * len(kids)
+    text = [""] * len(kids)
+    for v, x in labels:
+        least[v] = x
+        text[v] = str(x)
     for v in reversed(order):
-        if v in leaves:
-            least[v] = leaves[v]
-        else:
-            kids[v].sort(key=least.__getitem__)
-            least[v] = least[kids[v][0]]
-    return _newick(order[0], kids, leaves, {})
+        below = kids[v]
+        if len(below) == 2:
+            a, b = below
+            if least[b] < least[a]:
+                a, b = b, a
+            least[v] = least[a]
+            text[v] = "(" + text[a] + "," + text[b] + ")"
+            text[a] = text[b] = ""  # each text is held once: memory stays linear
+        elif below:  # the drawn root of an unrooted tree has three children
+            below.sort(key=least.__getitem__)
+            least[v] = least[below[0]]
+            text[v] = "(" + ",".join([text[c] for c in below]) + ")"
+    return text[order[0]] + ";"
 
 
 def _newick(root: int, kids: list[list[int]], leaves: dict[int, int], tag: dict[int, int]) -> str:
@@ -192,16 +207,19 @@ def newick_to_tree(s: str, mode: str = ROOTED) -> Graph:
 
 def network_to_enewick(N: Graph) -> str:
     """Extended Newick for a rooted network or tree, children in sorted order."""
-    leaves = dict(N.leaf_labels)
-    indeg = model._indegrees(N)
-    rets = [v for v, d in enumerate(indeg) if d >= 2]
-    if not rets:
-        children = model.adjacency(N)
-        order = [indeg.index(0)]
+    if len(N.edges) < N.num_nodes:  # |E| = |V| - 1 + r: a tree
+        kids: list[list[int]] = [[] for _ in range(N.num_nodes)]
+        root = N.num_nodes * (N.num_nodes - 1) // 2  # less every node with a parent
+        for u, v in N.edges:
+            kids[u].append(v)
+            root -= v
+        order = [root]
         for v in order:
-            order += children[v]
-        return _tree_newick(children, leaves, order)
-    order, children, _ = model.topological_order(N)
+            order += kids[v]
+        return _tree_newick(kids, N.leaf_labels, order)
+    leaves = dict(N.leaf_labels)
+    order, children, indeg = model.topological_order(N)
+    rets = [v for v, d in enumerate(indeg) if d >= 2]
     reach: dict[int, tuple] = {}  # sorted labels of the leaves below each node
     for v in reversed(order):
         if v in leaves:

@@ -140,9 +140,9 @@ def verify_counts(n_max: int, r_max: int, mode: str = ROOTED) -> list[bounds.Bou
                         disp_ok = False
                 for lab in generate.all_reticulation_labellings(N):
                     # distinct labelled networks must encode to distinct trees
-                    code, _, autos = _canon_general(lab)
+                    code, pos, autos = _canon_general(lab)
                     labelled_codes.add(code)
-                    codec_images.add(canonical_code(codec._encode(lab)).bytes)
+                    codec_images.add(canonical_code(codec._encode(lab, pos)).bytes)
                     if autos != 1:
                         autos_ok = False
             reports.append(bounds.BoundReport(

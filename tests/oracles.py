@@ -6,8 +6,11 @@ is checked against.  `retnet.generate` builds networks by edge
 addition; `sweep` lists them by decoding every tree through the codec.
 `model.is_leaf_connecting` is a cut-node test; `is_leaf_connecting`
 here searches the leaf-to-leaf paths themselves.  `subdivide` is the
-inverse of suppression.  `model.suppress(G, off)` walks G's edge lists
-once, skipping the off edges; `suppress` here builds no such lists: it
+inverse of suppression.  `generate._level` codes each leaf-insertion
+child along the move's path and sorts the level once; `leaf_insertion`
+here codes every child from scratch and keeps one per class.
+`model.suppress(G, off)` walks G's edge lists once, skipping the off
+edges; `suppress` here builds no such lists: it
 checks the edge count, hangs the graph with `model.hang` and keeps the
 survivors, and `displayed_tree` runs it on a graph of the on edges.
 `generate._off_edges` walks only the edge sets that leave N connected;
@@ -39,7 +42,7 @@ from retnet import bounds, codec, generate, model
 from retnet.canonical import classes
 from retnet.canonical import canonical_positions
 from retnet.errors import MODES, ModeMismatch, NotATree, NotInImage
-from retnet.model import Edge, Graph, Switching, ROOTED
+from retnet.model import Edge, Graph, Switching, ROOTED, UNROOTED
 
 
 def find_embedding(N: Graph, T: Graph) -> Optional[frozenset[Edge]]:
@@ -157,6 +160,16 @@ def subdivide(G: Graph, edge: Edge, times: int = 1) -> Graph:
         nid += 1
     edges.append(model._norm_edge(G.mode, prev, v))
     return model.make_graph(G.mode, range(nid), edges, dict(G.leaf_labels))
+
+
+def leaf_insertion(n: int, mode: str) -> tuple[Graph, ...]:
+    """The trees on [n]: every leaf-insertion child of every tree on [n - 1],
+    one per class, ordered by canonical code, like `enumerate_trees`."""
+    if n == 1:
+        return (Graph(mode, 1, (), ((0, 1),)),)
+    if n == 2 and mode == UNROOTED:  # the one-node tree has no edge to subdivide
+        return (Graph(UNROOTED, 2, ((0, 1),), ((0, 1), (1, 2))),)
+    return classes(C for P in leaf_insertion(n - 1, mode) for C in generate._add_leaf(P))
 
 
 def sweep(n: int, r: int, mode: str, leaf_connecting: bool) -> tuple[Graph, ...]:

@@ -1,10 +1,11 @@
 import hashlib
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from oracles import sweep, unrooted_off_edges
+from oracles import leaf_insertion, sweep, unrooted_off_edges
 from retnet import bounds, canonical, generate, model, solver
 from retnet.errors import BudgetExceeded, DomainError, SwitchingMismatch
 from retnet.model import ROOTED, UNROOTED
@@ -20,6 +21,32 @@ def test_tree_counts_match_double_factorials():
         assert len(generate.enumerate_trees(n, ROOTED)) == bounds.tree_count(n, ROOTED)
     for n in range(1, 8):
         assert len(generate.enumerate_trees(n, UNROOTED)) == bounds.tree_count(n, UNROOTED)
+
+
+def test_trees_match_leaf_insertion_oracle():
+    # each child is coded along its move's path; the oracle codes every child afresh
+    for mode, n_max in ((ROOTED, 7), (UNROOTED, 8)):
+        for n in range(1, n_max + 1):
+            assert generate._level(n, 0, mode, None) == leaf_insertion(n, mode), (mode, n)
+            for P in generate._level(n - 1, 0, mode, None) if n > 1 else ():
+                pairs = list(zip(generate._leaf_codes(P), generate._add_leaf(P)))
+                assert [code for code, _ in pairs] == [canonical.canonical_code(C).bytes
+                                                       for _, C in pairs], (mode, P)
+
+
+@pytest.mark.parametrize("mode", [ROOTED, UNROOTED])
+def test_path_codes_with_two_digit_labels(mode):
+    # b"10" sorts before b"2", and no level that runs here reaches ten leaves
+    rng = random.Random(31)
+    for n in (9, 10, 11):
+        for _ in range(3):
+            P = generate._level(3, 0, mode, None)[0]
+            while P.n < n:
+                P = rng.choice(list(generate._add_leaf(P)))
+            children = list(generate._add_leaf(P))
+            assert len(children) == 2 * n - (1 if mode == ROOTED else 3)
+            assert list(generate._leaf_codes(P)) == [canonical.canonical_code(C).bytes
+                                                      for C in children], (mode, n)
 
 
 def test_enumeration_is_deterministic():

@@ -416,7 +416,8 @@ _INVALID_CALLS = {
 }
 # validate reports the violation instead of raising; the others read, by design, the
 # generator's multigraphs (`oracle_pool`, `oracle_codes`) or graphs with unlabelled
-# leaves, so they check nothing (nor does the unexported `canonical_positions`)
+# leaves, so they check no graph (`canonical_code` and `automorphism_count` check a
+# labelling: test_canonical.py)
 _UNCHECKED = {"validate", "canonical_code", "automorphism_count", "displayed_tree"}
 
 

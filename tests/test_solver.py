@@ -198,25 +198,31 @@ def test_worst_case_rejects_empty_sets():
 
 
 def test_verify_counts_runs_each_canonical_search_once(monkeypatch):
-    # unrooted, the canonical_positions call of codec._encode repeats the search
-    # verify_counts has just run; each network is validated once, and the labellings
-    # built from it are not re-checked
-    search = canonical._canon_general
+    # one general search per labelling, its positions passed on to the encoder; each
+    # network is validated once, and the labellings built from it are not re-checked
+    searched, search = [], canonical._canon_general
     validated, validate = [], model.validate
+
+    def counted_search(X):
+        searched.append(X)
+        return search(X)
 
     def counted(obj):
         validated.append(obj)
         return validate(obj)
 
+    monkeypatch.setattr(canonical, "_canon_general", counted_search)
+    monkeypatch.setattr(solver, "_canon_general", counted_search)
     monkeypatch.setattr(model, "validate", counted)
-    for mode, searches, repeats, networks in [(UNROOTED, 204, 171, 9), (ROOTED, 2861, 64, 321)]:
-        for cached in (generate._level, generate._networks,
-                       solver._code_sets, search):
+    for mode, searches, labellings, networks in [(UNROOTED, 204, 157, 9),
+                                                 (ROOTED, 2861, 2430, 321)]:
+        for cached in (generate._level, generate._networks, solver._code_sets):
             cached.cache_clear()
+        searched.clear()
         validated.clear()
         solver.verify_counts(3, 2, mode)
-        info = search.cache_info()
-        assert (info.misses, info.hits) == (searches, repeats), mode
+        labs = [X for X in searched if isinstance(X, model.ReticulationLabelling)]
+        assert (len(searched), len(labs), len(set(labs))) == (searches, labellings, labellings)
         assert len(validated) == networks == sum(len(solver._code_sets(n, r, mode))
                                                  for n in (1, 2, 3) for r in (1, 2)), mode
 
