@@ -5,7 +5,12 @@ exactly when they are isomorphic as labelled graphs (leaf labels always,
 and a labelled network's edge numbers).  Trees use a fast bottom-up
 code; networks use colour refinement with backtracking over the residual
 symmetry, taking the lexicographically least encoding over all
-refinement leaves.
+refinement leaves.  Refinement keeps the colour classes as cells of an
+ordered partition and splits them in place (the cell splitting of
+McKay & Piperno, "Practical graph isomorphism, II", 2014); a round
+re-reads only the cells next to a node whose colour the round before
+changed.  The leaves that reach the least encoding are the graph's
+automorphisms, and the search returns them all.
 """
 
 from __future__ import annotations
@@ -66,7 +71,7 @@ def automorphism_count(X: Graph | ReticulationLabelling) -> int:
     possible (parent-swap symmetries).  A labelling is checked first
     (InvalidLabelling).
     """
-    return _canon_general(_checked(X))[2]
+    return len(_canon_general(_checked(X))[2])
 
 
 def _checked(X: Graph | ReticulationLabelling) -> Graph | ReticulationLabelling:
@@ -184,77 +189,111 @@ def _shape(T: Graph) -> tuple[Graph, dict[int, int]]:
 # general labelled-graph canonization
 
 
-def _canon_general(X) -> tuple[bytes, tuple[int, ...], int]:
+def _canon_general(X) -> tuple[bytes, tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """The general-path code of a graph or labelled network (its least encoding),
-    its node -> position map, and how many search leaves reach it.
+    its node -> position map, and the map of every search leaf that reaches the
+    least encoding, that one first.
 
-    Every branch of the search is explored and target cells are chosen
-    canonically, so the leaves reaching the least encoding correspond one
-    to one with the automorphisms of the labelled graph.
+    Nodes sit in cells, runs of positions, and a node's colour is the first
+    position of its cell: internal nodes first, then leaves by label.  Each
+    round of refinement splits cells in place, a cell's parts ordered by
+    their nodes' sorted in-colours, then sorted out-colours (a colour paired
+    with the edge's number).  A cell can split only if a node of it
+    neighbours one whose colour changed in the round before, so a round
+    re-reads only those cells.  Once no cell splits, each node of the first
+    cell of more than one, in id order, takes that cell's first position
+    and the others the next, and the search goes on below.  Every branch is
+    explored and target cells are chosen canonically, so the leaves that
+    reach the least encoding correspond one to one with the automorphisms
+    of the labelled graph: each is the first composed with one.
     """
     G, elabels = (X, {}) if isinstance(X, Graph) else (X.host, dict(X.numbered))
     num_nodes, edges, vlabels = G.num_nodes, G.edges, dict(G.leaf_labels)
     directed = G.mode == ROOTED
-    out_nb: list[list[tuple[int, int]]] = [[] for _ in range(num_nodes)]
-    in_nb = [[] for _ in range(num_nodes)] if directed else out_nb  # unrooted: one list
-    for i, (u, v) in enumerate(edges):
-        lab = elabels.get(i, 0)
-        out_nb[u].append((v, lab))
-        in_nb[v].append((u, lab))
+    base = max(elabels.values(), default=0) + 1  # (colour, number) packs as colour * base + number
+    numbers = [elabels.get(i, 0) for i in range(len(edges))]
+    ins: list[list[tuple[int, int]]] = [[] for _ in range(num_nodes)]
+    outs = [[] for _ in range(num_nodes)] if directed else ins  # unrooted: one list
+    near: list[set[int]] = [set() for _ in range(num_nodes)]
+    for (u, v), h in zip(edges, numbers):
+        outs[u].append((v, h))
+        ins[v].append((u, h))
+        near[u].add(v)
+        near[v].add(u)
 
-    init_keys = [("L", vlabels[v]) if v in vlabels else ("I", 0) for v in range(num_nodes)]
-    colors = _rank([(k,) for k in init_keys])
+    def split(cell: list[int], order: list[int], size: list[int], s: int, part: list[int],
+              sig, changed: list[int]) -> None:
+        """Split the cell at s in place into the runs of equal `sig` of `part`, its
+        nodes sorted by `sig`; the nodes that leave position s go into `changed`."""
+        order[s:s + len(part)] = part
+        first = s
+        for i in range(1, len(part)):
+            v = part[i]
+            if sig[v] != sig[part[i - 1]]:
+                size[first] = s + i - first
+                first = s + i
+            if first != s:
+                cell[v] = first
+                changed.append(v)
+        size[first] = s + len(part) - first
 
-    def refine(cols: list[int]) -> list[int]:
-        while True:
-            sigs = []
-            for v in range(num_nodes):
-                sig = (cols[v],
-                       tuple(sorted((cols[u], lab) for u, lab in in_nb[v])),
-                       tuple(sorted((cols[u], lab) for u, lab in out_nb[v])))
-                sigs.append(sig)
-            new = _rank(sigs)
-            if len(set(new)) == len(set(cols)):
-                return new
-            cols = new
+    def refine(cell: list[int], order: list[int], size: list[int], changed: list[int]) -> None:
+        """Split cells in rounds until none splits; `changed` holds the nodes whose colour
+        changed since the cells were last stable."""
+        while changed:
+            splits = []
+            for s in {cell[u] for v in changed for u in near[v]}:
+                if size[s] == 1:
+                    continue
+                part = order[s:s + size[s]]
+                sig = {}
+                for v in part:
+                    a = sorted([cell[u] * base + h for u, h in ins[v]])
+                    sig[v] = (a, sorted([cell[u] * base + h for u, h in outs[v]])) if directed else a
+                part.sort(key=sig.__getitem__)
+                if sig[part[0]] != sig[part[-1]]:
+                    splits.append((s, part, sig))
+            changed = []
+            for s, part, sig in splits:  # all read first: every sig uses last round's colours
+                split(cell, order, size, s, part, sig, changed)
 
     def encode(pos: list[int]) -> bytes:
         if directed:
-            es = sorted((pos[u], pos[v], elabels.get(i, 0)) for i, (u, v) in enumerate(edges))
+            es = sorted([(pos[u], pos[v], h) for (u, v), h in zip(edges, numbers)])
         else:
-            es = sorted(tuple(sorted((pos[u], pos[v]))) + (elabels.get(i, 0),)
-                        for i, (u, v) in enumerate(edges))
+            es = sorted([(pos[u], pos[v], h) if pos[u] < pos[v] else (pos[v], pos[u], h)
+                         for (u, v), h in zip(edges, numbers)])
         ls = sorted((pos[v], x) for v, x in vlabels.items())
         return repr((num_nodes, es, ls)).encode()
 
-    best: list = []
+    best: list = [None, []]  # the least encoding, and the leaves that reach it
 
-    def search(cols: list[int]) -> None:
-        cols = refine(cols)
-        classes: dict[int, list[int]] = {}
-        for v in range(num_nodes):
-            classes.setdefault(cols[v], []).append(v)
-        target = None
-        for c in sorted(classes):
-            if len(classes[c]) > 1:
-                target = c
-                break
-        if target is None:
-            enc = encode(cols)
-            if not best or enc < best[0]:
-                best[:] = [enc, tuple(cols), 1]
+    def search(cell: list[int], order: list[int], size: list[int], changed: list[int]) -> None:
+        refine(cell, order, size, changed)
+        s = 0
+        while s < num_nodes and size[s] == 1:
+            s += 1
+        if s == num_nodes:
+            enc = encode(cell)
+            if best[0] is None or enc < best[0]:
+                best[:] = [enc, [tuple(cell)]]
             elif enc == best[0]:
-                best[2] += 1
+                best[1].append(tuple(cell))
             return
-        for v in classes[target]:
-            keyed = [(cols[u], 0 if u == v else 1) if cols[u] == target else (cols[u], 2)
-                     for u in range(num_nodes)]
-            search(_rank(keyed))
+        k = size[s]
+        for v in sorted(order[s:s + k]):
+            rest = [u for u in order[s:s + k] if u != v]
+            c, o, z = cell[:], order[:], size[:]
+            o[s:s + k] = [v] + rest
+            z[s], z[s + 1] = 1, k - 1
+            for u in rest:
+                c[u] = s + 1
+            search(c, o, z, rest)
 
-    search(colors)
-    return _header(G.mode) + b"G" + best[0], best[1], best[2]
-
-
-def _rank(keys: list) -> list[int]:
-    order = {k: i for i, k in enumerate(sorted(set(keys)))}
-    return [order[k] for k in keys]
+    # one cell, split by (internal, leaf label); every node's colour is new
+    key = [(1, vlabels[v]) if v in vlabels else (0, 0) for v in range(num_nodes)]
+    order = sorted(range(num_nodes), key=key.__getitem__)
+    cell, size = [0] * num_nodes, [num_nodes] + [1] * num_nodes
+    split(cell, order, size, 0, order[:], key, [])
+    search(cell, order, size, list(range(num_nodes)))
+    return _header(G.mode) + b"G" + best[0], best[1][0], tuple(best[1])

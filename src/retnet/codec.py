@@ -6,8 +6,7 @@ inverse locates those leaf pairs, removes them, and re-adds the numbered
 edge.  Decoding validates eagerly: any violated invariant means the tree
 is not the image of a labelled network, which is the expected outcome
 for most trees.  `encode_tau` checks its labelling; `verify_counts` encodes
-the labellings it builds from checked networks through `_encode`, unchecked,
-with the canonical positions its own search has found.
+the labellings it builds from checked networks through `_encode`, unchecked.
 """
 
 from __future__ import annotations
@@ -20,17 +19,16 @@ from .model import Graph, ReticulationLabelling, ROOTED, UNROOTED
 def encode_tau(lab: ReticulationLabelling) -> Graph:
     """Replace every numbered edge of the labelled network lab by a pendant leaf pair."""
     model.check(lab, InvalidLabelling)
-    if lab.host.mode == ROOTED:
-        return _encode(lab, ())
-    from .canonical import _canon_general
-    return _encode(lab, _canon_general(lab)[1])
+    return _encode(lab)
 
 
-def _encode(lab: ReticulationLabelling, pos: tuple[int, ...]) -> Graph:
-    """`encode_tau` unchecked, for a labelling built from a checked network;
-    unrooted, `pos` is the labelling's `canonical_positions`."""
+def _encode(lab: ReticulationLabelling) -> Graph:
+    """`encode_tau` unchecked, for a labelling built from a checked network."""
     N = lab.host
     n = N.n
+    if N.mode == UNROOTED:
+        from .canonical import _canon_general
+        pos = _canon_general(lab)[1]
     numbered = {i for i, _ in lab.numbered}
     edges = [e for i, e in enumerate(N.edges) if i not in numbered]
     labels = dict(N.leaf_labels)

@@ -27,22 +27,26 @@ both modes.  `bounds` encloses
 lg m!, lg k!! and lg C(k!!, t) with integer fixed-point logarithms; the
 `iv_*` evaluators here are the same Robbins bounds in `mpmath.iv` at 192
 bits, and `iv_formula_lower_bound` rounds `mpmath.iv` endpoints to nearest
-at 53 bits through `mpmath.mpf`.
+at 53 bits through `mpmath.mpf`.  `canonical._canon_general` splits cells
+in place and re-reads only the cells a round can split;
+`canon_general_rounds` re-ranks every node in every round.
+`solver._labelled_classes` reads a network's labelled classes off its
+automorphisms; `labelled_classes` searches each labelling.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 import mpmath
 
-from retnet import bounds, codec, generate, model
+from retnet import bounds, canonical, codec, generate, model
 from retnet.canonical import classes
 from retnet.canonical import canonical_positions
 from retnet.errors import MODES, ModeMismatch, NotATree, NotInImage
-from retnet.model import Edge, Graph, Switching, ROOTED, UNROOTED
+from retnet.model import Edge, Graph, ReticulationLabelling, Switching, ROOTED, UNROOTED
 
 
 def find_embedding(N: Graph, T: Graph) -> Optional[frozenset[Edge]]:
@@ -360,6 +364,79 @@ def unrooted_off_edges(N: Graph) -> list[tuple[int, ...]]:
         else:
             found.append(off)
     return found
+
+
+def canon_general_rounds(X) -> tuple[bytes, tuple[int, ...], int]:
+    """`canonical._canon_general` by whole rounds: the general-path code of a graph
+    or labelled network, its node -> position map, and how many search leaves
+    reach the least encoding.
+
+    Each round ranks every node by (colour, sorted in-colours, sorted
+    out-colours), with edge numbers, until the number of colours stops
+    growing; a node is individualized by re-ranking every node.
+    """
+    G, elabels = (X, {}) if isinstance(X, Graph) else (X.host, dict(X.numbered))
+    num_nodes, edges, vlabels = G.num_nodes, G.edges, dict(G.leaf_labels)
+    directed = G.mode == ROOTED
+    out_nb: list[list[tuple[int, int]]] = [[] for _ in range(num_nodes)]
+    in_nb = [[] for _ in range(num_nodes)] if directed else out_nb  # unrooted: one list
+    for i, (u, v) in enumerate(edges):
+        lab = elabels.get(i, 0)
+        out_nb[u].append((v, lab))
+        in_nb[v].append((u, lab))
+
+    def rank(keys: list) -> list[int]:
+        order = {k: i for i, k in enumerate(sorted(set(keys)))}
+        return [order[k] for k in keys]
+
+    def refine(cols: list[int]) -> list[int]:
+        while True:
+            new = rank([(cols[v],
+                         tuple(sorted((cols[u], lab) for u, lab in in_nb[v])),
+                         tuple(sorted((cols[u], lab) for u, lab in out_nb[v])))
+                        for v in range(num_nodes)])
+            if len(set(new)) == len(set(cols)):
+                return new
+            cols = new
+
+    def encode(pos: list[int]) -> bytes:
+        if directed:
+            es = sorted((pos[u], pos[v], elabels.get(i, 0)) for i, (u, v) in enumerate(edges))
+        else:
+            es = sorted(tuple(sorted((pos[u], pos[v]))) + (elabels.get(i, 0),)
+                        for i, (u, v) in enumerate(edges))
+        ls = sorted((pos[v], x) for v, x in vlabels.items())
+        return repr((num_nodes, es, ls)).encode()
+
+    best: list = []
+
+    def search(cols: list[int]) -> None:
+        cols = refine(cols)
+        cells: dict[int, list[int]] = {}
+        for v in range(num_nodes):
+            cells.setdefault(cols[v], []).append(v)
+        target = min((c for c in cells if len(cells[c]) > 1), default=None)
+        if target is None:
+            enc = encode(cols)
+            if not best or enc < best[0]:
+                best[:] = [enc, tuple(cols), 1]
+            elif enc == best[0]:
+                best[2] += 1
+            return
+        for v in cells[target]:
+            search(rank([(cols[u], 0 if u == v else 1) if cols[u] == target else (cols[u], 2)
+                         for u in range(num_nodes)]))
+
+    search(rank([("L", vlabels[v]) if v in vlabels else ("I", 0) for v in range(num_nodes)]))
+    return canonical._header(G.mode) + b"G" + best[0], best[1], best[2]
+
+
+def labelled_classes(N: Graph) -> Iterator[tuple[ReticulationLabelling, bytes, int]]:
+    """Each reticulation labelling of N with its canonical code and automorphism
+    count, each read from the labelling's own search, where `solver` reads
+    them off one search of N."""
+    for lab in generate.all_reticulation_labellings(N):
+        yield lab, canonical.canonical_code(lab).bytes, canonical.automorphism_count(lab)
 
 
 def tree_to_newick(T: Graph) -> str:

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import oracles
 import retnet as rn
 from retnet import bounds, canonical, display, generate, model, serialize, solver
 from retnet.errors import BudgetExceeded, DomainError
@@ -198,8 +199,10 @@ def test_worst_case_rejects_empty_sets():
 
 
 def test_verify_counts_runs_each_canonical_search_once(monkeypatch):
-    # one general search per labelling, its positions passed on to the encoder; each
-    # network is validated once, and the labellings built from it are not re-checked
+    # rooted, each network is searched once and its labellings' classes are read off
+    # its automorphisms; unrooted, the encoder also searches each labelling for the
+    # orientation of its numbered edges.  Each network is validated once, and the
+    # labellings built from it are not re-checked
     searched, search = [], canonical._canon_general
     validated, validate = [], model.validate
 
@@ -214,8 +217,8 @@ def test_verify_counts_runs_each_canonical_search_once(monkeypatch):
     monkeypatch.setattr(canonical, "_canon_general", counted_search)
     monkeypatch.setattr(solver, "_canon_general", counted_search)
     monkeypatch.setattr(model, "validate", counted)
-    for mode, searches, labellings, networks in [(UNROOTED, 204, 157, 9),
-                                                 (ROOTED, 2861, 2430, 321)]:
+    for mode, searches, labellings, networks in [(UNROOTED, 213, 157, 9),
+                                                 (ROOTED, 752, 0, 321)]:
         for cached in (generate._level, generate._networks, solver._code_sets):
             cached.cache_clear()
         searched.clear()
@@ -227,6 +230,26 @@ def test_verify_counts_runs_each_canonical_search_once(monkeypatch):
                                                  for n in (1, 2, 3) for r in (1, 2)), mode
 
 
+def test_labelled_classes_match_each_labellings_own_search():
+    # the Aut(N) keys part N's labellings as their canonical codes do, and each
+    # stabilizer count is the labelling's automorphism count
+    points = [(n, r, mode) for mode in (ROOTED, UNROOTED) for n in (1, 2, 3) for r in (1, 2)]
+    merged = 0  # labellings that share a class with an earlier one
+    for n, r, mode in points + [(2, 3, ROOTED)]:
+        by_key, by_code = {}, {}
+        for j, (N, _) in enumerate(solver._code_sets(n, r, mode)):
+            fast = list(solver._labelled_classes(N))
+            slow = list(oracles.labelled_classes(N))
+            assert [lab for lab, _, _ in fast] == [lab for lab, _, _ in slow]
+            for (lab, key, autos), (_, code, want) in zip(fast, slow):
+                assert autos == want, lab
+                by_key.setdefault((j, key), set()).add(lab)
+                by_code.setdefault(code, set()).add(lab)
+        assert sorted(map(sorted, by_key.values())) == sorted(map(sorted, by_code.values()))
+        merged += sum(len(labs) - 1 for labs in by_key.values())
+    assert merged > 0
+
+
 def test_verify_counts_refuses_an_empty_grid():
     for n_max, r_max in [(0, 1), (3, 0), (-1, 2)]:
         with pytest.raises(ValueError, match="n_max and r_max must be at least 1"):
@@ -234,8 +257,8 @@ def test_verify_counts_refuses_an_empty_grid():
 
 
 def test_verify_counts_all_hold():
-    for mode in (ROOTED, UNROOTED):
-        reps = solver.verify_counts(3, 1, mode)
+    for n_max, r_max, mode in [(3, 1, ROOTED), (3, 1, UNROOTED), (2, 3, ROOTED)]:
+        reps = solver.verify_counts(n_max, r_max, mode)
         assert reps
         bad = [r for r in reps if not r.holds]
         assert not bad, bad
