@@ -4,13 +4,13 @@ Codes are complete isomorphism invariants: two graphs get equal codes
 exactly when they are isomorphic as labelled graphs (leaf labels always,
 and a labelled network's edge numbers).  Trees use a fast bottom-up
 code; networks use colour refinement with backtracking over the residual
-symmetry, taking the lexicographically least encoding over all
-refinement leaves.  Refinement keeps the colour classes as cells of an
-ordered partition and splits them in place (the cell splitting of
-McKay & Piperno, "Practical graph isomorphism, II", 2014); a round
-re-reads only the cells next to a node whose colour the round before
-changed.  The leaves that reach the least encoding are the graph's
-automorphisms, and the search returns them all.
+symmetry, taking the least encoding over all refinement leaves.
+Refinement keeps the colour classes as cells of an ordered partition and
+splits them in place (the cell splitting of McKay & Piperno, "Practical
+graph isomorphism, II", 2014); a round re-reads only the cells next to a
+node whose colour changed.  The search reads plain graphs, and returns
+every leaf that reaches the least encoding: these are the automorphisms,
+and a labelling is read off its network's (`_frame`).
 """
 
 from __future__ import annotations
@@ -32,12 +32,12 @@ class CanonicalCode(NamedTuple):
 
 
 def canonical_code(X: Graph | ReticulationLabelling) -> CanonicalCode:
-    """Deterministic, node-id-invariant code for a labelled graph: a graph, or a
-    labelled network with its edge numbers (checked first, InvalidLabelling)."""
+    """Deterministic, node-id-invariant code for a graph, or for a labelled network
+    (checked first, InvalidLabelling): its network's, `L` and its key (`_frame`)."""
     G = X if isinstance(X, Graph) else _checked(X).host
     if (G is X or not X.numbered) and model.reticulation_count(G) == 0:
         return CanonicalCode(_header(G.mode) + b"T" + _tree_code(G))
-    return CanonicalCode(_canon_general(X)[0])
+    return CanonicalCode(_search(X)[0])
 
 
 def classes(graphs: Iterable[Graph]) -> tuple[Graph, ...]:
@@ -52,15 +52,13 @@ def classes(graphs: Iterable[Graph]) -> tuple[Graph, ...]:
 
 
 def canonical_positions(X: Graph | ReticulationLabelling) -> tuple[int, ...]:
-    """node -> position in the canonical ordering of a graph or labelled network
-    (general path).
+    """node -> position in the general-path canonical ordering of a graph or labelling.
 
     Any two minimal orderings differ by an automorphism, so sets of
     edges compared in canonical coordinates are class invariants.  A
-    labelled network's ordering respects its edge numbers too.  A labelling
-    is checked first (InvalidLabelling).
+    labelling's is its frame (`_frame`), checked first (InvalidLabelling).
     """
-    return _canon_general(_checked(X))[1]
+    return _search(_checked(X))[1]
 
 
 def automorphism_count(X: Graph | ReticulationLabelling) -> int:
@@ -71,15 +69,38 @@ def automorphism_count(X: Graph | ReticulationLabelling) -> int:
     possible (parent-swap symmetries).  A labelling is checked first
     (InvalidLabelling).
     """
-    return len(_canon_general(_checked(X))[2])
+    return _search(_checked(X))[2]
 
 
 def _checked(X: Graph | ReticulationLabelling) -> Graph | ReticulationLabelling:
-    """X, once checked if it is a labelling: the code of an invalid one would
-    be read off edges its network may not have."""
+    """X, checked if it is a labelling: an invalid one may number absent edges."""
     if not isinstance(X, Graph):
         model.check(X, InvalidLabelling)
     return X
+
+
+def _search(X: Graph | ReticulationLabelling) -> tuple[bytes, tuple[int, ...], int]:
+    """The general-path code, positions and automorphism count of a graph, or of
+    an unchecked labelling framed by its network's search."""
+    if isinstance(X, Graph):
+        code, pos, leaves = _canon_general(X)
+        return code, pos, len(leaves)
+    code, _, leaves = _canon_general(X.host)
+    key, pos, autos = _frame(X, leaves)
+    return code + b"L" + repr(key).encode(), pos, autos
+
+
+def _frame(lab: ReticulationLabelling, leaves: tuple) -> tuple[tuple, tuple[int, ...], int]:
+    """lab read off its network N's search leaves, which are Aut(N): its class key,
+    the least image of its numbered edges in number order (unrooted, each edge's
+    ends in position order), the first leaf that reaches the key, and how many
+    do.  Each leaf maps N onto its canonical ordering, so labellings of isomorphic
+    networks are isomorphic exactly when their keys are equal."""
+    ends, directed = [lab.host.edges[i] for i, _ in lab.numbered], lab.host.mode == ROOTED
+    images = [tuple((p[u], p[v]) if directed or p[u] < p[v] else (p[v], p[u]) for u, v in ends)
+              for p in leaves]
+    key = min(images)
+    return key, leaves[images.index(key)], images.count(key)
 
 
 def _header(mode: str) -> bytes:
@@ -186,38 +207,35 @@ def _shape(T: Graph) -> tuple[Graph, dict[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# general labelled-graph canonization
+# general graph canonization
 
 
-def _canon_general(X) -> tuple[bytes, tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """The general-path code of a graph or labelled network (its least encoding),
-    its node -> position map, and the map of every search leaf that reaches the
-    least encoding, that one first.
+def _canon_general(G: Graph) -> tuple[bytes, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The general-path code of a graph (its least encoding), its node -> position
+    map, and the map of every search leaf that reaches the least encoding, that
+    one first.
 
     Nodes sit in cells, runs of positions, and a node's colour is the first
     position of its cell: internal nodes first, then leaves by label.  Each
     round of refinement splits cells in place, a cell's parts ordered by
-    their nodes' sorted in-colours, then sorted out-colours (a colour paired
-    with the edge's number).  A cell can split only if a node of it
-    neighbours one whose colour changed in the round before, so a round
-    re-reads only those cells.  Once no cell splits, each node of the first
-    cell of more than one, in id order, takes that cell's first position
-    and the others the next, and the search goes on below.  Every branch is
-    explored and target cells are chosen canonically, so the leaves that
-    reach the least encoding correspond one to one with the automorphisms
-    of the labelled graph: each is the first composed with one.
+    their nodes' sorted in-colours, then sorted out-colours.  A cell can
+    split only if a node of it neighbours one whose colour changed in the
+    round before, so a round re-reads only those cells.  Once no cell
+    splits, each node of the first cell of more than one, in id order,
+    takes that cell's first position and the others the next, and the
+    search goes on below.  Every branch is explored and target cells are
+    chosen canonically, so the leaves that reach the least encoding
+    correspond one to one with the automorphisms of the graph: each is the
+    first composed with one.  An encoded edge is (tail, head, 0).
     """
-    G, elabels = (X, {}) if isinstance(X, Graph) else (X.host, dict(X.numbered))
     num_nodes, edges, vlabels = G.num_nodes, G.edges, dict(G.leaf_labels)
     directed = G.mode == ROOTED
-    base = max(elabels.values(), default=0) + 1  # (colour, number) packs as colour * base + number
-    numbers = [elabels.get(i, 0) for i in range(len(edges))]
-    ins: list[list[tuple[int, int]]] = [[] for _ in range(num_nodes)]
+    ins: list[list[int]] = [[] for _ in range(num_nodes)]
     outs = [[] for _ in range(num_nodes)] if directed else ins  # unrooted: one list
     near: list[set[int]] = [set() for _ in range(num_nodes)]
-    for (u, v), h in zip(edges, numbers):
-        outs[u].append((v, h))
-        ins[v].append((u, h))
+    for u, v in edges:
+        outs[u].append(v)
+        ins[v].append(u)
         near[u].add(v)
         near[v].add(u)
 
@@ -248,8 +266,8 @@ def _canon_general(X) -> tuple[bytes, tuple[int, ...], tuple[tuple[int, ...], ..
                 part = order[s:s + size[s]]
                 sig = {}
                 for v in part:
-                    a = sorted([cell[u] * base + h for u, h in ins[v]])
-                    sig[v] = (a, sorted([cell[u] * base + h for u, h in outs[v]])) if directed else a
+                    a = sorted([cell[u] for u in ins[v]])
+                    sig[v] = (a, sorted([cell[u] for u in outs[v]])) if directed else a
                 part.sort(key=sig.__getitem__)
                 if sig[part[0]] != sig[part[-1]]:
                     splits.append((s, part, sig))
@@ -259,10 +277,10 @@ def _canon_general(X) -> tuple[bytes, tuple[int, ...], tuple[tuple[int, ...], ..
 
     def encode(pos: list[int]) -> bytes:
         if directed:
-            es = sorted([(pos[u], pos[v], h) for (u, v), h in zip(edges, numbers)])
+            es = sorted([(pos[u], pos[v], 0) for u, v in edges])
         else:
-            es = sorted([(pos[u], pos[v], h) if pos[u] < pos[v] else (pos[v], pos[u], h)
-                         for (u, v), h in zip(edges, numbers)])
+            es = sorted([(pos[u], pos[v], 0) if pos[u] < pos[v] else (pos[v], pos[u], 0)
+                         for u, v in edges])
         ls = sorted((pos[v], x) for v, x in vlabels.items())
         return repr((num_nodes, es, ls)).encode()
 

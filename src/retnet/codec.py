@@ -1,12 +1,12 @@
 """Injective encoding of reticulation-labelled networks as trees, and its inverse.
 
 A numbered edge (u, v) with number h becomes a pair of pendant leaves:
-one under u labelled n + 2h - 1 and one under v labelled n + 2h.  The
-inverse locates those leaf pairs, removes them, and re-adds the numbered
-edge.  Decoding validates eagerly: any violated invariant means the tree
-is not the image of a labelled network, which is the expected outcome
-for most trees.  `encode_tau` checks its labelling; `verify_counts` encodes
-the labellings it builds from checked networks through `_encode`, unchecked.
+one under u labelled n + 2h - 1 and one under v labelled n + 2h; unrooted,
+u is the end first in the labelling's canonical positions, so isomorphic
+labellings encode alike.  The inverse locates those leaf pairs, removes
+them, and re-adds the numbered edge.  Decoding validates eagerly: any
+violated invariant means the tree is not the image of a labelled network,
+the expected outcome for most trees.  `verify_counts` encodes unchecked.
 """
 
 from __future__ import annotations
@@ -19,25 +19,27 @@ from .model import Graph, ReticulationLabelling, ROOTED, UNROOTED
 def encode_tau(lab: ReticulationLabelling) -> Graph:
     """Replace every numbered edge of the labelled network lab by a pendant leaf pair."""
     model.check(lab, InvalidLabelling)
-    return _encode(lab)
+    return _encode(lab, _positions(lab))
 
 
-def _encode(lab: ReticulationLabelling) -> Graph:
-    """`encode_tau` unchecked, for a labelling built from a checked network."""
+def _positions(lab: ReticulationLabelling) -> tuple[int, ...] | None:
+    """Unrooted, lab's canonical positions, which orient its numbered edges; rooted, None."""
+    if lab.host.mode == ROOTED:
+        return None
+    from .canonical import _search
+    return _search(lab)[1]
+
+
+def _encode(lab: ReticulationLabelling, pos: tuple[int, ...] | None) -> Graph:
+    """`encode_tau` unchecked, for a labelling of a checked network, with its positions."""
     N = lab.host
     n = N.n
-    if N.mode == UNROOTED:
-        from .canonical import _canon_general
-        pos = _canon_general(lab)[1]
     numbered = {i for i, _ in lab.numbered}
     edges = [e for i, e in enumerate(N.edges) if i not in numbered]
     labels = dict(N.leaf_labels)
     nid = N.num_nodes
     for i, h in lab.numbered:
         u, v = N.edges[i]
-        # undirected numbered edges have no intrinsic tail; orient them by
-        # canonical position of the labelled host so the image is a class
-        # invariant (isomorphic labelled networks encode to isomorphic trees)
         if N.mode == UNROOTED and pos[u] > pos[v]:
             u, v = v, u
         z, zp = nid, nid + 1
@@ -55,7 +57,7 @@ def decode_tau(T: Graph, n: int, r: int) -> ReticulationLabelling:
     A T that is not a valid tree raises DomainError, checked first.  Raises
     NotInImage when the reconstruction violates any network or labelling
     invariant (parallel edge, cycle, degree violation, 0-edges not forming
-    a switching).
+    a switching, an unrooted pendant pair the other way round).
     """
     if n < 1 or r < 0:
         raise ValueError("n must be at least 1 and r at least 0")
@@ -102,4 +104,7 @@ def decode_tau(T: Graph, n: int, r: int) -> ReticulationLabelling:
     report = model.validate(net)
     if not report.ok:
         raise NotInImage(report.violations[0])
+    pos = _positions(lab)
+    if pos is not None and any(pos[idx[u]] > pos[idx[v]] for (u, v), _ in numbered):
+        raise NotInImage("pendant pair against the canonical orientation")
     return lab

@@ -11,7 +11,7 @@ relabelling, and the candidates then share one tower per shape.  One
 table, `_code_sets`, holds the displayed tree codes of each network
 searched, for a tower or for all of N(n, r).  `verify_counts` searches
 each network of N(n, r) once: its labelled classes are the orbits of its
-labellings under its automorphisms (`_labelled_classes`).
+labellings under its automorphisms (`canonical._frame`).
 """
 
 from __future__ import annotations
@@ -20,12 +20,12 @@ import itertools
 import math
 import random
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Optional
 
 from . import bounds, codec, display, generate, model
-from .canonical import _canon_general, _shape, canonical_code, classes
+from .canonical import _canon_general, _frame, _shape, canonical_code, classes
 from .errors import ROOTED, BudgetExceeded, DomainError, _budget
-from .model import Graph, ReticulationLabelling, TreeSet
+from .model import Graph, TreeSet
 
 
 @lru_cache(maxsize=128)
@@ -102,25 +102,6 @@ def worst_case_r(n: int, t: int, mode: str = ROOTED, *,
     return best_r, best_set
 
 
-def _labelled_classes(N: Graph) -> Iterator[tuple[ReticulationLabelling, tuple, int]]:
-    """Each reticulation labelling of the simple network N, with its class key among
-    N's labellings and its automorphism count, from one search of N.
-
-    The search's leaves are Aut(N): each maps N onto N's canonical ordering.
-    A labelling's key is the least image of its numbered edges, in number
-    order, under those maps, in canonical coordinates; two labellings of N
-    are isomorphic exactly when their keys are equal (N is simple, so two
-    ends name one edge).  Its automorphisms are the leaves that reach the key.
-    """
-    _, _, leaves = _canon_general(N)
-    ends = [[(p[u], p[v]) if N.mode == ROOTED or p[u] < p[v] else (p[v], p[u]) for u, v in N.edges]
-            for p in leaves]
-    for lab in generate.all_reticulation_labellings(N):
-        images = [tuple(edge[i] for i, _ in lab.numbered) for edge in ends]
-        key = min(images)
-        yield lab, key, images.count(key)
-
-
 def verify_counts(n_max: int, r_max: int, mode: str = ROOTED) -> list[bounds.BoundReport]:
     """Run every enumeration-vs-bound check over the (n, r) grid.
 
@@ -128,8 +109,8 @@ def verify_counts(n_max: int, r_max: int, mode: str = ROOTED) -> list[bounds.Bou
     and relaxed network-count bounds, the displayed-tree bounds, codec
     injectivity, and the unit-automorphism property of labelled networks.
     The labelled classes are the Aut(N) orbits of each network N's
-    labellings, read off one search of N, and a labelling's automorphisms
-    are its stabilizer in Aut(N).
+    labellings, read off one search of N (`canonical._frame`) with each
+    one's automorphisms, its stabilizer, and the positions its image needs.
     """
     if n_max < 1 or r_max < 1:  # an empty grid would check nothing and report success
         raise ValueError(f"n_max and r_max must be at least 1, not {n_max} and {r_max}")
@@ -162,12 +143,13 @@ def verify_counts(n_max: int, r_max: int, mode: str = ROOTED) -> list[bounds.Bou
                         disp_ok = False
                     if len(N.edges) != 2 * n + 3 * r - 3:
                         disp_ok = False
-                for lab, key, autos in _labelled_classes(N):
+                leaves = _canon_general(N)[2]
+                for lab in generate.all_reticulation_labellings(N):
                     # distinct labelled networks must encode to distinct trees
+                    key, pos, autos = _frame(lab, leaves)
                     labelled_keys.add((j, key))
-                    codec_images.add(canonical_code(codec._encode(lab)).bytes)
-                    if autos != 1:
-                        autos_ok = False
+                    codec_images.add(canonical_code(codec._encode(lab, pos)).bytes)
+                    autos_ok &= autos == 1
             reports.append(bounds.BoundReport(
                 "displayed-trees-bound", params, lhs=None, rhs=None, holds=disp_ok))
             reports.append(bounds.BoundReport(

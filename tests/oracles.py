@@ -28,10 +28,11 @@ lg m!, lg k!! and lg C(k!!, t) with integer fixed-point logarithms; the
 `iv_*` evaluators here are the same Robbins bounds in `mpmath.iv` at 192
 bits, and `iv_formula_lower_bound` rounds `mpmath.iv` endpoints to nearest
 at 53 bits through `mpmath.mpf`.  `canonical._canon_general` splits cells
-in place and re-reads only the cells a round can split;
-`canon_general_rounds` re-ranks every node in every round.
-`solver._labelled_classes` reads a network's labelled classes off its
-automorphisms; `labelled_classes` searches each labelling.
+in place and re-reads only the cells a round can split, and searches
+plain graphs only; `canon_general_rounds` re-ranks every node in every
+round, and searches a labelled network with its edge numbers.
+`canonical` reads a labelling off its network's automorphisms
+(`canonical._frame`); `labelled_classes` searches each labelling.
 """
 
 from __future__ import annotations
@@ -432,11 +433,12 @@ def canon_general_rounds(X) -> tuple[bytes, tuple[int, ...], int]:
 
 
 def labelled_classes(N: Graph) -> Iterator[tuple[ReticulationLabelling, bytes, int]]:
-    """Each reticulation labelling of N with its canonical code and automorphism
-    count, each read from the labelling's own search, where `solver` reads
-    them off one search of N."""
+    """Each reticulation labelling of N with its code and automorphism count from
+    its own search with edge numbers (`canon_general_rounds`), where `canonical`
+    reads them off one search of N."""
     for lab in generate.all_reticulation_labellings(N):
-        yield lab, canonical.canonical_code(lab).bytes, canonical.automorphism_count(lab)
+        code, _, autos = canon_general_rounds(lab)
+        yield lab, code, autos
 
 
 def tree_to_newick(T: Graph) -> str:

@@ -172,16 +172,23 @@ def oracle_pool():
     return pool
 
 
-# the pool's erased hosts, and its networks with no edge numbered, are not valid
-# labellings, which the public entry points refuse: these two tests read the search
+def searched(G, elabels):
+    """The code and automorphism count of G with the edge numbers `elabels`, through
+    the public entry points.  An erased host numbered is not a valid labelling, which
+    they refuse: it is framed by its network's search, unchecked."""
+    X = labelling(G, elabels) if elabels else G
+    if elabels and not G.leaf_labels:
+        code, _, autos = canonical._search(X)
+        return code, autos
+    return canonical.canonical_code(X).bytes, canonical.automorphism_count(X)
+
 
 def test_automorphism_count_matches_networkx():
     nontrivial = 0
     for G, elabels in oracle_pool():
         H = nx_graph(G, elabels)
         expected = sum(1 for _ in nx_matcher(H, H).isomorphisms_iter())
-        X = labelling(G, elabels) if elabels else G
-        assert len(canonical._canon_general(X)[2]) == expected
+        assert searched(G, elabels)[1] == expected
         nontrivial += expected > 1
     assert nontrivial > 80
 
@@ -199,47 +206,56 @@ def test_code_equality_matches_networkx():
             rng.shuffle(perm)
             B = permuted(A, perm)
             eb = {model._norm_edge(A.mode, perm[u], perm[v]): h for (u, v), h in ea.items()}
-        code_a = canonical._canon_general(labelling(A, ea))[0]
-        code_b = canonical._canon_general(labelling(B, eb))[0]
         same = nx_matcher(nx_graph(A, ea), nx_graph(B, eb)).is_isomorphic()
-        assert (code_a == code_b) == same
+        assert (searched(A, ea)[0] == searched(B, eb)[0]) == same
         matches += same
     assert matches > 50
 
 
 def refinement_pool():
-    """Every graph of `_level` and `_networks` at the points below, and every
-    labelling of `verify_counts`' tables at n <= 3, r <= 2, in both modes."""
+    """Every graph of `_level` and `_networks` at the points below, in both modes."""
     points = {ROOTED: [(n, 1) for n in range(1, 6)] + [(n, 2) for n in range(1, 4)] + [(2, 3)],
               UNROOTED: [(n, 1) for n in range(1, 6)] + [(n, 2) for n in range(2, 5)]}
     for mode, nrs in points.items():
         for n, r in nrs:
             yield from generate._level(n, r, mode, None)
             yield from generate._networks(n, r, mode, None, True)
-        for n, r in itertools.product((1, 2, 3), (1, 2)):
-            for N, _ in solver._code_sets(n, r, mode):
-                yield from generate.all_reticulation_labellings(N)
 
 
 def test_refinement_matches_the_round_by_round_oracle():
     # cell-wise refinement ranks nodes as whole rounds do, so codes, positions and
     # the number of best leaves are the same; each best leaf is an automorphism
     moved = 0
-    for X in refinement_pool():
-        code, pos, leaves = canonical._canon_general(X)
-        assert (code, pos, len(leaves)) == oracles.canon_general_rounds(X), X
+    for G in refinement_pool():
+        code, pos, leaves = canonical._canon_general(G)
+        assert (code, pos, len(leaves)) == oracles.canon_general_rounds(G), G
         assert leaves[0] == pos
-        G = X if isinstance(X, model.Graph) else X.host
-        numbers = {} if G is X else dict(X.numbered)
-        labelled = sorted((e, numbers.get(i, 0)) for i, e in enumerate(G.edges))
+        edges = sorted(G.edges)
         inverse = {p: v for v, p in enumerate(pos)}
         for leaf in leaves:
             a = [inverse[p] for p in leaf]  # node -> node: the leaf, then back from pos
-            assert sorted((model._norm_edge(G.mode, a[u], a[v]), h)
-                          for (u, v), h in labelled) == labelled, X
-            assert sorted((a[v], x) for v, x in G.leaf_labels) == list(G.leaf_labels), X
+            assert sorted(model._norm_edge(G.mode, a[u], a[v]) for u, v in G.edges) == edges, G
+            assert sorted((a[v], x) for v, x in G.leaf_labels) == list(G.leaf_labels), G
             moved += a != list(range(G.num_nodes))
     assert moved > 0
+
+
+def test_labelled_codes_part_labellings_as_the_edge_number_search_does():
+    # a labelled code reads the labelling off its network's automorphisms; the oracle
+    # searches the labelling itself, edge numbers and all.  Both part the labellings
+    # of every network at each point into the same classes
+    points = [(n, r, mode) for mode in (ROOTED, UNROOTED) for n in (1, 2, 3) for r in (1, 2)]
+    merged = 0  # labellings that share a class with an earlier one
+    for n, r, mode in points + [(2, 3, ROOTED)]:
+        by_code, by_oracle = {}, {}
+        for N, _ in solver._code_sets(n, r, mode):
+            for lab, want, autos in oracles.labelled_classes(N):
+                assert canonical.automorphism_count(lab) == autos == 1, lab
+                by_code.setdefault(canonical.canonical_code(lab).bytes, set()).add(lab)
+                by_oracle.setdefault(want, set()).add(lab)
+        assert sorted(map(sorted, by_code.values())) == sorted(map(sorted, by_oracle.values()))
+        merged += sum(len(labs) - 1 for labs in by_code.values())
+    assert merged > 0
 
 
 def unsuppressed(T, rng):

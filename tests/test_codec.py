@@ -61,6 +61,25 @@ def test_injectivity_on_labelled_classes():
         assert len(images) == len(labelled)
 
 
+def test_decodable_trees_are_the_labelled_classes():
+    # each labelled class encodes to one tree and no other tree decodes: unrooted, a
+    # pendant pair against its network's canonical orientation is refused
+    for mode, n, r, count in [(UNROOTED, 3, 1, 3), (UNROOTED, 2, 2, 8), (UNROOTED, 3, 2, 102),
+                              (ROOTED, 3, 1, 42), (ROOTED, 2, 2, 140)]:
+        decoded = 0
+        for T in generate.enumerate_trees(n + 2 * r, mode):
+            try:
+                lab = codec.decode_tau(T, n, r)
+            except NotInImage:
+                continue
+            decoded += 1
+            assert canonical.canonical_code(codec.encode_tau(lab)) == canonical.canonical_code(T)
+        labelled = {canonical.canonical_code(lab).bytes
+                    for N in generate.enumerate_networks(n, r, mode)
+                    for lab in generate.all_reticulation_labellings(N)}
+        assert decoded == len(labelled) == count, (mode, n, r)
+
+
 def test_decoded_labellings_are_valid():
     # decode_tau validates only the network; the labelling is valid by construction
     for mode in (ROOTED, UNROOTED):
