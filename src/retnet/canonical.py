@@ -91,12 +91,12 @@ def _search(X: Graph | ReticulationLabelling) -> tuple[bytes, tuple[int, ...], i
 
 
 def _frame(lab: ReticulationLabelling, leaves: tuple) -> tuple[tuple, tuple[int, ...], int]:
-    """lab read off its network N's search leaves, which are Aut(N): its class key,
-    the least image of its numbered edges in number order (unrooted, each edge's
-    ends in position order), the first leaf that reaches the key, and how many
-    do.  Each leaf maps N onto its canonical ordering, so labellings of isomorphic
-    networks are isomorphic exactly when their keys are equal."""
-    ends, directed = [lab.host.edges[i] for i, _ in lab.numbered], lab.host.mode == ROOTED
+    """lab read off its network N's search leaves, which are Aut(N), each mapping N onto its
+    canonical ordering: the class key, the least image of lab's numbered edges sorted by number
+    (unrooted, each edge's ends in position order), the first leaf that reaches the key, and
+    how many do.  Labellings of isomorphic networks are isomorphic exactly when keys are equal."""
+    ends = [lab.host.edges[i] for _, i in sorted((h, i) for i, h in lab.numbered)]
+    directed = lab.host.mode == ROOTED
     images = [tuple((p[u], p[v]) if directed or p[u] < p[v] else (p[v], p[u]) for u, v in ends)
               for p in leaves]
     key = min(images)

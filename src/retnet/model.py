@@ -62,7 +62,7 @@ class ReticulationLabelling(NamedTuple):
     """A switching extended by a bijective numbering of its off edges with 1..r."""
 
     host: Graph
-    numbered: tuple[tuple[int, int], ...]  # (index in host.edges, h) sorted by h
+    numbered: tuple[tuple[int, int], ...]  # (index in host.edges, h), any order; built sorted by h
 
     def switching(self) -> Switching:
         return Switching(self.host, frozenset(i for i, _ in self.numbered))

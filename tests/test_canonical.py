@@ -258,6 +258,36 @@ def test_labelled_codes_part_labellings_as_the_edge_number_search_does():
     assert merged > 0
 
 
+def test_labelled_codes_ignore_the_order_of_the_numbered_pairs():
+    # a labelling is its set of (edge, number) pairs: written in another order it keeps its
+    # code, positions and tree, and with its numbers permuted it keeps its code exactly when
+    # the edge-number search finds the two labellings isomorphic
+    def tree_code(lab):
+        return canonical.canonical_code(rn.encode_tau(lab))
+
+    def oracle_code(lab):
+        return oracles.canon_general_rounds(lab)[0]
+
+    differ = 0
+    for n, r, mode in [(n, 2, mode) for mode in (ROOTED, UNROOTED) for n in (1, 2, 3)]:
+        for N in generate.enumerate_networks(n, r, mode):
+            for lab in generate.all_reticulation_labellings(N):
+                turned = model.ReticulationLabelling(N, lab.numbered[::-1])
+                swapped = lab._replace(numbered=tuple((i, r + 1 - h) for i, h in lab.numbered))
+                swapped_sorted = model.ReticulationLabelling(N, swapped.numbered[::-1])
+                assert model.validate(turned).ok and model.validate(swapped).ok
+                code = canonical.canonical_code(lab)
+                assert canonical.canonical_code(turned) == code
+                assert canonical.canonical_positions(turned) == canonical.canonical_positions(lab)
+                assert canonical.automorphism_count(turned) == 1
+                assert tree_code(turned) == tree_code(lab)
+                assert tree_code(swapped) == tree_code(swapped_sorted)
+                same = oracle_code(swapped) == oracle_code(lab)
+                assert (canonical.canonical_code(swapped) == code) == same, lab
+                differ += not same
+    assert differ > 0
+
+
 def unsuppressed(T, rng):
     """T with a chain above the root (rooted), some edges subdivided, and
     unlabelled pendant chains: the shapes a switching's on edges take."""
